@@ -17,9 +17,9 @@ from itertools import combinations, product
 from .errors import MismatchBugError, NotConnectedError, SizeLimitError
 from .fiber import fiber_product
 from .stallings import (
-    BasedCoreGraph,
     CoreGraph,
     LabeledGraph,
+    _underlying,
     canonical_key,
     core,
     graph_to_json_dict,
@@ -152,10 +152,6 @@ def _as_tree(t) -> FiniteSubtree:
 def tree_intersection(t1, t2) -> FiniteSubtree:
     """Vertex-wise intersection; always contains the identity."""
     return FiniteSubtree(_as_tree(t1).words & _as_tree(t2).words)
-
-
-def _underlying(g) -> LabeledGraph:
-    return g.graph if isinstance(g, (CoreGraph, BasedCoreGraph)) else g
 
 
 def neighborhood_tree(g, v: int, r: int) -> RoundGraph:

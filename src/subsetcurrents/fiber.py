@@ -17,16 +17,13 @@ from .stallings import (
     CoreGraph,
     LabeledGraph,
     _spanning_tree,
+    _underlying,
     contains,
     from_generators,
     induced_subgraph,
     reduced_rank,
 )
 from .words import Alphabet, Word, concat, invert
-
-
-def _underlying(g) -> LabeledGraph:
-    return g.graph if isinstance(g, (CoreGraph, BasedCoreGraph)) else g
 
 
 @dataclass

@@ -39,6 +39,8 @@ from subsetcurrents import (
     subgroup_generators,
 )
 
+from helpers import covering_quotient_oracle, fold_oracle, wedge
+
 AL2 = Alphabet(2)
 AL3 = Alphabet(3)
 
@@ -284,3 +286,74 @@ def test_rank3_folding():
     assert rank(h) == 2
     assert contains(h, parse_word("aB", AL3))
     assert not contains(h, parse_word("c", AL3))
+
+
+def _same_graph(g1, g2):
+    assert g1.num_vertices == g2.num_vertices
+    assert g1.edges == g2.edges
+    assert g1.basepoint == g2.basepoint
+
+
+def _same_fold(graph):
+    folded = fold(graph)
+    _same_graph(folded, fold_oracle(graph))
+    return folded
+
+
+def _same_quotient(graph):
+    quotient, degree, vmap = minimal_covering_quotient(graph)
+    old_quotient, old_degree, old_vmap = covering_quotient_oracle(graph)
+    _same_graph(quotient, old_quotient)
+    assert degree == old_degree
+    assert vmap == old_vmap
+    return degree
+
+
+def test_fold_and_quotient_match_oracles_on_random_wedges():
+    # Words are not reduced, single letters and repeated generators occur,
+    # so the wedges carry backtracks, self-loops and parallel edges.
+    rng = random.Random(20)
+    nontrivial = 0
+    for i in range(600):
+        al = Alphabet(2 + i % 3)
+        letters = al.signed_letters()
+        words = []
+        for _ in range(rng.randint(1, 4)):
+            roll = rng.random()
+            if words and roll < 0.2:
+                words.append(rng.choice(words))
+            elif roll < 0.4:
+                words.append((rng.choice(letters),))
+            else:
+                words.append(tuple(rng.choice(letters) for _ in range(rng.randint(2, 8))))
+        folded = _same_fold(wedge(words, al.rank))
+        try:
+            cored = core(folded)
+        except EmptyCoreError:
+            continue
+        if _same_quotient(cored) > 1:
+            nontrivial += 1
+    assert nontrivial >= 10
+
+
+def test_fold_and_quotient_match_oracles_on_cores_and_covers():
+    rng = random.Random(21)
+    for i in range(300):
+        al = Alphabet(2 + i % 2)
+        h = random_subgroup(rng, al)
+        degree = rng.randint(2, 4)
+        cover = random_finite_index_cover(h, degree, rng)
+        _same_quotient(core(h.graph))
+        assert _same_quotient(core(cover.graph)) % degree == 0
+        _same_fold(wedge(subgroup_generators(cover), al.rank))
+
+
+def test_fold_long_word_is_near_linear(acceptance):
+    # a^n b a^-n folds to an a-path of length n with a b-loop at its end;
+    # folding that was quadratic took about 2 s at n = 1000.
+    n = 5000
+    word = (1,) * n + (2,) + (-1,) * n
+    with acceptance(11, "a^5000 b a^-5000 folds within its budget", budget=2.0):
+        h = from_generators([word], AL2)
+    assert h.graph.num_vertices == n + 1
+    assert len(h.graph.edges) == n + 1
