@@ -398,15 +398,22 @@ def functional_E(mu: RationalCurrent) -> Fraction:
     )
 
 
-def functional_V(mu: RationalCurrent, cap: int = ROUND_GRAPH_CAP) -> Fraction:
-    """Sum of the grade-1 round-graph cylinder values."""
-    if mu.is_zero:
-        return Fraction(0)
-    alphabet = Alphabet(mu.rank)
-    return sum(
-        (eval_cylinder(mu, t) for t in enumerate_round_graphs(1, alphabet, cap=cap)),
-        Fraction(0),
-    )
+def functional_V(mu: RationalCurrent) -> Fraction:
+    """Sum of the grade-1 round-graph cylinder values.
+
+    The sum runs only over the grade-1 trees that some term of mu shows,
+    the union of the grade-1 neighborhood profiles of its core graphs.
+    Every other round graph has occurrence count 0 in every term: an
+    occurrence of a grade-1 round graph at v needs its letters to be
+    exactly the departures at v, which makes it the neighborhood tree of v.
+    Leaving those terms out changes no exact value, and the cost follows
+    the vertices of mu rather than the 2^(2N) - 1 - 2N round graphs of the
+    rank.  Each term is still a cylinder count from occurrence_count.
+    """
+    observed: set[FiniteSubtree] = set()
+    for _, g in mu.terms():
+        observed.update(neighborhood_profile(g, 1))
+    return sum((eval_cylinder(mu, t) for t in observed), Fraction(0))
 
 
 def functional_rk(mu: RationalCurrent) -> Fraction:
@@ -449,7 +456,7 @@ def _component_matches_tree(
     return False
 
 
-def c_hat_via_round_graphs(h, k, t, r: int | None = None, cap: int = ROUND_GRAPH_CAP) -> int:
+def c_hat_via_round_graphs(h, k, t, r: int | None = None) -> int:
     """Count contractible components isomorphic to t by two routes.
 
     Route one inspects components of the fiber product directly.  Route two
@@ -461,16 +468,10 @@ def c_hat_via_round_graphs(h, k, t, r: int | None = None, cap: int = ROUND_GRAPH
     """
     tree = _as_tree(t)
     hg, kg = _underlying(h), _underlying(k)
-    alphabet = Alphabet(hg.rank)
     if r is None:
         r = tree.depth
     if tree.depth > r:
         raise ValueError(f"tree of depth {tree.depth} does not fit radius {r}")
-    total_next = count_round_graphs(r + 1, alphabet)
-    if total_next > cap:
-        raise SizeLimitError(
-            f"grade {r + 1} needs {total_next} round graphs, over the cap of {cap}"
-        )
     fp = fiber_product(hg, kg)
     direct = sum(
         1

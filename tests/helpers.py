@@ -9,7 +9,9 @@ circularity.
 `minimal_covering_quotient` (greedy pair closures), kept verbatim as
 differential oracles for the worklist fold and the stable-partition
 quotient.  The greedy search uses `_wl_classes` only to skip pairs that no
-covering can identify.
+covering can identify.  `functional_V_oracle` is the earlier `functional_V`,
+the cylinder sum over every grade-1 round graph of the rank, kept as the
+oracle for the sum over observed neighborhoods.
 """
 
 import random
@@ -23,6 +25,8 @@ from subsetcurrents import (
     NotConnectedError,
     RationalCurrent,
     counting_current,
+    enumerate_round_graphs,
+    eval_cylinder,
     from_generators,
     normalize,
     random_subgroup,
@@ -270,3 +274,14 @@ def covering_quotient_oracle(graph: LabeledGraph) -> tuple[LabeledGraph, int, li
     if graph.num_vertices % current.num_vertices:
         raise MismatchBugError("covering degree is not integral")
     return current, graph.num_vertices // current.num_vertices, total_map
+
+
+def functional_V_oracle(mu: RationalCurrent) -> Fraction:
+    """Sum of the cylinder values of all grade-1 round graphs of the rank."""
+    if mu.is_zero:
+        return Fraction(0)
+    alphabet = Alphabet(mu.rank)
+    return sum(
+        (eval_cylinder(mu, t) for t in enumerate_round_graphs(1, alphabet)),
+        Fraction(0),
+    )

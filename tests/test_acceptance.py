@@ -5,6 +5,7 @@ line in the terminal summary.  Every comparison is exact: integers and
 Fractions throughout, no tolerances anywhere.
 """
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -22,6 +23,7 @@ from subsetcurrents import (
     counting_current,
     eval_cylinder,
     finite_index,
+    format_word,
     from_generators,
     functional_rk,
     intersection_functional_N,
@@ -37,6 +39,7 @@ from subsetcurrents import (
     random_subgroup,
     rank,
     reduced_rank,
+    subgroup_generators,
     cli,
 )
 from helpers import (
@@ -317,3 +320,58 @@ def test_criterion_10_commensurator_contract(acceptance):
 
 def sub_from_word(w):
     return from_generators([w], AL2)
+
+
+def high_rank_pairs(alphabet):
+    """Seeded pairs at one rank: random, sharing two generators, covers, F_N."""
+    rng = random.Random(12_000 + alphabet.rank)
+
+    def gens(n):
+        return [random_reduced_word(rng, alphabet, rng.randint(1, 6)) for _ in range(n)]
+
+    whole = from_generators([(i,) for i in alphabet.letters()], alphabet)
+    pairs = []
+    for _ in range(4):
+        pairs.append((from_generators(gens(3), alphabet), from_generators(gens(3), alphabet)))
+    for _ in range(3):
+        shared = gens(3)
+        pairs.append(
+            (from_generators(shared, alphabet), from_generators(shared[:2] + gens(1), alphabet))
+        )
+    for _ in range(2):
+        h = from_generators(gens(2), alphabet)
+        pairs.append((h, random_finite_index_cover(h, 2, rng)))
+    pairs.append((whole, from_generators(gens(3), alphabet)))
+    return pairs
+
+
+def test_criterion_12_cylinder_route_at_ranks_7_and_8(acceptance, tmp_path):
+    with acceptance(12, "all four N routes agree at ranks 7 and 8", budget=5):
+        nonzero = 0
+        for alphabet in (Alphabet(7), Alphabet(8)):
+            for h, k in high_rank_pairs(alphabet):
+                mu, nu = counting_current(h), counting_current(k)
+                n_euler = intersection_number_euler(ucore(h), ucore(k))
+                n_cosets = intersection_number_cosets(h, k)
+                n_cylinder = intersection_functional_N(mu, nu)
+                n_pushed = functional_rk(pushforward_I(mu, nu))
+                assert n_euler == n_cosets == n_cylinder == n_pushed
+                nonzero += n_euler > 0
+                assert functional_rk(mu) == reduced_rank(h)
+                assert functional_rk(nu) == reduced_rank(k)
+        assert nonzero >= 10
+
+        def write(name, g, alphabet):
+            path = tmp_path / name
+            words = subgroup_generators(g)
+            path.write_text("".join(format_word(w, alphabet) + "\n" for w in words))
+            return str(path)
+
+        out = tmp_path / "report.json"
+        for command, alphabet in (("product", Alphabet(7)), ("intersect", Alphabet(8))):
+            h, k = high_rank_pairs(alphabet)[4]
+            argv = [command, "--rank", str(alphabet.rank)]
+            argv += [write("h.txt", h, alphabet), write("k.txt", k, alphabet)]
+            assert cli.main(argv + ["--out", str(out)]) == 0
+            reported = json.loads(out.read_text())["intersection_number"]
+            assert str(reported) == str(intersection_number_cosets(h, k)) == "1"

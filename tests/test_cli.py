@@ -1,11 +1,14 @@
 """Command line contract: exit codes, determinism, golden reports."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import subsetcurrents
 from subsetcurrents import cli
 
 # hand-checked table for the loop-with-tail family at grade 1:
@@ -203,10 +206,16 @@ def test_shnc_violation_exit_code(files, tmp_path, monkeypatch, capsys):
 
 
 def test_console_script_entry():
+    # the child does not inherit pytest's sys.path, so an uninstalled
+    # checkout needs the package's own src directory on PYTHONPATH
+    src = str(Path(subsetcurrents.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "subsetcurrents.cli", "converge", "--n-max", "2", "--grade", "1"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0].startswith("n\t")

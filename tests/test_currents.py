@@ -36,11 +36,17 @@ from subsetcurrents import (
     occurrence_count,
     parse_word,
     pushforward_I,
+    random_finite_index_cover,
     random_subgroup,
     tree_intersection,
     zero_current,
 )
-from helpers import brute_force_occurrences, random_tree_words
+from helpers import (
+    brute_force_occurrences,
+    functional_V_oracle,
+    random_current,
+    random_tree_words,
+)
 
 AL2 = Alphabet(2)
 AL3 = Alphabet(3)
@@ -226,6 +232,34 @@ def test_edge_and_vertex_counts():
         assert functional_rk(mu) == 0
 
 
+def test_functional_V_matches_full_round_graph_sum():
+    # sums and scalings mix terms whose grade-1 profiles differ, so the
+    # observed trees of one term are missing from another
+    mixed_profiles = 0
+    checked = 0
+    for alphabet in (AL2, AL3):
+        rng = random.Random(31 + alphabet.rank)
+        for _ in range(50):
+            mu = random_current(rng, alphabet)
+            nu = counting_current(random_subgroup(rng, alphabet)).scale(
+                Fraction(rng.randint(1, 7), rng.randint(1, 5))
+            )
+            h = random_subgroup(rng, alphabet)
+            cover = counting_current(
+                random_finite_index_cover(h, rng.randint(2, 4), rng)
+            )
+            for rho in (mu, mu + nu, cover + nu.scale(Fraction(1, 3))):
+                assert functional_V(rho) == functional_V_oracle(rho)
+                profiles = {
+                    frozenset(neighborhood_profile(g, 1)) for _, g in rho.terms()
+                }
+                mixed_profiles += len(profiles) > 1
+                checked += 1
+    assert checked == 300
+    assert mixed_profiles >= 200
+    assert functional_V(zero_current()) == functional_V_oracle(zero_current()) == 0
+
+
 def test_functionals_on_core_graphs():
     for words in (["aa", "b"], ["ab", "ba"], ["a", "b"]):
         h = sub(*words)
@@ -283,10 +317,22 @@ def test_c_hat_round_graph_routes_goldens():
     assert c_hat_via_round_graphs(q, a_loop, tree("1", "A")) == 1
 
 
-def test_c_hat_round_graph_size_guard():
+def test_c_hat_round_graph_routes_rank3():
+    # grade 2 at rank 3 has 1073741637 round graphs, none of them enumerated:
+    # the vertex-pair route builds one neighborhood tree per factor vertex
     h = ucore(sub("ac", "b", alphabet=AL3))
-    with pytest.raises(SizeLimitError):
-        c_hat_via_round_graphs(h, h, tree("1", "a", alphabet=AL3))
+    assert c_hat_via_round_graphs(h, h, tree("1", "a", alphabet=AL3)) == 0
+    # <ac, b> against itself: the diagonal carries the cycle, and the two
+    # off-diagonal pairs are isolated points
+    point = FiniteSubtree([()])
+    assert c_hat_via_round_graphs(h, h, point) == 2
+    eta = counting_current(sub("ac", "b", alphabet=AL3))
+    assert c_hat(eta, eta) == 2
+    # <ac, b> against <abc>: an A-a-C path, a single b-edge, one point
+    k = ucore(sub("abc", alphabet=AL3))
+    assert c_hat_via_round_graphs(h, k, tree("1", "a", "C", alphabet=AL3)) == 1
+    assert c_hat_via_round_graphs(h, k, tree("1", "b", alphabet=AL3)) == 1
+    assert c_hat_via_round_graphs(h, k, point) == 1
 
 
 def test_intersection_functional_goldens():
