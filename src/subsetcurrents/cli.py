@@ -12,7 +12,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .automorphisms import act_on_subgroup, parse_automorphism_file
@@ -26,17 +25,7 @@ from .currents import (
     neighborhood_profile,
     pushforward_I,
 )
-from .errors import (
-    EmptyCoreError,
-    MismatchBugError,
-    NotAutomorphismError,
-    NotConnectedError,
-    NotSubgroupError,
-    RetryLimitError,
-    SizeLimitError,
-    TrivialSubgroupError,
-    WordFormatError,
-)
+from .errors import MismatchBugError, RetryLimitError
 from .fiber import component_subgroup, fiber_product, intersection_number_cosets, intersection_number_euler
 from .stallings import (
     BasedCoreGraph,
@@ -57,6 +46,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MATH = 2
 
+Result = tuple[int, object, list]  # exit code, JSON report, TSV rows
+
 
 class UsageError(Exception):
     pass
@@ -71,21 +62,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    rank: int = 2
-    seed: int = 0
-    samples: int = 50
-    max_gens: int = 3
-    max_gen_len: int = 6
-    grade: int = 2
-    n_max: int = 10
-    fmt: str = "json"
-    out: str | None = None
-    h_path: str | None = None
-    k_path: str | None = None
-    automorphism_path: str | None = None
-    dot_path: str | None = None
+def _count(text: str) -> int:
+    """argparse type of the count options: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _read(path: str) -> str:
@@ -106,61 +91,62 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _tsv(rows: list[list[str]]) -> str:
-    return "".join("\t".join(row) + "\n" for row in rows)
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    return ";".join(value) if isinstance(value, list) else str(value)
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _render(fmt: str, report, rows: list[list]) -> str:
+    """The one text form of every report: sorted-key JSON, or TSV rows whose
+    cells are the values as str, flags as yes/no and word lists ;-joined."""
+    if fmt == "json":
+        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return "".join("\t".join(map(_cell, row)) + "\n" for row in rows)
+
+
+def _dump(message: str, h, k, **routes) -> MathCheckError:
+    """A failed check whose message ends in one JSON object: H, K and the
+    route values (Fractions as strings), so the failure can be replayed."""
+    data = {"H": graph_to_json_dict(h), "K": graph_to_json_dict(k), **routes}
+    return MathCheckError(f"{message} {json.dumps(data, sort_keys=True, default=str)}")
 
 
 def _gens_text(h: BasedCoreGraph, alphabet: Alphabet) -> str:
     return ";".join(format_word(w, alphabet) for w in subgroup_generators(h))
 
 
-def cmd_core(cfg: RunConfig) -> tuple[int, str]:
-    alphabet = Alphabet(cfg.rank)
-    h = _load_subgroup(cfg.h_path, alphabet)
-    if cfg.dot_path:
-        _emit(graph_to_dot(h) + "\n", cfg.dot_path)
-    summary = {
-        "vertices": h.graph.num_vertices,
-        "edges": len(h.graph.edges),
-        "rank": rank(h),
-        "reduced_rank": reduced_rank(h),
-    }
-    if cfg.fmt == "tsv":
-        rows = [
-            ["vertices", "edges", "rank", "reduced_rank"],
-            [str(summary[k]) for k in ("vertices", "edges", "rank", "reduced_rank")],
-        ]
-        return EXIT_OK, _tsv(rows)
-    summary["graph"] = graph_to_json_dict(h)
-    return EXIT_OK, _json_text(summary)
+def cmd_core(args: argparse.Namespace) -> Result:
+    h = _load_subgroup(args.subgroup, Alphabet(args.rank))
+    if args.dot:
+        _emit(graph_to_dot(h) + "\n", args.dot)
+    keys = ("vertices", "edges", "rank", "reduced_rank")
+    values = (h.graph.num_vertices, len(h.graph.edges), rank(h), reduced_rank(h))
+    report = dict(zip(keys, values), graph=graph_to_json_dict(h))
+    return EXIT_OK, report, [keys, values]
 
 
-def cmd_product(cfg: RunConfig) -> tuple[int, str]:
-    alphabet = Alphabet(cfg.rank)
-    h = _load_subgroup(cfg.h_path, alphabet)
-    k = _load_subgroup(cfg.k_path, alphabet)
-    if cfg.automorphism_path:
-        phi = parse_automorphism_file(_read(cfg.automorphism_path), alphabet)
+def cmd_product(args: argparse.Namespace) -> Result:
+    alphabet = Alphabet(args.rank)
+    h = _load_subgroup(args.h, alphabet)
+    k = _load_subgroup(args.k, alphabet)
+    if args.automorphism:
+        phi = parse_automorphism_file(_read(args.automorphism), alphabet)
         h = act_on_subgroup(phi, h, require_automorphism=True)
         k = act_on_subgroup(phi, k, require_automorphism=True)
     n_euler = intersection_number_euler(CoreGraph(core(h.graph)), CoreGraph(core(k.graph)))
     n_cosets = intersection_number_cosets(h, k)
     n_cylinder = intersection_functional_N(counting_current(h), counting_current(k))
     if not (n_euler == n_cosets == n_cylinder):
-        raise MathCheckError(
-            "intersection-number routes disagree: "
-            f"euler={n_euler} cosets={n_cosets} cylinder={n_cylinder} "
-            f"H={graph_to_json_dict(h)} K={graph_to_json_dict(k)}"
+        raise _dump(
+            "intersection-number routes disagree:", h, k,
+            euler=n_euler, cosets=n_cosets, cylinder=n_cylinder,
         )
     rk_product = reduced_rank(h) * reduced_rank(k)
     if n_euler > rk_product:
-        raise MathCheckError(
-            f"strengthened bound violated: {n_euler} > {rk_product} "
-            f"H={graph_to_json_dict(h)} K={graph_to_json_dict(k)}"
+        raise _dump(
+            f"strengthened bound violated: {n_euler} > {rk_product}", h, k,
+            euler=n_euler, reduced_rank_product=rk_product,
         )
     fp = fiber_product(h, k)
     components = []
@@ -179,13 +165,13 @@ def cmd_product(cfg: RunConfig) -> tuple[int, str]:
                 ),
             }
         )
-    if cfg.dot_path:
+    if args.dot:
         colors = {}
         palette = ["red", "blue", "green", "orange", "purple", "brown", "cyan"]
         for i, comp in enumerate(fp.components()):
             for v in comp.vertices:
                 colors[v] = palette[i % len(palette)]
-        _emit(graph_to_dot(fp.graph, component_colors=colors) + "\n", cfg.dot_path)
+        _emit(graph_to_dot(fp.graph, component_colors=colors) + "\n", args.dot)
     report = {
         "intersection_number": n_euler,
         "routes": {
@@ -197,164 +183,97 @@ def cmd_product(cfg: RunConfig) -> tuple[int, str]:
         "margin": rk_product - n_euler,
         "components": components,
     }
-    if cfg.fmt == "tsv":
-        rows = [["key", "value"]]
-        rows.append(["intersection_number", str(n_euler)])
-        rows.append(["route_euler", str(n_euler)])
-        rows.append(["route_cosets", str(n_cosets)])
-        rows.append(["route_cylinder", str(n_cylinder)])
-        rows.append(["reduced_rank_product", str(rk_product)])
-        rows.append(["margin", str(rk_product - n_euler)])
-        for entry in components:
-            rows.append(
-                [
-                    "component",
-                    str(entry["vertices"]),
-                    str(entry["edges"]),
-                    str(entry["euler"]),
-                    "yes" if entry["contractible"] else "no",
-                    entry["representative"],
-                    ";".join(entry["generators"]),
-                    str(entry["reduced_rank"]),
-                ]
-            )
-        return EXIT_OK, _tsv(rows)
-    return EXIT_OK, _json_text(report)
+    rows = [
+        ["key", "value"],
+        ["intersection_number", n_euler],
+        ["route_euler", n_euler],
+        ["route_cosets", n_cosets],
+        ["route_cylinder", n_cylinder],
+        ["reduced_rank_product", rk_product],
+        ["margin", rk_product - n_euler],
+    ]
+    # a component's fields, in order, are its TSV columns
+    rows += [["component", *entry.values()] for entry in components]
+    return EXIT_OK, report, rows
 
 
-def cmd_shnc_scan(cfg: RunConfig) -> tuple[int, str]:
-    alphabet = Alphabet(cfg.rank)
-    rng = random.Random(cfg.seed)
-    rows = [["h", "k", "intersection", "rk_product", "ratio"]]
+def cmd_shnc_scan(args: argparse.Namespace) -> Result:
+    alphabet = Alphabet(args.rank)
+    rng = random.Random(args.seed)
+    header = ["h", "k", "intersection", "rk_product", "ratio"]
     records = []
+    rows = [header]
     violations = 0
-    for _ in range(cfg.samples):
-        h = random_subgroup(rng, alphabet, cfg.max_gens, cfg.max_gen_len)
-        k = random_subgroup(rng, alphabet, cfg.max_gens, cfg.max_gen_len)
+    for _ in range(args.samples):
+        h = random_subgroup(rng, alphabet, args.max_gens, args.max_gen_len)
+        k = random_subgroup(rng, alphabet, args.max_gens, args.max_gen_len)
         n = intersection_number_euler(CoreGraph(core(h.graph)), CoreGraph(core(k.graph)))
         rk_product = reduced_rank(h) * reduced_rank(k)
         if n > rk_product:
             violations += 1
         ratio = "-" if rk_product == 0 else str(Fraction(n, rk_product))
-        record = {
-            "h": _gens_text(h, alphabet),
-            "k": _gens_text(k, alphabet),
-            "intersection": n,
-            "rk_product": rk_product,
-            "ratio": ratio,
-        }
-        records.append(record)
-        rows.append(
-            [record["h"], record["k"], str(n), str(rk_product), ratio]
-        )
-    text = _json_text(records) if cfg.fmt == "json" else _tsv(rows)
+        row = [_gens_text(h, alphabet), _gens_text(k, alphabet), n, rk_product, ratio]
+        records.append(dict(zip(header, row)))
+        rows.append(row)
     if violations:
         sys.stderr.write(f"math check failed: {violations} bound violations\n")
-        return EXIT_MATH, text
-    return EXIT_OK, text
+    return (EXIT_MATH if violations else EXIT_OK), records, rows
 
 
-def _converge_columns(cfg: RunConfig, alphabet: Alphabet, graphs) -> list[FiniteSubtree]:
+def _converge_columns(grade: int, alphabet: Alphabet, graphs) -> list[FiniteSubtree]:
     """Edge trees plus every neighborhood tree observed in the given cores."""
-    columns: list[FiniteSubtree] = [
-        FiniteSubtree.edge(i) for i in alphabet.letters()
-    ]
-    seen = set(columns)
-    observed = []
-    for r in range(1, cfg.grade + 1):
-        for g in graphs:
-            for t in neighborhood_profile(g, r):
-                if t not in seen:
-                    seen.add(t)
-                    observed.append(t)
-    observed.sort(key=lambda t: (t.depth, t.serialize(alphabet)))
-    return columns + observed
+    columns = [FiniteSubtree.edge(i) for i in alphabet.letters()]
+    observed = {t for r in range(1, grade + 1) for g in graphs for t in neighborhood_profile(g, r)}
+    observed.difference_update(columns)
+    return columns + sorted(observed, key=lambda t: (t.depth, t.serialize(alphabet)))
 
 
-def cmd_converge(cfg: RunConfig) -> tuple[int, str]:
-    if cfg.n_max < 1:
-        raise ValueError("--n-max must be at least 1")
-    if cfg.grade < 1:
-        raise ValueError("--grade must be at least 1")
-    alphabet = Alphabet(cfg.rank)
+def cmd_converge(args: argparse.Namespace) -> Result:
+    alphabet = Alphabet(args.rank)
     loop = from_generators([(1,)], alphabet)
     limit = counting_current(loop)
     cores = [CoreGraph(core(loop.graph))]
     family = []
-    for n in range(1, cfg.n_max + 1):
+    for n in range(1, args.n_max + 1):
         h_n = from_generators([(1,) * n + (2,)], alphabet)
         cores.append(CoreGraph(core(h_n.graph)))
-        family.append((n, counting_current(h_n).scale(Fraction(1, n))))
-    trees = _converge_columns(cfg, alphabet, cores)
-    header = ["n"] + [t.serialize(alphabet) for t in trees] + ["N", "pushforward_terms"]
-    rows = [header]
+        family.append((str(n), counting_current(h_n).scale(Fraction(1, n))))
+    trees = _converge_columns(args.grade, alphabet, cores)
+    names = [t.serialize(alphabet) for t in trees]
+    rows = [["n"] + names + ["N", "pushforward_terms"]]
     records = []
-    for n, mu in family:
-        pushed = pushforward_I(mu, limit)
-        record = {
-            "n": str(n),
-            "cylinders": {
-                t.serialize(alphabet): str(eval_cylinder(mu, t)) for t in trees
-            },
-            "N": str(intersection_functional_N(mu, limit)),
-            "pushforward_terms": len(pushed.terms()),
-        }
-        records.append(record)
-        rows.append(
-            [record["n"]]
-            + [record["cylinders"][t.serialize(alphabet)] for t in trees]
-            + [record["N"], str(record["pushforward_terms"])]
-        )
-    pushed_limit = pushforward_I(limit, limit)
-    limit_record = {
-        "n": "limit",
-        "cylinders": {
-            t.serialize(alphabet): str(eval_cylinder(limit, t)) for t in trees
-        },
-        "N": str(intersection_functional_N(limit, limit)),
-        "pushforward_terms": len(pushed_limit.terms()),
-    }
-    records.append(limit_record)
-    rows.append(
-        ["limit"]
-        + [limit_record["cylinders"][t.serialize(alphabet)] for t in trees]
-        + [limit_record["N"], str(limit_record["pushforward_terms"])]
-    )
-    text = _json_text(records) if cfg.fmt == "json" else _tsv(rows)
-    return EXIT_OK, text
+    for n, mu in family + [("limit", limit)]:
+        terms = len(pushforward_I(mu, limit).terms())
+        cylinders = {name: str(eval_cylinder(mu, t)) for name, t in zip(names, trees)}
+        pairing = str(intersection_functional_N(mu, limit))
+        records.append({"n": n, "cylinders": cylinders, "N": pairing, "pushforward_terms": terms})
+        rows.append([n, *cylinders.values(), pairing, terms])
+    return EXIT_OK, records, rows
 
 
-def cmd_intersect(cfg: RunConfig) -> tuple[int, str]:
-    alphabet = Alphabet(cfg.rank)
-    h = _load_subgroup(cfg.h_path, alphabet)
-    k = _load_subgroup(cfg.k_path, alphabet)
+def cmd_intersect(args: argparse.Namespace) -> Result:
+    alphabet = Alphabet(args.rank)
+    h = _load_subgroup(args.h, alphabet)
+    k = _load_subgroup(args.k, alphabet)
     mu, nu = counting_current(h), counting_current(k)
     pushed = pushforward_I(mu, nu)
     rk_pushed = functional_rk(pushed)
     n_value = intersection_functional_N(mu, nu)
     if rk_pushed != n_value:
-        raise MathCheckError(
-            f"rk of the pushforward ({rk_pushed}) != intersection number ({n_value}) "
-            f"H={graph_to_json_dict(h)} K={graph_to_json_dict(k)}"
+        raise _dump(
+            f"rk of the pushforward ({rk_pushed}) != intersection number ({n_value})", h, k,
+            rk=rk_pushed, intersection_number=n_value,
         )
-    report = {
-        "pushforward": current_to_json_dict(pushed),
-        "rk": str(rk_pushed),
-        "intersection_number": str(n_value),
-    }
-    if cfg.fmt == "tsv":
-        rows = [["key", "value"]]
-        rows.append(["rk", str(rk_pushed)])
-        rows.append(["intersection_number", str(n_value)])
-        for term in current_to_json_dict(pushed):
-            rows.append(
-                ["term", term["coefficient"], json.dumps(term["graph"], sort_keys=True)]
-            )
-        return EXIT_OK, _tsv(rows)
-    return EXIT_OK, _json_text(report)
+    terms = current_to_json_dict(pushed)
+    report = {"pushforward": terms, "rk": str(rk_pushed), "intersection_number": str(n_value)}
+    rows = [["key", "value"], ["rk", rk_pushed], ["intersection_number", n_value]]
+    for term in terms:
+        rows.append(["term", term["coefficient"], json.dumps(term["graph"], sort_keys=True)])
+    return EXIT_OK, report, rows
 
 
-def _add_common(parser: argparse.ArgumentParser, fmt_default: str) -> None:
+def _add_common(parser: argparse.ArgumentParser, fmt_default: str, func) -> None:
+    parser.set_defaults(func=func)
     parser.add_argument("--rank", type=int, default=2, help="ambient free-group rank")
     parser.add_argument("--format", choices=("tsv", "json"), default=fmt_default)
     parser.add_argument("--out", default=None, help="write the report to this path")
@@ -367,91 +286,50 @@ def build_parser() -> _Parser:
     p = sub.add_parser("core", help="fold a subgroup file into its core graph")
     p.add_argument("subgroup", help="path to a generator file")
     p.add_argument("--dot", default=None, help="also write a DOT rendering here")
-    _add_common(p, "json")
-    p.set_defaults(func=cmd_core)
+    _add_common(p, "json", cmd_core)
 
     p = sub.add_parser("product", help="intersection number of two subgroups, three routes")
     p.add_argument("h", help="path to the first generator file")
     p.add_argument("k", help="path to the second generator file")
     p.add_argument("--dot", default=None, help="DOT of the fiber product, component colored")
     p.add_argument("--automorphism", default=None, help="apply this automorphism file first")
-    _add_common(p, "json")
-    p.set_defaults(func=cmd_product)
+    _add_common(p, "json", cmd_product)
 
     p = sub.add_parser("shnc-scan", help="random subgroup pairs against the rank bound")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--max-gens", type=int, default=3)
-    p.add_argument("--max-gen-len", type=int, default=6)
-    _add_common(p, "tsv")
-    p.set_defaults(func=cmd_shnc_scan)
+    p.add_argument("--samples", type=_count, default=50)
+    p.add_argument("--max-gens", type=_count, default=3)
+    p.add_argument("--max-gen-len", type=_count, default=6)
+    _add_common(p, "tsv", cmd_shnc_scan)
 
     p = sub.add_parser("converge", help="cylinder table for the loop-with-tail family")
-    p.add_argument("--n-max", type=int, default=10)
-    p.add_argument("--grade", type=int, default=2)
-    _add_common(p, "tsv")
-    p.set_defaults(func=cmd_converge)
+    p.add_argument("--n-max", type=_count, default=10)
+    p.add_argument("--grade", type=_count, default=2)
+    _add_common(p, "tsv", cmd_converge)
 
     p = sub.add_parser("intersect", help="pushforward current of two subgroups")
     p.add_argument("h", help="path to the first generator file")
     p.add_argument("k", help="path to the second generator file")
-    _add_common(p, "json")
-    p.set_defaults(func=cmd_intersect)
+    _add_common(p, "json", cmd_intersect)
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    cfg.rank = args.rank
-    cfg.fmt = args.format
-    cfg.out = args.out
-    for src, dst in (
-        ("subgroup", "h_path"),
-        ("h", "h_path"),
-        ("k", "k_path"),
-        ("dot", "dot_path"),
-        ("automorphism", "automorphism_path"),
-        ("seed", "seed"),
-        ("samples", "samples"),
-        ("max_gens", "max_gens"),
-        ("max_gen_len", "max_gen_len"),
-        ("grade", "grade"),
-        ("n_max", "n_max"),
-    ):
-        if hasattr(args, src):
-            setattr(cfg, dst, getattr(args, src))
-    return cfg
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
-    cfg = _config_from_args(args)
     try:
-        code, text = args.func(cfg)
-    except (
-        WordFormatError,
-        TrivialSubgroupError,
-        EmptyCoreError,
-        NotConnectedError,
-        NotSubgroupError,
-        NotAutomorphismError,
-        SizeLimitError,
-        RetryLimitError,
-        OSError,
-        ValueError,
-    ) as exc:
+        code, report, rows = args.func(args)
+        _emit(_render(args.format, report, rows), args.out)
+    except (ValueError, RetryLimitError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except (MathCheckError, MismatchBugError) as exc:
         sys.stderr.write(f"math check failed: {exc}\n")
         return EXIT_MATH
-    _emit(text, cfg.out)
     return code
 
 

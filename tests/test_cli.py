@@ -1,5 +1,8 @@
 """Command line contract: exit codes, determinism, golden reports."""
 
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -9,7 +12,15 @@ from pathlib import Path
 import pytest
 
 import subsetcurrents
-from subsetcurrents import cli
+from subsetcurrents import cli, fiber
+from subsetcurrents.stallings import (
+    BasedCoreGraph,
+    from_generators,
+    graph_from_json_dict,
+    graph_to_json_dict,
+    parse_subgroup_file,
+)
+from subsetcurrents.words import Alphabet
 
 # hand-checked table for the loop-with-tail family at grade 1:
 # e_a is n/n = 1, e_b is 1/n, the interior a-run vertices give (n-1)/n,
@@ -21,6 +32,87 @@ CONVERGE_GOLDEN = """n\t1,a\t1,b\t1,A,a\t1,A,b\t1,B,a\tN\tpushforward_terms
 4\t1\t1/4\t3/4\t1/4\t1/4\t0\t0
 limit\t1\t0\t1\t0\t0\t0\t1
 """
+
+# sha256 of the report bytes, and of the DOT file where one is written,
+# for each argv; "@name" stands for the path of a generator file.
+REPORT_DIGESTS = {
+    "core @h --format tsv": (
+        "a11a31bb5a36464100ee92dc2ab41029ce16e13421399caae1eadc819c3aea8d",
+        None,
+    ),
+    "core @h --format json": (
+        "3e86871427d362a59298659d8085a9618f041922a828540d7c8891492dee80c4",
+        None,
+    ),
+    "core @h --dot @dot": (
+        "3e86871427d362a59298659d8085a9618f041922a828540d7c8891492dee80c4",
+        "9892024631271dbad1e3f23abf16414bbfc90bc3d971932d235277451d0c5e28",
+    ),
+    "core @h3 --rank 3 --format tsv": (
+        "49494b54d7cd89c5defdec71d766d061402dcf1c821fb49f0cf5ab3d3340851c",
+        None,
+    ),
+    "product @h @k --format tsv": (
+        "a77facc03d5b4b8d2a5c6387124836f4155727707d9d2fed12013f3f0eab58bc",
+        None,
+    ),
+    "product @h @k --format json": (
+        "e5fe3f023b379159db9bb1ed5fb91b948c0434d4b8c64d9136950d663bdcedd7",
+        None,
+    ),
+    "product @h @k --automorphism @phi --format tsv": (
+        "aa7e6cc63068f20c42a9a638d9dcf551e0795f801082445dae71a558ded7dc8d",
+        None,
+    ),
+    "product @h @k --dot @dot": (
+        "e5fe3f023b379159db9bb1ed5fb91b948c0434d4b8c64d9136950d663bdcedd7",
+        "a4ad26dcf0b62c240ed18220770e5bf4104d15a54580fbb25a12ad88e3a17a5a",
+    ),
+    "product @h3 @k3 --rank 3 --format tsv": (
+        "097a1599d26a33783f921899d58c3bfa637dd87c1ba2647409c27e1a39755e06",
+        None,
+    ),
+    "product @h3 @k3 --rank 3 --format json": (
+        "61eed6edf7c1824f18e46d206321f513625a05816e1df2d24c9c3ceef428be50",
+        None,
+    ),
+    "shnc-scan --samples 6 --seed 5 --format tsv": (
+        "9475023a6716fe8fe078fa8c9195013f375421f24bf019dc0ed237ca526ce659",
+        None,
+    ),
+    "shnc-scan --samples 6 --seed 5 --format json": (
+        "86585061f5e040e0f493479f645f25ead9097e37d74fc29bb040f8b12768a588",
+        None,
+    ),
+    "shnc-scan --rank 3 --samples 4 --seed 1 --max-gens 2 --max-gen-len 4": (
+        "7abb02a36cc821ec2cc6d4f1d8118d2b93e4c7d110cba0ac06e93f7f0b454b58",
+        None,
+    ),
+    "converge --n-max 3 --grade 2 --format tsv": (
+        "c5553c48d1aceb2bc66f540feccb95587d5aadcacb0056c261cd91213af984f4",
+        None,
+    ),
+    "converge --n-max 3 --grade 2 --format json": (
+        "935bda231b4b41988517a68da4c9cc0835ca3da16dc10f6ebe6b1cb30ccc6577",
+        None,
+    ),
+    "converge --rank 3 --n-max 2 --grade 1 --format json": (
+        "058f54b37e98c283857ebe7bad6cdccfac36dbde85d7c673ede2f8cbf83f0191",
+        None,
+    ),
+    "intersect @h @k --format tsv": (
+        "067910e66e57d342f1d1e4051b1790305991afc94ea41115130216a947cc50f7",
+        None,
+    ),
+    "intersect @h @k --format json": (
+        "7fd53d61f82ad434e8264cf2ed75dec89ed7d05468765db0d26916ef14880985",
+        None,
+    ),
+    "intersect @h3 @k3 --rank 3 --format tsv": (
+        "6a47cd475f1a8e9a081a9f1e2c8ce3f6b7f4df80eb328dcb80f12abc8f638601",
+        None,
+    ),
+}
 
 
 @pytest.fixture
@@ -48,6 +140,36 @@ def run(argv, out=None):
     if out is not None:
         argv = argv + ["--out", out]
     return cli.main(argv)
+
+
+def report_digests(files, key):
+    """Digests of the report (stdout and --out agree) and of the DOT file."""
+    paths = dict(
+        files,
+        h3=files["write"]("h3.txt", "ab\ncA\nbb\n"),
+        k3=files["write"]("k3.txt", "ab\nc\nbab\n"),
+        dot=str(files["dir"] / "golden.dot"),
+    )
+    tokens = key.split()
+    argv = [paths[t[1:]] if t.startswith("@") else t for t in tokens]
+    out = str(files["dir"] / "golden.out")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main(argv) == 0
+    assert run(argv, out) == 0
+    with open(out, "rb") as fh:
+        report = fh.read()
+    assert stdout.getvalue().encode() == report
+    dot = None
+    if "@dot" in tokens:
+        with open(paths["dot"], "rb") as fh:
+            dot = hashlib.sha256(fh.read()).hexdigest()
+    return hashlib.sha256(report).hexdigest(), dot
+
+
+@pytest.mark.parametrize("key", sorted(REPORT_DIGESTS))
+def test_report_bytes_golden(files, key):
+    assert report_digests(files, key) == REPORT_DIGESTS[key]
 
 
 def test_core_json(files, tmp_path):
@@ -192,6 +314,58 @@ def test_math_failure_exit_code(files, tmp_path, monkeypatch, capsys):
     code = run(["product", files["h"], files["k"]], str(tmp_path / "x.json"))
     assert code == 2
     assert "math check failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, attr, fake, routes",
+    [
+        ("product", "intersection_number_cosets", lambda h, k: 999,
+         {"euler": 1, "cosets": 999, "cylinder": "1"}),
+        ("product", "reduced_rank", lambda g: 0, {"euler": 1, "reduced_rank_product": 0}),
+        ("intersect", "functional_rk", lambda mu: 5, {"rk": 5, "intersection_number": "1"}),
+    ],
+)
+def test_math_failure_dump_replays(files, tmp_path, monkeypatch, capsys, command, attr, fake,
+                                   routes):
+    monkeypatch.setattr(cli, attr, fake)
+    code = run([command, files["h"], files["k"]], str(tmp_path / "x.json"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("math check failed: ")
+    dump = json.loads(err[err.index("{"):])
+    assert {key: dump[key] for key in routes} == routes
+    alphabet = Alphabet(2)
+    for key in ("H", "K"):
+        with open(files[key.lower()], encoding="utf-8") as fh:
+            given = from_generators(parse_subgroup_file(fh.read(), alphabet), alphabet)
+        assert graph_to_json_dict(graph_from_json_dict(dump[key])) == graph_to_json_dict(given)
+    h, k = (BasedCoreGraph(graph_from_json_dict(dump[key])) for key in ("H", "K"))
+    assert fiber.intersection_number_cosets(h, k) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["shnc-scan", "--samples", "0"],
+        ["shnc-scan", "--samples", "-1"],
+        ["shnc-scan", "--max-gens", "0"],
+        ["shnc-scan", "--max-gen-len", "0"],
+        ["converge", "--n-max", "0"],
+        ["converge", "--grade", "-2"],
+    ],
+)
+def test_count_options_must_be_positive(argv, capsys):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: argument {argv[1]}: must be at least 1")
+
+
+@pytest.mark.parametrize("flag", ["--out", "--dot"])
+def test_unwritable_output_is_an_input_error(files, tmp_path, capsys, flag):
+    target = str(tmp_path / "no" / "such" / "dir" / "x")
+    assert cli.main(["core", files["h"], flag, target]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_shnc_violation_exit_code(files, tmp_path, monkeypatch, capsys):
