@@ -13,8 +13,8 @@ import random
 from .errors import NotAutomorphismError, TrivialSubgroupError, WordFormatError
 from .currents import RationalCurrent, normalize, zero_current
 from .stallings import (
-    BasedCoreGraph,
     LabeledGraph,
+    check_core_graph,
     from_generators,
     parse_subgroup_file,
     subgroup_generators,
@@ -81,9 +81,7 @@ def is_automorphism(phi: Endomorphism) -> bool:
         g = from_generators(phi.images, phi.alphabet)
     except TrivialSubgroupError:
         return False
-    return (
-        g.graph.num_vertices == 1 and len(g.graph.edges) == phi.alphabet.rank
-    )
+    return g.num_vertices == 1 and len(g.edges) == phi.alphabet.rank
 
 
 def nielsen_generators(alphabet: Alphabet) -> list[Endomorphism]:
@@ -123,8 +121,8 @@ def random_automorphism(
 
 
 def act_on_subgroup(
-    phi: Endomorphism, h: BasedCoreGraph, require_automorphism: bool = False
-) -> BasedCoreGraph:
+    phi: Endomorphism, h: LabeledGraph, require_automorphism: bool = False
+) -> LabeledGraph:
     """Core graph of the image subgroup phi(H)."""
     if require_automorphism and not is_automorphism(phi):
         raise NotAutomorphismError("invariance checks need an automorphism")
@@ -142,9 +140,7 @@ def act_on_current(
         return zero_current()
     raw = []
     for coeff, g in mu.terms():
-        based = BasedCoreGraph(
-            LabeledGraph(g.graph.rank, g.graph.num_vertices, g.graph.edges, basepoint=0)
-        )
+        based = check_core_graph(LabeledGraph(g.rank, g.num_vertices, g.edges, basepoint=0))
         gens = subgroup_generators(based)
         image = from_generators([apply_word(phi, w) for w in gens], phi.alphabet)
         raw.append((coeff, image))

@@ -28,8 +28,8 @@ from .currents import (
 from .errors import MismatchBugError, RetryLimitError
 from .fiber import component_subgroup, fiber_product, intersection_number_cosets, intersection_number_euler
 from .stallings import (
-    BasedCoreGraph,
-    CoreGraph,
+    LabeledGraph,
+    check_core_graph,
     core,
     from_generators,
     graph_to_dot,
@@ -78,7 +78,7 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _load_subgroup(path: str, alphabet: Alphabet) -> BasedCoreGraph:
+def _load_subgroup(path: str, alphabet: Alphabet) -> LabeledGraph:
     gens = parse_subgroup_file(_read(path), alphabet)
     return from_generators(gens, alphabet)
 
@@ -112,7 +112,7 @@ def _dump(message: str, h, k, **routes) -> MathCheckError:
     return MathCheckError(f"{message} {json.dumps(data, sort_keys=True, default=str)}")
 
 
-def _gens_text(h: BasedCoreGraph, alphabet: Alphabet) -> str:
+def _gens_text(h: LabeledGraph, alphabet: Alphabet) -> str:
     return ";".join(format_word(w, alphabet) for w in subgroup_generators(h))
 
 
@@ -121,7 +121,7 @@ def cmd_core(args: argparse.Namespace) -> Result:
     if args.dot:
         _emit(graph_to_dot(h) + "\n", args.dot)
     keys = ("vertices", "edges", "rank", "reduced_rank")
-    values = (h.graph.num_vertices, len(h.graph.edges), rank(h), reduced_rank(h))
+    values = (h.num_vertices, len(h.edges), rank(h), reduced_rank(h))
     report = dict(zip(keys, values), graph=graph_to_json_dict(h))
     return EXIT_OK, report, [keys, values]
 
@@ -134,7 +134,7 @@ def cmd_product(args: argparse.Namespace) -> Result:
         phi = parse_automorphism_file(_read(args.automorphism), alphabet)
         h = act_on_subgroup(phi, h, require_automorphism=True)
         k = act_on_subgroup(phi, k, require_automorphism=True)
-    n_euler = intersection_number_euler(CoreGraph(core(h.graph)), CoreGraph(core(k.graph)))
+    n_euler = intersection_number_euler(check_core_graph(core(h)), check_core_graph(core(k)))
     n_cosets = intersection_number_cosets(h, k)
     n_cylinder = intersection_functional_N(counting_current(h), counting_current(k))
     if not (n_euler == n_cosets == n_cylinder):
@@ -207,7 +207,7 @@ def cmd_shnc_scan(args: argparse.Namespace) -> Result:
     for _ in range(args.samples):
         h = random_subgroup(rng, alphabet, args.max_gens, args.max_gen_len)
         k = random_subgroup(rng, alphabet, args.max_gens, args.max_gen_len)
-        n = intersection_number_euler(CoreGraph(core(h.graph)), CoreGraph(core(k.graph)))
+        n = intersection_number_euler(check_core_graph(core(h)), check_core_graph(core(k)))
         rk_product = reduced_rank(h) * reduced_rank(k)
         if n > rk_product:
             violations += 1
@@ -232,11 +232,11 @@ def cmd_converge(args: argparse.Namespace) -> Result:
     alphabet = Alphabet(args.rank)
     loop = from_generators([(1,)], alphabet)
     limit = counting_current(loop)
-    cores = [CoreGraph(core(loop.graph))]
+    cores = [check_core_graph(core(loop))]
     family = []
     for n in range(1, args.n_max + 1):
         h_n = from_generators([(1,) * n + (2,)], alphabet)
-        cores.append(CoreGraph(core(h_n.graph)))
+        cores.append(check_core_graph(core(h_n)))
         family.append((str(n), counting_current(h_n).scale(Fraction(1, n))))
     trees = _converge_columns(args.grade, alphabet, cores)
     names = [t.serialize(alphabet) for t in trees]

@@ -17,10 +17,9 @@ from itertools import combinations, product
 from .errors import MismatchBugError, NotConnectedError, SizeLimitError
 from .fiber import fiber_product
 from .stallings import (
-    CoreGraph,
     LabeledGraph,
-    _underlying,
     canonical_key,
+    check_core_graph,
     core,
     graph_to_json_dict,
     induced_subgraph,
@@ -113,54 +112,32 @@ class FiniteSubtree:
         return f"FiniteSubtree({len(self.words)} vertices, depth {self.depth})"
 
 
-class RoundGraph:
-    """Subtree whose leaves all sit at distance exactly `grade` from the root."""
-
-    __slots__ = ("tree", "grade")
-
-    def __init__(self, tree: FiniteSubtree, grade: int):
-        if grade < 1:
-            raise ValueError("round graphs have grade at least 1")
-        if tree.degree(()) < 2:
-            raise ValueError("the root of a round graph has degree at least 2")
-        if tree.depth != grade:
-            raise ValueError(f"depth {tree.depth} does not match grade {grade}")
-        for w in tree.words:
-            if tree.degree(w) == 1 and len(w) != grade:
-                raise ValueError(f"leaf {w} at distance {len(w)} != grade {grade}")
-        self.tree = tree
-        self.grade = grade
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RoundGraph)
-            and self.grade == other.grade
-            and self.tree == other.tree
-        )
-
-    def __hash__(self):
-        return hash((self.grade, self.tree))
-
-    def __repr__(self):
-        return f"RoundGraph(grade {self.grade}, {self.tree.num_vertices} vertices)"
+def check_round_graph(tree: FiniteSubtree, grade: int) -> FiniteSubtree:
+    """Return the tree if it is a round graph of the grade, else raise:
+    a root of degree >= 2 and every leaf at distance exactly `grade`."""
+    if grade < 1:
+        raise ValueError("round graphs have grade at least 1")
+    if tree.degree(()) < 2:
+        raise ValueError("the root of a round graph has degree at least 2")
+    if tree.depth != grade:
+        raise ValueError(f"depth {tree.depth} does not match grade {grade}")
+    for w in tree.words:
+        if tree.degree(w) == 1 and len(w) != grade:
+            raise ValueError(f"leaf {w} at distance {len(w)} != grade {grade}")
+    return tree
 
 
-def _as_tree(t) -> FiniteSubtree:
-    return t.tree if isinstance(t, RoundGraph) else t
-
-
-def tree_intersection(t1, t2) -> FiniteSubtree:
+def tree_intersection(t1: FiniteSubtree, t2: FiniteSubtree) -> FiniteSubtree:
     """Vertex-wise intersection; always contains the identity."""
-    return FiniteSubtree(_as_tree(t1).words & _as_tree(t2).words)
+    return FiniteSubtree(t1.words & t2.words)
 
 
-def neighborhood_tree(g, v: int, r: int) -> RoundGraph:
+def neighborhood_tree(graph: LabeledGraph, v: int, r: int) -> FiniteSubtree:
     """The subtree of reduced words of length <= r readable from v.
 
     The graph must be folded with all degrees >= 2 (a core graph), which
     makes the result a round graph of grade exactly r.
     """
-    graph = _underlying(g)
     if r < 1:
         raise ValueError("neighborhood radius must be at least 1")
     words: set[Word] = {()}
@@ -175,15 +152,14 @@ def neighborhood_tree(g, v: int, r: int) -> RoundGraph:
                 words.add(nw)
                 nxt.append((nw, lst[0][0]))
         frontier = nxt
-    return RoundGraph(FiniteSubtree(words), r)
+    return check_round_graph(FiniteSubtree(words), r)
 
 
-def neighborhood_profile(g, r: int) -> dict[FiniteSubtree, int]:
-    """How many vertices of g see each grade-r neighborhood tree."""
-    graph = _underlying(g)
+def neighborhood_profile(graph: LabeledGraph, r: int) -> dict[FiniteSubtree, int]:
+    """How many vertices of the graph see each grade-r neighborhood tree."""
     profile: dict[FiniteSubtree, int] = {}
     for v in range(graph.num_vertices):
-        t = neighborhood_tree(graph, v, r).tree
+        t = neighborhood_tree(graph, v, r)
         profile[t] = profile.get(t, 0) + 1
     return profile
 
@@ -201,7 +177,7 @@ def count_round_graphs(r: int, alphabet: Alphabet) -> int:
 
 def enumerate_round_graphs(
     r: int, alphabet: Alphabet, cap: int = ROUND_GRAPH_CAP
-) -> list[RoundGraph]:
+) -> list[FiniteSubtree]:
     """All round graphs of grade r, in a deterministic order."""
     total = count_round_graphs(r, alphabet)
     if total > cap:
@@ -223,13 +199,13 @@ def enumerate_round_graphs(
                     out.append(frozenset({w}).union(*combo))
         return out
 
-    trees: list[RoundGraph] = []
+    trees: list[FiniteSubtree] = []
     for size in range(2, len(signed) + 1):
         for subset in combinations(signed, size):
             branches = [grow((s,), r - 1) for s in subset]
             for combo in product(*branches):
                 trees.append(
-                    RoundGraph(FiniteSubtree(frozenset({()}).union(*combo)), r)
+                    check_round_graph(FiniteSubtree(frozenset({()}).union(*combo)), r)
                 )
     if len(trees) != total:
         raise MismatchBugError(
@@ -238,17 +214,15 @@ def enumerate_round_graphs(
     return trees
 
 
-def occurrence_count(t, g) -> int:
-    """Number of vertices of g at which the subtree occurs.
+def occurrence_count(tree: FiniteSubtree, graph: LabeledGraph) -> int:
+    """Number of vertices of the graph at which the subtree occurs.
 
     An occurrence maps vertex words to graph vertices by reading labels,
     and must match degrees exactly at every interior vertex of the tree
     (degree above 1), so the tree is cut out locally, not just immersed.
     """
-    tree = _as_tree(t)
     if not tree.nondegenerate:
         raise ValueError("occurrences are counted for subtrees with an edge")
-    graph = _underlying(g)
     ws = tree.sorted_words()
     interior = [w for w in ws if tree.degree(w) > 1]
     count = 0
@@ -273,7 +247,7 @@ class RationalCurrent:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: dict[bytes, tuple[Fraction, CoreGraph]]):
+    def __init__(self, terms: dict[bytes, tuple[Fraction, LabeledGraph]]):
         ranks = {g.rank for _, g in terms.values()}
         if len(ranks) > 1:
             raise ValueError("terms of a current must share one ambient rank")
@@ -292,7 +266,7 @@ class RationalCurrent:
             return g.rank
         return None
 
-    def terms(self) -> list[tuple[Fraction, CoreGraph]]:
+    def terms(self) -> list[tuple[Fraction, LabeledGraph]]:
         return [self._terms[k] for k in sorted(self._terms)]
 
     def coefficient(self, key: bytes) -> Fraction:
@@ -346,16 +320,14 @@ def normalize(terms) -> RationalCurrent:
     Each subgroup contributes index-times the counting measure of its
     commensurator, so conjugate and commensurable inputs merge.  Idempotent.
     """
-    acc: dict[bytes, tuple[Fraction, CoreGraph]] = {}
+    acc: dict[bytes, tuple[Fraction, LabeledGraph]] = {}
     for coeff, g in terms:
         c = Fraction(coeff)
         if c < 0:
             raise ValueError("current coefficients must be nonnegative")
         if c == 0:
             continue
-        graph = _underlying(g)
-        unbased = LabeledGraph(graph.rank, graph.num_vertices, graph.edges)
-        cg = core(unbased)
+        cg = core(g)
         if not cg.is_connected():
             raise NotConnectedError("each term must be a single subgroup class")
         quotient, degree, _ = minimal_covering_quotient(cg)
@@ -363,7 +335,7 @@ def normalize(terms) -> RationalCurrent:
         if key in acc:
             acc[key] = (acc[key][0] + c * degree, acc[key][1])
         else:
-            acc[key] = (c * degree, CoreGraph(quotient))
+            acc[key] = (c * degree, check_core_graph(quotient))
     return RationalCurrent(acc)
 
 
@@ -376,9 +348,8 @@ def zero_current() -> RationalCurrent:
     return RationalCurrent({})
 
 
-def eval_cylinder(mu: RationalCurrent, t) -> Fraction:
-    """Measure of the cylinder of subsets whose local picture is the tree t."""
-    tree = _as_tree(t)
+def eval_cylinder(mu: RationalCurrent, tree: FiniteSubtree) -> Fraction:
+    """Measure of the cylinder of subsets whose local picture is the tree."""
     if not tree.nondegenerate:
         raise ValueError("cylinder evaluation needs a subtree with an edge")
     total = Fraction(0)
@@ -456,31 +427,31 @@ def _component_matches_tree(
     return False
 
 
-def c_hat_via_round_graphs(h, k, t, r: int | None = None) -> int:
-    """Count contractible components isomorphic to t by two routes.
+def c_hat_via_round_graphs(
+    h: LabeledGraph, k: LabeledGraph, tree: FiniteSubtree, r: int | None = None
+) -> int:
+    """Count contractible components isomorphic to the tree by two routes.
 
     Route one inspects components of the fiber product directly.  Route two
     never looks at the product: a component through a vertex pair is a copy
-    of t exactly when the grade-(r+1) neighborhood trees of the two factor
-    vertices intersect in t, so scanning all vertex pairs gives the same
-    count.  Both are computed and compared before returning; disagreement
-    is a bug, never a valid outcome.
+    of the tree exactly when the grade-(r+1) neighborhood trees of the two
+    factor vertices intersect in it, so scanning all vertex pairs gives the
+    same count.  Both are computed and compared before returning;
+    disagreement is a bug, never a valid outcome.
     """
-    tree = _as_tree(t)
-    hg, kg = _underlying(h), _underlying(k)
     if r is None:
         r = tree.depth
     if tree.depth > r:
         raise ValueError(f"tree of depth {tree.depth} does not fit radius {r}")
-    fp = fiber_product(hg, kg)
+    fp = fiber_product(h, k)
     direct = sum(
         1
         for comp in fp.components()
         if comp.contractible
         and _component_matches_tree(fp.graph, comp.vertices, comp.num_edges, tree)
     )
-    trees_h = [neighborhood_tree(hg, v, r + 1).tree for v in range(hg.num_vertices)]
-    trees_k = [neighborhood_tree(kg, v, r + 1).tree for v in range(kg.num_vertices)]
+    trees_h = [neighborhood_tree(h, v, r + 1) for v in range(h.num_vertices)]
+    trees_k = [neighborhood_tree(k, v, r + 1) for v in range(k.num_vertices)]
     paired = sum(
         1
         for t1 in trees_h

@@ -13,11 +13,8 @@ from dataclasses import dataclass
 
 from .errors import MismatchBugError
 from .stallings import (
-    BasedCoreGraph,
-    CoreGraph,
     LabeledGraph,
     _spanning_tree,
-    _underlying,
     contains,
     from_generators,
     induced_subgraph,
@@ -81,8 +78,8 @@ class FiberProduct:
         return sum(1 for c in self.components() if c.contractible)
 
 
-def fiber_product(g1, g2) -> FiberProduct:
-    return FiberProduct(_underlying(g1), _underlying(g2))
+def fiber_product(g1: LabeledGraph, g2: LabeledGraph) -> FiberProduct:
+    return FiberProduct(g1, g2)
 
 
 def classify_components(fp: FiberProduct) -> list[ComponentReport]:
@@ -116,7 +113,7 @@ def classify_components(fp: FiberProduct) -> list[ComponentReport]:
 
 
 def component_subgroup(
-    fp: FiberProduct, comp: ComponentReport, h: BasedCoreGraph, k: BasedCoreGraph
+    fp: FiberProduct, comp: ComponentReport, h: LabeledGraph, k: LabeledGraph
 ) -> tuple[Word, list[Word]]:
     """Double-coset representative g and generators of H meet gKg^-1.
 
@@ -125,11 +122,11 @@ def component_subgroup(
     u and v, the representative is g = w_a * w_b^-1 and each spanning-tree
     loop word l of the component yields the generator w_a * l * w_a^-1.
     """
-    if fp.left is not h.graph or fp.right is not k.graph:
+    if fp.left is not h or fp.right is not k:
         raise ValueError("fiber product was not built from these based graphs")
     u, v = fp.vertex_pair(comp.base_vertex)
-    path_h, _ = _spanning_tree(h.graph, h.basepoint)
-    path_k, _ = _spanning_tree(k.graph, k.basepoint)
+    path_h, _ = _spanning_tree(h, h.basepoint)
+    path_k, _ = _spanning_tree(k, k.basepoint)
     w_a = path_h[u]
     w_b = path_k[v]
     g = concat(w_a, invert(w_b))
@@ -150,7 +147,7 @@ def component_subgroup(
     return g, gens
 
 
-def intersection_number_euler(h: CoreGraph, k: CoreGraph) -> int:
+def intersection_number_euler(h: LabeledGraph, k: LabeledGraph) -> int:
     """Edges minus vertices plus contractible components of the product."""
     fp = fiber_product(h, k)
     return (
@@ -158,7 +155,7 @@ def intersection_number_euler(h: CoreGraph, k: CoreGraph) -> int:
     )
 
 
-def intersection_number_cosets(h: BasedCoreGraph, k: BasedCoreGraph) -> int:
+def intersection_number_cosets(h: LabeledGraph, k: LabeledGraph) -> int:
     """Sum of reduced ranks of the double-coset intersection subgroups.
 
     Each non-contractible component is converted back into an honest

@@ -120,6 +120,15 @@ class LabeledGraph:
     def is_connected(self) -> bool:
         return self.num_vertices <= 1 or len(set(self.component_ids())) == 1
 
+    @property
+    def graph(self) -> "LabeledGraph":
+        """The graph itself, read-only.  Kept because the benchmark harness
+        (perfbench/ops.py) still reads `h.graph` off subgroup graphs."""
+        return self
+
+    def __repr__(self):
+        return f"LabeledGraph(V={self.num_vertices}, E={len(self.edges)}, rank={self.rank})"
+
 
 def fold(graph: LabeledGraph) -> LabeledGraph:
     """Identify same-label departures until no vertex has two of them.
@@ -226,75 +235,26 @@ def core_based(graph: LabeledGraph) -> LabeledGraph:
     return out
 
 
-class CoreGraph:
-    """Folded graph with every degree >= 2: a subgroup up to conjugacy."""
+def check_core_graph(graph: LabeledGraph) -> LabeledGraph:
+    """Return the graph if it is a core graph, else raise.
 
-    __slots__ = ("graph", "connected")
-
-    def __init__(self, graph: LabeledGraph):
-        if graph.basepoint is not None:
-            raise ValueError("CoreGraph carries no basepoint")
-        if graph.num_vertices == 0 or not graph.edges:
-            raise EmptyCoreError("empty graph is not a core graph")
-        if not graph.is_folded():
-            raise ValueError("core graph must be folded")
-        for v in range(graph.num_vertices):
-            if graph.degree(v) < 2:
-                raise ValueError(f"vertex {v} has degree < 2, graph is not cored")
-        self.graph = graph
-        self.connected = graph.is_connected()
-
-    @property
-    def rank(self) -> int:
-        return self.graph.rank
-
-    def __repr__(self):
-        return (
-            f"CoreGraph(V={self.graph.num_vertices}, E={len(self.graph.edges)}, "
-            f"rank={self.graph.rank})"
-        )
+    Unbased, it is a subgroup up to conjugacy: folded, with every degree
+    >= 2.  Based, it is the subgroup itself: folded, connected, with degree
+    >= 2 away from the basepoint.
+    """
+    if not graph.edges:
+        raise EmptyCoreError("empty graph does not represent a nontrivial subgroup")
+    if not graph.is_folded():
+        raise ValueError("core graph must be folded")
+    if graph.basepoint is not None and not graph.is_connected():
+        raise NotConnectedError("based core graph must be connected")
+    for v in range(graph.num_vertices):
+        if v != graph.basepoint and graph.degree(v) < 2:
+            raise ValueError(f"non-basepoint vertex {v} has degree < 2")
+    return graph
 
 
-class BasedCoreGraph:
-    """Folded connected based graph with degree >= 2 away from the basepoint."""
-
-    __slots__ = ("graph",)
-
-    def __init__(self, graph: LabeledGraph):
-        if graph.basepoint is None:
-            raise ValueError("BasedCoreGraph needs a basepoint")
-        if not graph.edges:
-            raise EmptyCoreError("empty graph does not represent a nontrivial subgroup")
-        if not graph.is_folded():
-            raise ValueError("based core graph must be folded")
-        if not graph.is_connected():
-            raise NotConnectedError("based core graph must be connected")
-        for v in range(graph.num_vertices):
-            if v != graph.basepoint and graph.degree(v) < 2:
-                raise ValueError(f"non-basepoint vertex {v} has degree < 2")
-        self.graph = graph
-
-    @property
-    def rank(self) -> int:
-        return self.graph.rank
-
-    @property
-    def basepoint(self) -> int:
-        return self.graph.basepoint
-
-    def __repr__(self):
-        return (
-            f"BasedCoreGraph(V={self.graph.num_vertices}, E={len(self.graph.edges)}, "
-            f"rank={self.graph.rank})"
-        )
-
-
-def _underlying(g) -> LabeledGraph:
-    """The LabeledGraph inside a CoreGraph or BasedCoreGraph, or g itself."""
-    return g.graph if isinstance(g, (CoreGraph, BasedCoreGraph)) else g
-
-
-def from_generators(gens, alphabet: Alphabet) -> BasedCoreGraph:
+def from_generators(gens, alphabet: Alphabet) -> LabeledGraph:
     """Fold a wedge of generator loops into the based core graph of <gens>."""
     words = [reduce_word(w) for w in gens]
     words = [w for w in words if w]
@@ -316,14 +276,14 @@ def from_generators(gens, alphabet: Alphabet) -> BasedCoreGraph:
                 edges.append((nxt, prev, -x))
             prev = nxt
     wedge = LabeledGraph(alphabet.rank, next_vertex, edges, basepoint=0)
-    return BasedCoreGraph(core_based(fold(wedge)))
+    return check_core_graph(core_based(fold(wedge)))
 
 
-def contains(h: BasedCoreGraph, w: Word) -> bool:
+def contains(h: LabeledGraph, w: Word) -> bool:
     """Does the word lie in the subgroup, i.e. read as a loop at the basepoint."""
     v = h.basepoint
     for x in reduce_word(w):
-        nxt = h.graph.step(v, x)
+        nxt = h.step(v, x)
         if nxt is None:
             return False
         v = nxt
@@ -350,26 +310,25 @@ def _spanning_tree(graph: LabeledGraph, root: int) -> tuple[dict[int, Word], set
     return path, tree_edges
 
 
-def subgroup_generators(h: BasedCoreGraph) -> list[Word]:
+def subgroup_generators(h: LabeledGraph) -> list[Word]:
     """Free basis read off a spanning tree; one word per non-tree edge."""
-    path, tree_edges = _spanning_tree(h.graph, h.basepoint)
+    path, tree_edges = _spanning_tree(h, h.basepoint)
     gens = []
-    for i, (o, t, lab) in enumerate(h.graph.edges):
+    for i, (o, t, lab) in enumerate(h.edges):
         if i in tree_edges:
             continue
         gens.append(concat(path[o], (lab,), invert(path[t])))
     return gens
 
 
-def rank(g) -> int:
+def rank(graph: LabeledGraph) -> int:
     """First Betti number E - V + 1 of a connected graph."""
-    graph = _underlying(g)
     if not graph.is_connected():
         raise NotConnectedError("rank needs a connected graph")
     return len(graph.edges) - graph.num_vertices + 1
 
 
-def reduced_rank(g) -> int:
+def reduced_rank(g: LabeledGraph) -> int:
     return max(rank(g) - 1, 0)
 
 
@@ -397,34 +356,32 @@ def _bfs_code(graph: LabeledGraph, start: int, order: list[int]):
     return tuple(rows)
 
 
-def canonical_key(g) -> bytes:
+def canonical_key(graph: LabeledGraph) -> bytes:
     """Canonical byte string: equal iff the unbased labeled graphs are isomorphic.
 
     Minimum over all start vertices of a deterministic BFS adjacency code;
     any isomorphism matches start vertices, so the minimum is invariant.
     """
-    graph = _underlying(g)
     order = _signed_order(graph.rank)
     best = min(_bfs_code(graph, s, order) for s in range(graph.num_vertices))
     return f"{graph.rank}:{best}".encode()
 
 
-def canonical_key_based(h: BasedCoreGraph) -> bytes:
+def canonical_key_based(h: LabeledGraph) -> bytes:
     """Canonical byte string for the based graph, i.e. the subgroup itself."""
-    order = _signed_order(h.graph.rank)
-    code = _bfs_code(h.graph, h.basepoint, order)
-    return f"{h.graph.rank}:based:{code}".encode()
+    code = _bfs_code(h, h.basepoint, _signed_order(h.rank))
+    return f"{h.rank}:based:{code}".encode()
 
 
-def _based_morphism(h: BasedCoreGraph, k: BasedCoreGraph) -> list[int]:
+def _based_morphism(h: LabeledGraph, k: LabeledGraph) -> list[int]:
     """The label-preserving map (h, *) -> (k, *); exists exactly when H <= K."""
-    f = [-1] * h.graph.num_vertices
+    f = [-1] * h.num_vertices
     f[h.basepoint] = k.basepoint
     queue = deque([h.basepoint])
     while queue:
         v = queue.popleft()
-        for s, lst in h.graph.germs(v).items():
-            img = k.graph.step(f[v], s)
+        for s, lst in h.germs(v).items():
+            img = k.step(f[v], s)
             if img is None:
                 raise NotSubgroupError("subgroup graph does not map into the target")
             for t, _ in lst:
@@ -436,7 +393,7 @@ def _based_morphism(h: BasedCoreGraph, k: BasedCoreGraph) -> list[int]:
     return f
 
 
-def finite_index(h: BasedCoreGraph, k: BasedCoreGraph) -> int | None:
+def finite_index(h: LabeledGraph, k: LabeledGraph) -> int | None:
     """Index of H in K, or None when it is infinite.
 
     Raises NotSubgroupError unless H <= K.  Finite index is equivalent to the
@@ -446,10 +403,10 @@ def finite_index(h: BasedCoreGraph, k: BasedCoreGraph) -> int | None:
     if h.rank != k.rank:
         raise ValueError("subgroups of different ambient ranks")
     f = _based_morphism(h, k)
-    core_h = core_vertices(h.graph)
-    core_k = core_vertices(k.graph)
-    ch, map_h = induced_subgraph(h.graph, core_h)
-    ck, map_k = induced_subgraph(k.graph, core_k)
+    core_h = core_vertices(h)
+    core_k = core_vertices(k)
+    ch, map_h = induced_subgraph(h, core_h)
+    ck, map_k = induced_subgraph(k, core_k)
     for v_old in core_h:
         img_old = f[v_old]
         if img_old not in map_k:
@@ -513,21 +470,21 @@ def minimal_covering_quotient(graph: LabeledGraph) -> tuple[LabeledGraph, int, l
     return quotient, graph.num_vertices // quotient.num_vertices, vmap
 
 
-def _core_and_tail(h: BasedCoreGraph) -> tuple[LabeledGraph, int, Word]:
+def _core_and_tail(h: LabeledGraph) -> tuple[LabeledGraph, int, Word]:
     """Split a based graph into its unbased core, the attachment vertex
     (as a core-graph index) and the word read along the basepoint arc."""
-    survivors = core_vertices(h.graph)
-    cg, renum = induced_subgraph(h.graph, survivors)
+    survivors = core_vertices(h)
+    cg, renum = induced_subgraph(h, survivors)
     if h.basepoint in survivors:
         return cg, renum[h.basepoint], ()
-    order = _signed_order(h.graph.rank)
+    order = _signed_order(h.rank)
     prev: dict[int, tuple[int, int]] = {h.basepoint: (-1, 0)}
     queue = deque([h.basepoint])
     hit = None
     while queue and hit is None:
         v = queue.popleft()
         for s in order:
-            t = h.graph.step(v, s)
+            t = h.step(v, s)
             if t is None or t in prev:
                 continue
             prev[t] = (v, s)
@@ -546,13 +503,13 @@ def _core_and_tail(h: BasedCoreGraph) -> tuple[LabeledGraph, int, Word]:
     return cg, renum[hit], tuple(reversed(letters))
 
 
-def _attach_tail(core_graph: LabeledGraph, at: int, word: Word) -> BasedCoreGraph:
+def _attach_tail(core_graph: LabeledGraph, at: int, word: Word) -> LabeledGraph:
     """Glue a fresh arc spelling the word from a new basepoint to the core."""
     if not word:
         g = LabeledGraph(
             core_graph.rank, core_graph.num_vertices, core_graph.edges, basepoint=at
         )
-        return BasedCoreGraph(core_based(fold(g)))
+        return check_core_graph(core_based(fold(g)))
     edges = list(core_graph.edges)
     base = core_graph.num_vertices
     prev = base
@@ -568,10 +525,10 @@ def _attach_tail(core_graph: LabeledGraph, at: int, word: Word) -> BasedCoreGrap
         prev = target
     g = LabeledGraph(core_graph.rank, base + len(word), edges, basepoint=base)
     # the last arc edge can clash with a core edge after quotienting, so fold
-    return BasedCoreGraph(core_based(fold(g)))
+    return check_core_graph(core_based(fold(g)))
 
 
-def commensurator(h: BasedCoreGraph) -> tuple[BasedCoreGraph, int]:
+def commensurator(h: LabeledGraph) -> tuple[LabeledGraph, int]:
     """The largest overgroup containing H with finite index, and that index.
 
     Computed as the minimal covering quotient of the core, conjugated back
@@ -593,7 +550,7 @@ def random_reduced_word(rng: random.Random, alphabet: Alphabet, length: int) -> 
 
 def random_subgroup(
     rng: random.Random, alphabet: Alphabet, max_gens: int = 3, max_len: int = 6
-) -> BasedCoreGraph:
+) -> LabeledGraph:
     n_gens = rng.randint(1, max_gens)
     gens = [
         random_reduced_word(rng, alphabet, rng.randint(1, max_len))
@@ -603,8 +560,8 @@ def random_subgroup(
 
 
 def random_finite_index_cover(
-    h: BasedCoreGraph, degree: int, rng: random.Random, max_tries: int = 500
-) -> BasedCoreGraph:
+    h: LabeledGraph, degree: int, rng: random.Random, max_tries: int = 500
+) -> LabeledGraph:
     """Random index-`degree` subgroup of H via sheet permutations of its core.
 
     Each core edge gets a permutation of the sheets; disconnected draws are
@@ -629,8 +586,7 @@ def random_finite_index_cover(
     )
 
 
-def graph_to_json_dict(g) -> dict:
-    graph = _underlying(g)
+def graph_to_json_dict(graph: LabeledGraph) -> dict:
     out = {
         "rank": graph.rank,
         "vertices": list(range(graph.num_vertices)),
@@ -641,20 +597,33 @@ def graph_to_json_dict(g) -> dict:
     return out
 
 
+def _json_int(value, what: str) -> int:
+    if type(value) is not int:  # bool is a subclass of int, and is refused too
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def graph_from_json_dict(data: dict) -> LabeledGraph:
-    vertices = data["vertices"]
+    """Read `graph_to_json_dict` output back; every field must be a JSON
+    integer and every edge exactly [origin, terminus, label]."""
+    vertices = [_json_int(v, "vertex") for v in data["vertices"]]
     if sorted(vertices) != list(range(len(vertices))):
         raise ValueError("vertices must be the integers 0..n-1")
+    edges = []
+    for e in data["edges"]:
+        if not isinstance(e, (list, tuple)) or len(e) != 3:
+            raise ValueError(f"edge {e!r} is not [origin, terminus, label]")
+        edges.append(tuple(_json_int(x, "edge entry") for x in e))
+    bp = data.get("basepoint")
     return LabeledGraph(
-        data["rank"],
+        _json_int(data["rank"], "rank"),
         len(vertices),
-        [tuple(e) for e in data["edges"]],
-        basepoint=data.get("basepoint"),
+        edges,
+        basepoint=None if bp is None else _json_int(bp, "basepoint"),
     )
 
 
-def graph_to_dot(g, component_colors: dict[int, str] | None = None) -> str:
-    graph = _underlying(g)
+def graph_to_dot(graph: LabeledGraph, component_colors: dict[int, str] | None = None) -> str:
     lines = ["digraph core {"]
     for v in range(graph.num_vertices):
         attrs = []

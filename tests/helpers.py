@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from subsetcurrents import (
     Alphabet,
-    BasedCoreGraph,
     LabeledGraph,
     MismatchBugError,
     NotConnectedError,
@@ -146,7 +145,7 @@ def counting(gens, alphabet) -> RationalCurrent:
     return counting_current(from_generators(gens, alphabet))
 
 
-def based(gens, alphabet) -> BasedCoreGraph:
+def based(gens, alphabet) -> LabeledGraph:
     return from_generators(gens, alphabet)
 
 

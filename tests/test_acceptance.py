@@ -12,7 +12,7 @@ from itertools import combinations
 
 from subsetcurrents import (
     Alphabet,
-    CoreGraph,
+    check_core_graph,
     FiniteSubtree,
     act_on_current,
     act_on_subgroup,
@@ -58,7 +58,7 @@ def sub(*words, alphabet=AL2):
 
 
 def ucore(h):
-    return CoreGraph(core(h.graph))
+    return check_core_graph(core(h))
 
 
 def pair_corpus():

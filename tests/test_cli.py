@@ -14,7 +14,7 @@ import pytest
 import subsetcurrents
 from subsetcurrents import cli, fiber
 from subsetcurrents.stallings import (
-    BasedCoreGraph,
+    check_core_graph,
     from_generators,
     graph_from_json_dict,
     graph_to_json_dict,
@@ -339,7 +339,7 @@ def test_math_failure_dump_replays(files, tmp_path, monkeypatch, capsys, command
         with open(files[key.lower()], encoding="utf-8") as fh:
             given = from_generators(parse_subgroup_file(fh.read(), alphabet), alphabet)
         assert graph_to_json_dict(graph_from_json_dict(dump[key])) == graph_to_json_dict(given)
-    h, k = (BasedCoreGraph(graph_from_json_dict(dump[key])) for key in ("H", "K"))
+    h, k = (check_core_graph(graph_from_json_dict(dump[key])) for key in ("H", "K"))
     assert fiber.intersection_number_cosets(h, k) == 1
 
 

@@ -4,7 +4,7 @@ import random
 
 from subsetcurrents import (
     Alphabet,
-    CoreGraph,
+    check_core_graph,
     component_subgroup,
     contains,
     core,
@@ -28,7 +28,7 @@ def sub(*words):
 
 
 def ucore(h):
-    return CoreGraph(core(h.graph))
+    return check_core_graph(core(h))
 
 
 def test_product_size_oracle():

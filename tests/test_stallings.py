@@ -10,15 +10,15 @@ import pytest
 
 from subsetcurrents import (
     Alphabet,
-    BasedCoreGraph,
-    CoreGraph,
     EmptyCoreError,
     LabeledGraph,
+    NotConnectedError,
     NotSubgroupError,
     TrivialSubgroupError,
     WordFormatError,
     canonical_key,
     canonical_key_based,
+    check_core_graph,
     commensurator,
     contains,
     core,
@@ -251,10 +251,32 @@ def test_fold_idempotent_on_random_wedges():
 
 def test_core_graph_wrappers_validate():
     with pytest.raises(ValueError):
-        CoreGraph(LabeledGraph(2, 2, [(0, 1, 1)]))  # degree-one vertices
+        check_core_graph(LabeledGraph(2, 2, [(0, 1, 1)]))  # degree-one vertices
     based = from_generators(gens("aa", "b"), AL2)
-    assert isinstance(based, BasedCoreGraph)
+    assert isinstance(based, LabeledGraph)
     assert based.basepoint == 0
+
+
+@pytest.mark.parametrize(
+    "graph, error",
+    [
+        (LabeledGraph(2, 1, []), EmptyCoreError),
+        (LabeledGraph(2, 1, [(0, 0, 1), (0, 0, 1)]), ValueError),  # two a-loops
+        (LabeledGraph(2, 2, [(0, 0, 1), (1, 1, 2)], basepoint=0), NotConnectedError),
+        (LabeledGraph(2, 2, [(0, 0, 1), (0, 1, 2)], basepoint=0), ValueError),  # vertex 1
+        (LabeledGraph(2, 2, [(0, 1, 2), (1, 1, 1)], basepoint=0), None),  # degree-1 base
+        (LabeledGraph(2, 2, [(0, 0, 1), (1, 1, 2)]), None),  # disconnected, unbased
+    ],
+    ids=["empty", "unfolded", "based-disconnected", "degree-one", "degree-one-base",
+         "unbased-disconnected"],
+)
+def test_check_core_graph(graph, error):
+    if error is None:
+        assert check_core_graph(graph) is graph
+    else:
+        with pytest.raises(error) as info:
+            check_core_graph(graph)
+        assert type(info.value) is error
 
 
 def test_json_roundtrip():
@@ -262,8 +284,30 @@ def test_json_roundtrip():
     data = graph_to_json_dict(h)
     back = graph_from_json_dict(data)
     assert canonical_key_based(
-        BasedCoreGraph(back)
+        check_core_graph(back)
     ) == canonical_key_based(h)
+
+
+GOOD_JSON = {"rank": 2, "vertices": [0, 1], "edges": [[0, 1, 1], [1, 0, 2]], "basepoint": 0}
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("edges", [[0, 1.0, 1], [1, 0, 2]]),
+        ("rank", 2.5),
+        ("basepoint", 0.0),
+        ("edges", [[0, 1, True], [1, 0, 2]]),
+        ("vertices", [0, 1.0]),
+        ("edges", [[0, 1, 1, 1], [1, 0, 2]]),
+    ],
+    ids=["float-edge-entry", "float-rank", "float-basepoint", "bool-label", "float-vertex",
+         "four-entry-edge"],
+)
+def test_graph_from_json_dict_rejects_non_integers(key, value):
+    assert graph_from_json_dict(GOOD_JSON).edges == ((0, 1, 1), (1, 0, 2))
+    with pytest.raises(ValueError):
+        graph_from_json_dict({**GOOD_JSON, key: value})
 
 
 def test_dot_export_mentions_basepoint():
