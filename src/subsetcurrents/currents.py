@@ -15,14 +15,13 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .errors import MismatchBugError, NotConnectedError, SizeLimitError
-from .fiber import fiber_product
+from .fiber import ComponentReport, FiberProduct, fiber_product
 from .stallings import (
     LabeledGraph,
     canonical_key,
     check_core_graph,
     core,
     graph_to_json_dict,
-    induced_subgraph,
     minimal_covering_quotient,
 )
 from .words import Alphabet, Word, reduce_word
@@ -406,12 +405,12 @@ def c_hat(mu: RationalCurrent, nu: RationalCurrent) -> Fraction:
 
 
 def _component_matches_tree(
-    graph: LabeledGraph, vertices: list[int], num_edges: int, tree: FiniteSubtree
+    fp: FiberProduct, comp: ComponentReport, tree: FiniteSubtree
 ) -> bool:
     """Unbased label-isomorphism test between a tree component and a subtree."""
-    if len(vertices) != tree.num_vertices or num_edges != tree.num_edges:
+    if comp.num_vertices != tree.num_vertices or comp.num_edges != tree.num_edges:
         return False
-    sub, _ = induced_subgraph(graph, vertices)
+    sub = fp._component_graph(comp)
     ws = tree.sorted_words()
     for start in range(sub.num_vertices):
         image: dict[Word, int] = {(): start}
@@ -448,7 +447,7 @@ def c_hat_via_round_graphs(
         1
         for comp in fp.components()
         if comp.contractible
-        and _component_matches_tree(fp.graph, comp.vertices, comp.num_edges, tree)
+        and _component_matches_tree(fp, comp, tree)
     )
     trees_h = [neighborhood_tree(h, v, r + 1) for v in range(h.num_vertices)]
     trees_k = [neighborhood_tree(k, v, r + 1) for v in range(k.num_vertices)]
@@ -500,8 +499,7 @@ def pushforward_I(mu: RationalCurrent, nu: RationalCurrent) -> RationalCurrent:
             for comp in fp.components():
                 if comp.contractible:
                     continue
-                sub, _ = induced_subgraph(fp.graph, comp.vertices)
-                raw.append((c1 * c2, core(sub)))
+                raw.append((c1 * c2, core(fp._component_graph(comp))))
     return normalize(raw)
 
 

@@ -17,7 +17,6 @@ from .stallings import (
     _spanning_tree,
     contains,
     from_generators,
-    induced_subgraph,
     reduced_rank,
 )
 from .words import Alphabet, Word, concat, invert
@@ -25,7 +24,11 @@ from .words import Alphabet, Word, concat, invert
 
 @dataclass
 class ComponentReport:
-    """Shape summary of one connected component of a fiber product."""
+    """Shape summary of one connected component of a fiber product.
+
+    `vertices` is ascending, so `base_vertex` is its first entry; the
+    per-component subgraphs of `FiberProduct` renumber in this order.
+    """
 
     vertices: list[int]
     num_edges: int
@@ -39,9 +42,16 @@ class ComponentReport:
 
 
 class FiberProduct:
-    """Pullback of two labeled graphs over the common rose."""
+    """Pullback of two labeled graphs over the common rose.
 
-    __slots__ = ("left", "right", "graph", "_reports")
+    Component data is built lazily and at most once: the component ids, the
+    reports, the basepoint paths of both factors, and the product edges
+    bucketed by component.
+    """
+
+    __slots__ = (
+        "left", "right", "graph", "_comp_of", "_reports", "_paths", "_buckets"
+    )
 
     def __init__(self, left: LabeledGraph, right: LabeledGraph):
         if left.rank != right.rank:
@@ -61,7 +71,10 @@ class FiberProduct:
         self.graph = LabeledGraph(
             left.rank, left.num_vertices * n2, edges
         )
+        self._comp_of = None
         self._reports = None
+        self._paths = None
+        self._buckets = None
 
     def vertex_pair(self, pv: int) -> tuple[int, int]:
         return divmod(pv, self.right.num_vertices)
@@ -77,6 +90,41 @@ class FiberProduct:
     def contractible_count(self) -> int:
         return sum(1 for c in self.components() if c.contractible)
 
+    def _component_ids(self) -> list[int]:
+        """Per product vertex, the smallest vertex of its component."""
+        if self._comp_of is None:
+            self._comp_of = self.graph.component_ids()
+        return self._comp_of
+
+    def _basepoint_paths(self) -> tuple[dict[int, Word], dict[int, Word]]:
+        """Spanning-tree path words from the basepoint of each factor."""
+        if self._paths is None:
+            self._paths = (
+                _spanning_tree(self.left, self.left.basepoint)[0],
+                _spanning_tree(self.right, self.right.basepoint)[0],
+            )
+        return self._paths
+
+    def _component_graph(self, comp: ComponentReport) -> LabeledGraph:
+        """The component as a graph, its vertices renumbered in ascending
+        order (as `induced_subgraph` does), so its base vertex is 0.
+
+        The first call buckets every product edge by component in one
+        pass; each call after that costs the size of its component.
+        """
+        if self._buckets is None:
+            comp_of = self._component_ids()
+            buckets: dict[int, list] = {}
+            for e in self.graph.edges:
+                buckets.setdefault(comp_of[e[0]], []).append(e)
+            self._buckets = buckets
+        renum = {v: i for i, v in enumerate(comp.vertices)}
+        edges = [
+            (renum[o], renum[t], lab)
+            for o, t, lab in self._buckets.get(comp.base_vertex, ())
+        ]
+        return LabeledGraph(self.graph.rank, len(renum), edges)
+
 
 def fiber_product(g1: LabeledGraph, g2: LabeledGraph) -> FiberProduct:
     return FiberProduct(g1, g2)
@@ -88,7 +136,7 @@ def classify_components(fp: FiberProduct) -> list[ComponentReport]:
     Isolated vertices count as (contractible) components; a connected
     component is contractible exactly when its Euler characteristic is 1.
     """
-    comp_of = fp.graph.component_ids()
+    comp_of = fp._component_ids()
     groups: dict[int, list[int]] = {}
     for v, c in enumerate(comp_of):
         groups.setdefault(c, []).append(v)
@@ -121,17 +169,25 @@ def component_subgroup(
     With (u, v) the component's base vertex and w_a, w_b basepoint paths to
     u and v, the representative is g = w_a * w_b^-1 and each spanning-tree
     loop word l of the component yields the generator w_a * l * w_a^-1.
+
+    Cost: the first call on a product builds the basepoint paths of both
+    factors, and the first call on an essential component buckets the
+    product edges by component; both are cached on `fp`.  Every other
+    call costs the size of its component, so reporting every component
+    is linear in the product.  A contractible component is a tree: it has
+    no non-tree edge, so its generators are [] and no subgraph is built.
     """
     if fp.left is not h or fp.right is not k:
         raise ValueError("fiber product was not built from these based graphs")
     u, v = fp.vertex_pair(comp.base_vertex)
-    path_h, _ = _spanning_tree(h, h.basepoint)
-    path_k, _ = _spanning_tree(k, k.basepoint)
+    path_h, path_k = fp._basepoint_paths()
     w_a = path_h[u]
     w_b = path_k[v]
     g = concat(w_a, invert(w_b))
-    sub, renum = induced_subgraph(fp.graph, comp.vertices)
-    path_c, tree_edges = _spanning_tree(sub, renum[comp.base_vertex])
+    if comp.contractible:
+        return g, []
+    sub = fp._component_graph(comp)
+    path_c, tree_edges = _spanning_tree(sub, 0)
     gens = []
     for i, (o, t, lab) in enumerate(sub.edges):
         if i in tree_edges:

@@ -215,6 +215,13 @@ def induced_subgraph(
     return LabeledGraph(graph.rank, len(order), edges, basepoint=bp), renum
 
 
+def _require_basepoint(graph: LabeledGraph, fn: str) -> None:
+    """Based-only functions call this first: an unbased graph is a
+    conjugacy class, not a subgroup."""
+    if graph.basepoint is None:
+        raise ValueError(f"{fn} needs a based graph, got one without a basepoint")
+
+
 def core(graph: LabeledGraph) -> LabeledGraph:
     """Unbased core: prune hanging trees, forget the basepoint."""
     survivors = core_vertices(graph)
@@ -226,8 +233,7 @@ def core(graph: LabeledGraph) -> LabeledGraph:
 
 def core_based(graph: LabeledGraph) -> LabeledGraph:
     """Core that spares the basepoint (plus the arc connecting it, if any)."""
-    if graph.basepoint is None:
-        raise ValueError("core_based needs a basepoint")
+    _require_basepoint(graph, "core_based")
     survivors = core_vertices(graph, keep=graph.basepoint)
     out, _ = induced_subgraph(graph, survivors, basepoint=graph.basepoint)
     if not out.edges:
@@ -281,6 +287,7 @@ def from_generators(gens, alphabet: Alphabet) -> LabeledGraph:
 
 def contains(h: LabeledGraph, w: Word) -> bool:
     """Does the word lie in the subgroup, i.e. read as a loop at the basepoint."""
+    _require_basepoint(h, "contains")
     v = h.basepoint
     for x in reduce_word(w):
         nxt = h.step(v, x)
@@ -312,6 +319,7 @@ def _spanning_tree(graph: LabeledGraph, root: int) -> tuple[dict[int, Word], set
 
 def subgroup_generators(h: LabeledGraph) -> list[Word]:
     """Free basis read off a spanning tree; one word per non-tree edge."""
+    _require_basepoint(h, "subgroup_generators")
     path, tree_edges = _spanning_tree(h, h.basepoint)
     gens = []
     for i, (o, t, lab) in enumerate(h.edges):
@@ -369,6 +377,7 @@ def canonical_key(graph: LabeledGraph) -> bytes:
 
 def canonical_key_based(h: LabeledGraph) -> bytes:
     """Canonical byte string for the based graph, i.e. the subgroup itself."""
+    _require_basepoint(h, "canonical_key_based")
     code = _bfs_code(h, h.basepoint, _signed_order(h.rank))
     return f"{h.rank}:based:{code}".encode()
 
@@ -402,6 +411,8 @@ def finite_index(h: LabeledGraph, k: LabeledGraph) -> int | None:
     """
     if h.rank != k.rank:
         raise ValueError("subgroups of different ambient ranks")
+    _require_basepoint(h, "finite_index")
+    _require_basepoint(k, "finite_index")
     f = _based_morphism(h, k)
     core_h = core_vertices(h)
     core_k = core_vertices(k)
@@ -534,6 +545,7 @@ def commensurator(h: LabeledGraph) -> tuple[LabeledGraph, int]:
     Computed as the minimal covering quotient of the core, conjugated back
     along the basepoint arc.
     """
+    _require_basepoint(h, "commensurator")
     cg, attach, tail = _core_and_tail(h)
     quotient, degree, vmap = minimal_covering_quotient(cg)
     return _attach_tail(quotient, vmap[attach], tail), degree

@@ -11,7 +11,10 @@ differential oracles for the worklist fold and the stable-partition
 quotient.  The greedy search uses `_wl_classes` only to skip pairs that no
 covering can identify.  `functional_V_oracle` is the earlier `functional_V`,
 the cylinder sum over every grade-1 round graph of the rank, kept as the
-oracle for the sum over observed neighborhoods.
+oracle for the sum over observed neighborhoods.  `component_subgroup_oracle`
+is the earlier `component_subgroup`, which rebuilds both basepoint trees
+and scans every product edge for each component, kept as the oracle for
+the cached paths and the per-component edge buckets.
 """
 
 import random
@@ -23,14 +26,22 @@ from subsetcurrents import (
     MismatchBugError,
     NotConnectedError,
     RationalCurrent,
+    concat,
+    contains,
     counting_current,
     enumerate_round_graphs,
     eval_cylinder,
     from_generators,
+    invert,
     normalize,
     random_subgroup,
 )
-from subsetcurrents.stallings import UnionFind, _wl_classes
+from subsetcurrents.stallings import (
+    UnionFind,
+    _spanning_tree,
+    _wl_classes,
+    induced_subgraph,
+)
 
 
 def brute_force_occurrences(tree, graph) -> int:
@@ -284,3 +295,36 @@ def functional_V_oracle(mu: RationalCurrent) -> Fraction:
         (eval_cylinder(mu, t) for t in enumerate_round_graphs(1, alphabet)),
         Fraction(0),
     )
+
+
+def component_subgroup_oracle(fp, comp, h: LabeledGraph, k: LabeledGraph):
+    """Double-coset representative g and generators of H meet gKg^-1.
+
+    The fiber product must have been built from the based graphs of h and k.
+    With (u, v) the component's base vertex and w_a, w_b basepoint paths to
+    u and v, the representative is g = w_a * w_b^-1 and each spanning-tree
+    loop word l of the component yields the generator w_a * l * w_a^-1.
+    """
+    if fp.left is not h or fp.right is not k:
+        raise ValueError("fiber product was not built from these based graphs")
+    u, v = fp.vertex_pair(comp.base_vertex)
+    path_h, _ = _spanning_tree(h, h.basepoint)
+    path_k, _ = _spanning_tree(k, k.basepoint)
+    w_a = path_h[u]
+    w_b = path_k[v]
+    g = concat(w_a, invert(w_b))
+    sub, renum = induced_subgraph(fp.graph, comp.vertices)
+    path_c, tree_edges = _spanning_tree(sub, renum[comp.base_vertex])
+    gens = []
+    for i, (o, t, lab) in enumerate(sub.edges):
+        if i in tree_edges:
+            continue
+        loop = concat(path_c[o], (lab,), invert(path_c[t]))
+        gens.append(concat(w_a, loop, invert(w_a)))
+    g_inv = invert(g)
+    for gen in gens:
+        if not contains(h, gen) or not contains(k, concat(g_inv, gen, g)):
+            raise MismatchBugError(
+                "component generator escaped H or its K-conjugate"
+            )
+    return g, gens

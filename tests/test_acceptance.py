@@ -375,3 +375,20 @@ def test_criterion_12_cylinder_route_at_ranks_7_and_8(acceptance, tmp_path):
             assert cli.main(argv + ["--out", str(out)]) == 0
             reported = json.loads(out.read_text())["intersection_number"]
             assert str(reported) == str(intersection_number_cosets(h, k)) == "1"
+
+
+def test_criterion_13_product_reports_every_component(acceptance, tmp_path):
+    with acceptance(13, "product lists 20,384 components of an 8x30 pair", budget=3):
+        rng = random.Random(5)
+        paths = []
+        for name in ("h.txt", "k.txt"):
+            words = [random_reduced_word(rng, AL2, 30) for _ in range(8)]
+            path = tmp_path / name
+            path.write_text("".join(format_word(w, AL2) + "\n" for w in words))
+            paths.append(str(path))
+        out = tmp_path / "report.json"
+        argv = ["product", *paths, "--format", "json", "--out", str(out)]
+        assert cli.main(argv) == 0
+        components = json.loads(out.read_text())["components"]
+        assert len(components) == 20384
+        assert sum(c["vertices"] for c in components) == 208 * 210

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from subsetcurrents import (
     Alphabet,
     check_core_graph,
@@ -15,10 +17,12 @@ from subsetcurrents import (
     invert,
     parse_word,
     random_finite_index_cover,
+    random_reduced_word,
     random_subgroup,
     reduced_rank,
     concat,
 )
+from helpers import component_subgroup_oracle
 
 AL2 = Alphabet(2)
 
@@ -148,3 +152,57 @@ def test_euler_bookkeeping_consistent():
         assert sum(
             c.num_vertices - c.num_edges for c in comps
         ) == fp.graph.num_vertices - len(fp.graph.edges)
+
+
+def differential_pairs():
+    """About 300 seeded (h, k) pairs: random at ranks 2 and 3, pairs sharing
+    a generator cycle, finite-index covers against their base, and
+    self-products."""
+    rng = random.Random(66)
+    pairs = []
+    for rank in (2, 3):
+        al = Alphabet(rank)
+        for _ in range(60):
+            pairs.append((random_subgroup(rng, al), random_subgroup(rng, al)))
+        for _ in range(30):
+            shared = random_reduced_word(rng, al, rng.randint(3, 8))
+            pairs.append(
+                tuple(
+                    from_generators(
+                        [shared, random_reduced_word(rng, al, rng.randint(1, 5))], al
+                    )
+                    for _ in range(2)
+                )
+            )
+        for _ in range(30):
+            h = random_subgroup(rng, al)
+            pairs.append((random_finite_index_cover(h, rng.randint(2, 3), rng), h))
+        for _ in range(30):
+            h = random_subgroup(rng, al)
+            pairs.append((h, h))
+    return pairs
+
+
+def test_component_subgroup_matches_oracle():
+    pairs = differential_pairs()
+    assert len(pairs) == 300
+    with_essential = 0
+    for h, k in pairs:
+        fp = fiber_product(h, k)
+        comps = fp.components()
+        for comp in comps:
+            assert component_subgroup(fp, comp, h, k) == component_subgroup_oracle(
+                fp, comp, h, k
+            )
+        with_essential += any(not c.contractible for c in comps)
+    assert with_essential >= 50
+
+
+def test_component_subgroup_needs_the_factor_objects():
+    # the cached basepoint paths belong to the factors the product was
+    # built from, so an equal-looking graph object is refused
+    h, k = sub("aa", "b"), sub("a", "bb")
+    for left, right in ((core(h), k), (h, core(k)), (sub("aa", "b"), k)):
+        fp = fiber_product(left, right)
+        with pytest.raises(ValueError, match="not built from these based graphs"):
+            component_subgroup(fp, fp.components()[0], h, k)

@@ -401,3 +401,24 @@ def test_fold_long_word_is_near_linear(acceptance):
         h = from_generators([word], AL2)
     assert h.graph.num_vertices == n + 1
     assert len(h.graph.edges) == n + 1
+
+
+UNBASED_CALLS = {
+    "contains": lambda g: contains(g, (1,)),
+    "subgroup_generators": subgroup_generators,
+    "canonical_key_based": canonical_key_based,
+    "finite_index": lambda g: finite_index(g, g),
+    "commensurator": commensurator,
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNBASED_CALLS))
+def test_based_only_functions_refuse_unbased_graphs(name):
+    unbased = core(from_generators([(1, 1), (2,)], Alphabet(2)))
+    assert unbased.basepoint is None
+    with pytest.raises(ValueError, match=f"{name} needs a based graph"):
+        UNBASED_CALLS[name](unbased)
+    if name == "finite_index":
+        based = from_generators([(1, 1), (2,)], Alphabet(2))
+        with pytest.raises(ValueError, match="finite_index needs a based graph"):
+            finite_index(based, unbased)
