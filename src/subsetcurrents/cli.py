@@ -134,7 +134,7 @@ def cmd_product(args: argparse.Namespace) -> Result:
         phi = parse_automorphism_file(_read(args.automorphism), alphabet)
         h = act_on_subgroup(phi, h, require_automorphism=True)
         k = act_on_subgroup(phi, k, require_automorphism=True)
-    n_euler = intersection_number_euler(check_core_graph(core(h)), check_core_graph(core(k)))
+    n_euler = intersection_number_euler(h, k)
     n_cosets = intersection_number_cosets(h, k)
     n_cylinder = intersection_functional_N(counting_current(h), counting_current(k))
     if not (n_euler == n_cosets == n_cylinder):
@@ -207,7 +207,7 @@ def cmd_shnc_scan(args: argparse.Namespace) -> Result:
     for _ in range(args.samples):
         h = random_subgroup(rng, alphabet, args.max_gens, args.max_gen_len)
         k = random_subgroup(rng, alphabet, args.max_gens, args.max_gen_len)
-        n = intersection_number_euler(check_core_graph(core(h)), check_core_graph(core(k)))
+        n = intersection_number_euler(h, k)
         rk_product = reduced_rank(h) * reduced_rank(k)
         if n > rk_product:
             violations += 1

@@ -57,10 +57,6 @@ class FiniteSubtree:
     def edge(cls, letter: int) -> "FiniteSubtree":
         return cls([(), (letter,)])
 
-    @classmethod
-    def singleton(cls) -> "FiniteSubtree":
-        return cls([()])
-
     @property
     def num_vertices(self) -> int:
         return len(self.words)
@@ -213,6 +209,18 @@ def enumerate_round_graphs(
     return trees
 
 
+def _read_tree(graph: LabeledGraph, v: int, words: list[Word]) -> dict[Word, int] | None:
+    """Image of every tree word read from v, or None when a label cannot be
+    read.  The words must list each prefix before its extensions."""
+    image: dict[Word, int] = {(): v}
+    for w in words[1:]:
+        tgt = graph.step(image[w[:-1]], w[-1])
+        if tgt is None:
+            return None
+        image[w] = tgt
+    return image
+
+
 def occurrence_count(tree: FiniteSubtree, graph: LabeledGraph) -> int:
     """Number of vertices of the graph at which the subtree occurs.
 
@@ -226,17 +234,10 @@ def occurrence_count(tree: FiniteSubtree, graph: LabeledGraph) -> int:
     interior = [w for w in ws if tree.degree(w) > 1]
     count = 0
     for v in range(graph.num_vertices):
-        image: dict[Word, int] = {(): v}
-        ok = True
-        for w in ws[1:]:
-            tgt = graph.step(image[w[:-1]], w[-1])
-            if tgt is None:
-                ok = False
-                break
-            image[w] = tgt
-        if not ok:
-            continue
-        if all(graph.degree(image[w]) == tree.degree(w) for w in interior):
+        image = _read_tree(graph, v, ws)
+        if image is not None and all(
+            graph.degree(image[w]) == tree.degree(w) for w in interior
+        ):
             count += 1
     return count
 
@@ -413,15 +414,8 @@ def _component_matches_tree(
     sub = fp._component_graph(comp)
     ws = tree.sorted_words()
     for start in range(sub.num_vertices):
-        image: dict[Word, int] = {(): start}
-        ok = True
-        for w in ws[1:]:
-            tgt = sub.step(image[w[:-1]], w[-1])
-            if tgt is None:
-                ok = False
-                break
-            image[w] = tgt
-        if ok and len(set(image.values())) == sub.num_vertices:
+        image = _read_tree(sub, start, ws)
+        if image is not None and len(set(image.values())) == sub.num_vertices:
             return True
     return False
 
@@ -499,7 +493,7 @@ def pushforward_I(mu: RationalCurrent, nu: RationalCurrent) -> RationalCurrent:
             for comp in fp.components():
                 if comp.contractible:
                     continue
-                raw.append((c1 * c2, core(fp._component_graph(comp))))
+                raw.append((c1 * c2, fp._component_graph(comp)))
     return normalize(raw)
 
 

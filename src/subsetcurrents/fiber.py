@@ -2,8 +2,8 @@
 
 The product of two folded labeled graphs keeps every vertex pair, so its
 connected components split into trees and components carrying essential
-loops.  Both intersection-number routes live here: the Euler count over
-the whole product and the sum of reduced ranks over the double-coset
+loops.  Both intersection-number routes live here: edges minus vertices
+of the pruned product, and the sum of reduced ranks over the double-coset
 components.
 """
 
@@ -14,10 +14,13 @@ from dataclasses import dataclass
 from .errors import MismatchBugError
 from .stallings import (
     LabeledGraph,
+    _require_basepoint,
     _spanning_tree,
     contains,
+    core_vertices,
     from_generators,
     reduced_rank,
+    subgroup_generators,
 )
 from .words import Alphabet, Word, concat, invert
 
@@ -106,8 +109,8 @@ class FiberProduct:
         return self._paths
 
     def _component_graph(self, comp: ComponentReport) -> LabeledGraph:
-        """The component as a graph, its vertices renumbered in ascending
-        order (as `induced_subgraph` does), so its base vertex is 0.
+        """The component as a graph based at its base vertex, which the
+        ascending renumbering (as in `induced_subgraph`) makes vertex 0.
 
         The first call buckets every product edge by component in one
         pass; each call after that costs the size of its component.
@@ -123,7 +126,7 @@ class FiberProduct:
             (renum[o], renum[t], lab)
             for o, t, lab in self._buckets.get(comp.base_vertex, ())
         ]
-        return LabeledGraph(self.graph.rank, len(renum), edges)
+        return LabeledGraph(self.graph.rank, len(renum), edges, basepoint=0)
 
 
 def fiber_product(g1: LabeledGraph, g2: LabeledGraph) -> FiberProduct:
@@ -179,6 +182,8 @@ def component_subgroup(
     """
     if fp.left is not h or fp.right is not k:
         raise ValueError("fiber product was not built from these based graphs")
+    _require_basepoint(h, "component_subgroup")
+    _require_basepoint(k, "component_subgroup")
     u, v = fp.vertex_pair(comp.base_vertex)
     path_h, path_k = fp._basepoint_paths()
     w_a = path_h[u]
@@ -186,14 +191,10 @@ def component_subgroup(
     g = concat(w_a, invert(w_b))
     if comp.contractible:
         return g, []
-    sub = fp._component_graph(comp)
-    path_c, tree_edges = _spanning_tree(sub, 0)
-    gens = []
-    for i, (o, t, lab) in enumerate(sub.edges):
-        if i in tree_edges:
-            continue
-        loop = concat(path_c[o], (lab,), invert(path_c[t]))
-        gens.append(concat(w_a, loop, invert(w_a)))
+    gens = [
+        concat(w_a, loop, invert(w_a))
+        for loop in subgroup_generators(fp._component_graph(comp))
+    ]
     g_inv = invert(g)
     for gen in gens:
         if not contains(h, gen) or not contains(k, concat(g_inv, gen, g)):
@@ -204,11 +205,18 @@ def component_subgroup(
 
 
 def intersection_number_euler(h: LabeledGraph, k: LabeledGraph) -> int:
-    """Edges minus vertices plus contractible components of the product."""
-    fp = fiber_product(h, k)
-    return (
-        len(fp.graph.edges) - fp.graph.num_vertices + fp.contractible_count()
-    )
+    """Edges minus vertices of the pruned product.
+
+    Iterated leaf removal deletes every tree component (V - E = 1) and
+    every hanging tree (V - E = 0) without changing E - V elsewhere, so
+    what is left sums rank minus one over the essential components.  The
+    route classifies no component, and it gives the same value for based
+    factors as for their cores.
+    """
+    product = fiber_product(h, k).graph
+    survivors = core_vertices(product)
+    edges = sum(1 for o, t, _ in product.edges if o in survivors and t in survivors)
+    return edges - len(survivors)
 
 
 def intersection_number_cosets(h: LabeledGraph, k: LabeledGraph) -> int:
@@ -218,6 +226,8 @@ def intersection_number_cosets(h: LabeledGraph, k: LabeledGraph) -> int:
     subgroup via its generators, so this route does not reuse the Euler
     arithmetic of the component itself.
     """
+    _require_basepoint(h, "intersection_number_cosets")
+    _require_basepoint(k, "intersection_number_cosets")
     fp = fiber_product(h, k)
     alphabet = Alphabet(h.rank)
     total = 0

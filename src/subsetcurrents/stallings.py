@@ -260,6 +260,21 @@ def check_core_graph(graph: LabeledGraph) -> LabeledGraph:
     return graph
 
 
+def _add_arc(edges: list[Edge], start: int, end: int, word: Word, next_vertex: int) -> int:
+    """Append a path spelling the word from start to end through fresh
+    vertices numbered from next_vertex; return the next unused vertex."""
+    prev = start
+    for i, x in enumerate(word):
+        if i == len(word) - 1:
+            nxt = end
+        else:
+            nxt = next_vertex
+            next_vertex += 1
+        edges.append((prev, nxt, x) if x > 0 else (nxt, prev, -x))
+        prev = nxt
+    return next_vertex
+
+
 def from_generators(gens, alphabet: Alphabet) -> LabeledGraph:
     """Fold a wedge of generator loops into the based core graph of <gens>."""
     words = [reduce_word(w) for w in gens]
@@ -269,18 +284,7 @@ def from_generators(gens, alphabet: Alphabet) -> LabeledGraph:
     edges: list[Edge] = []
     next_vertex = 1
     for w in words:
-        prev = 0
-        for i, x in enumerate(w):
-            if i == len(w) - 1:
-                nxt = 0
-            else:
-                nxt = next_vertex
-                next_vertex += 1
-            if x > 0:
-                edges.append((prev, nxt, x))
-            else:
-                edges.append((nxt, prev, -x))
-            prev = nxt
+        next_vertex = _add_arc(edges, 0, 0, w, next_vertex)
     wedge = LabeledGraph(alphabet.rank, next_vertex, edges, basepoint=0)
     return check_core_graph(core_based(fold(wedge)))
 
@@ -483,58 +487,24 @@ def minimal_covering_quotient(graph: LabeledGraph) -> tuple[LabeledGraph, int, l
 
 def _core_and_tail(h: LabeledGraph) -> tuple[LabeledGraph, int, Word]:
     """Split a based graph into its unbased core, the attachment vertex
-    (as a core-graph index) and the word read along the basepoint arc."""
+    (as a core-graph index) and the word read along the basepoint arc:
+    the spanning-tree path to the first core vertex the BFS discovers."""
     survivors = core_vertices(h)
     cg, renum = induced_subgraph(h, survivors)
-    if h.basepoint in survivors:
-        return cg, renum[h.basepoint], ()
-    order = _signed_order(h.rank)
-    prev: dict[int, tuple[int, int]] = {h.basepoint: (-1, 0)}
-    queue = deque([h.basepoint])
-    hit = None
-    while queue and hit is None:
-        v = queue.popleft()
-        for s in order:
-            t = h.step(v, s)
-            if t is None or t in prev:
-                continue
-            prev[t] = (v, s)
-            if t in survivors:
-                hit = t
-                break
-            queue.append(t)
+    path, _ = _spanning_tree(h, h.basepoint)
+    hit = next((v for v in path if v in survivors), None)
     if hit is None:
         raise MismatchBugError("based graph is disconnected from its own core")
-    letters = []
-    v = hit
-    while v != h.basepoint:
-        p, s = prev[v]
-        letters.append(s)
-        v = p
-    return cg, renum[hit], tuple(reversed(letters))
+    return cg, renum[hit], path[hit]
 
 
 def _attach_tail(core_graph: LabeledGraph, at: int, word: Word) -> LabeledGraph:
-    """Glue a fresh arc spelling the word from a new basepoint to the core."""
-    if not word:
-        g = LabeledGraph(
-            core_graph.rank, core_graph.num_vertices, core_graph.edges, basepoint=at
-        )
-        return check_core_graph(core_based(fold(g)))
+    """Glue a fresh arc spelling the word from a new basepoint to the core;
+    with no word the basepoint is `at` itself."""
     edges = list(core_graph.edges)
-    base = core_graph.num_vertices
-    prev = base
-    nxt = base + 1
-    for i, x in enumerate(word):
-        target = at if i == len(word) - 1 else nxt
-        if target != at:
-            nxt += 1
-        if x > 0:
-            edges.append((prev, target, x))
-        else:
-            edges.append((target, prev, -x))
-        prev = target
-    g = LabeledGraph(core_graph.rank, base + len(word), edges, basepoint=base)
+    n = core_graph.num_vertices
+    _add_arc(edges, n, at, word, n + 1)
+    g = LabeledGraph(core_graph.rank, n + len(word), edges, basepoint=n if word else at)
     # the last arc edge can clash with a core edge after quotienting, so fold
     return check_core_graph(core_based(fold(g)))
 
@@ -579,6 +549,7 @@ def random_finite_index_cover(
     Each core edge gets a permutation of the sheets; disconnected draws are
     rejected and retried.
     """
+    _require_basepoint(h, "random_finite_index_cover")
     if degree < 1:
         raise ValueError("degree must be positive")
     cg, attach, tail = _core_and_tail(h)

@@ -15,9 +15,17 @@ oracle for the sum over observed neighborhoods.  `component_subgroup_oracle`
 is the earlier `component_subgroup`, which rebuilds both basepoint trees
 and scans every product edge for each component, kept as the oracle for
 the cached paths and the per-component edge buckets.
+
+`intersection_number_euler_oracle` is the earlier Euler route, edges minus
+vertices plus contractible components of the whole product, kept as the
+oracle for edges minus vertices of the pruned product.
+`core_and_tail_oracle` is the earlier `_core_and_tail`, a BFS of its own
+that stops at the first core vertex, kept as the oracle for the
+spanning-tree path.
 """
 
 import random
+from collections import deque
 from fractions import Fraction
 
 from subsetcurrents import (
@@ -31,6 +39,7 @@ from subsetcurrents import (
     counting_current,
     enumerate_round_graphs,
     eval_cylinder,
+    fiber_product,
     from_generators,
     invert,
     normalize,
@@ -38,8 +47,10 @@ from subsetcurrents import (
 )
 from subsetcurrents.stallings import (
     UnionFind,
+    _signed_order,
     _spanning_tree,
     _wl_classes,
+    core_vertices,
     induced_subgraph,
 )
 
@@ -328,3 +339,44 @@ def component_subgroup_oracle(fp, comp, h: LabeledGraph, k: LabeledGraph):
                 "component generator escaped H or its K-conjugate"
             )
     return g, gens
+
+
+def intersection_number_euler_oracle(h: LabeledGraph, k: LabeledGraph) -> int:
+    """Edges minus vertices plus contractible components of the product."""
+    fp = fiber_product(h, k)
+    return (
+        len(fp.graph.edges) - fp.graph.num_vertices + fp.contractible_count()
+    )
+
+
+def core_and_tail_oracle(h: LabeledGraph):
+    """Split a based graph into its unbased core, the attachment vertex
+    (as a core-graph index) and the word read along the basepoint arc."""
+    survivors = core_vertices(h)
+    cg, renum = induced_subgraph(h, survivors)
+    if h.basepoint in survivors:
+        return cg, renum[h.basepoint], ()
+    order = _signed_order(h.rank)
+    prev: dict[int, tuple[int, int]] = {h.basepoint: (-1, 0)}
+    queue = deque([h.basepoint])
+    hit = None
+    while queue and hit is None:
+        v = queue.popleft()
+        for s in order:
+            t = h.step(v, s)
+            if t is None or t in prev:
+                continue
+            prev[t] = (v, s)
+            if t in survivors:
+                hit = t
+                break
+            queue.append(t)
+    if hit is None:
+        raise MismatchBugError("based graph is disconnected from its own core")
+    letters = []
+    v = hit
+    while v != h.basepoint:
+        p, s = prev[v]
+        letters.append(s)
+        v = p
+    return cg, renum[hit], tuple(reversed(letters))

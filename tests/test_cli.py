@@ -13,8 +13,10 @@ import pytest
 
 import subsetcurrents
 from subsetcurrents import cli, fiber
+from subsetcurrents.currents import counting_current, intersection_functional_N
 from subsetcurrents.stallings import (
     check_core_graph,
+    core,
     from_generators,
     graph_from_json_dict,
     graph_to_json_dict,
@@ -341,6 +343,34 @@ def test_math_failure_dump_replays(files, tmp_path, monkeypatch, capsys, command
         assert graph_to_json_dict(graph_from_json_dict(dump[key])) == graph_to_json_dict(given)
     h, k = (check_core_graph(graph_from_json_dict(dump[key])) for key in ("H", "K"))
     assert fiber.intersection_number_cosets(h, k) == 1
+
+
+def test_contractible_flag_fault_leaves_euler_alone(files, tmp_path, monkeypatch, capsys):
+    # The Euler route prunes the product and reads no component report, so
+    # a report lost by classify_components moves the cylinder route only.
+    classify = fiber.classify_components
+
+    def drop_one_tree(fp):
+        reports = classify(fp)
+        first = next(i for i, c in enumerate(reports) if c.contractible)
+        return reports[:first] + reports[first + 1:]
+
+    alphabet = Alphabet(2)
+    h, k = (
+        from_generators(parse_subgroup_file(Path(files[key]).read_text(), alphabet), alphabet)
+        for key in ("h", "k")
+    )
+    mu, nu = counting_current(h), counting_current(k)
+    assert intersection_functional_N(mu, nu) == 1
+    monkeypatch.setattr(fiber, "classify_components", drop_one_tree)
+    assert fiber.intersection_number_euler(h, k) == 1
+    assert fiber.intersection_number_euler(core(h), core(k)) == 1
+    assert intersection_functional_N(mu, nu) != 1
+    assert run(["product", files["h"], files["k"]], str(tmp_path / "x.json")) == 2
+    err = capsys.readouterr().err
+    dump = json.loads(err[err.index("{"):])
+    assert (dump["euler"], dump["cosets"]) == (1, 1)
+    assert dump["cylinder"] != "1"
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,7 @@ from subsetcurrents import (
     reduced_rank,
     concat,
 )
-from helpers import component_subgroup_oracle
+from helpers import component_subgroup_oracle, intersection_number_euler_oracle
 
 AL2 = Alphabet(2)
 
@@ -206,3 +206,50 @@ def test_component_subgroup_needs_the_factor_objects():
         fp = fiber_product(left, right)
         with pytest.raises(ValueError, match="not built from these based graphs"):
             component_subgroup(fp, fp.components()[0], h, k)
+
+
+def euler_pairs():
+    """300 seeded (h, k) pairs at ranks 2 and 3: random pairs, pairs whose
+    generators are conjugated by a random word (so based graphs carry a
+    basepoint arc), finite-index covers against their base, and
+    self-products."""
+    rng = random.Random(67)
+    pairs = []
+    for rank in (2, 3):
+        al = Alphabet(rank)
+
+        def conjugated():
+            w = random_reduced_word(rng, al, rng.randint(1, 4))
+            return from_generators(
+                [
+                    concat(w, random_reduced_word(rng, al, rng.randint(1, 5)), invert(w))
+                    for _ in range(rng.randint(1, 3))
+                ],
+                al,
+            )
+
+        for _ in range(50):
+            pairs.append((random_subgroup(rng, al), random_subgroup(rng, al)))
+        for _ in range(50):
+            pairs.append((conjugated(), rng.choice([conjugated, lambda: random_subgroup(rng, al)])()))
+        for _ in range(25):
+            h = conjugated()
+            pairs.append((random_finite_index_cover(h, rng.randint(2, 3), rng), h))
+        for _ in range(25):
+            h = conjugated()
+            pairs.append((h, h))
+    return pairs
+
+
+def test_euler_by_pruning_matches_oracle():
+    pairs = euler_pairs()
+    assert len(pairs) == 300
+    positive = with_tail = 0
+    for h, k in pairs:
+        expected = intersection_number_euler_oracle(ucore(h), ucore(k))
+        assert intersection_number_euler(ucore(h), ucore(k)) == expected
+        assert intersection_number_euler(h, k) == expected
+        positive += expected > 0
+        with_tail += h.degree(h.basepoint) == 1
+    assert positive >= 50
+    assert with_tail >= 100

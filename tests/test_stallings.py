@@ -20,14 +20,19 @@ from subsetcurrents import (
     canonical_key_based,
     check_core_graph,
     commensurator,
+    component_subgroup,
+    concat,
     contains,
     core,
+    fiber_product,
     finite_index,
     fold,
     from_generators,
     graph_from_json_dict,
     graph_to_dot,
     graph_to_json_dict,
+    intersection_number_cosets,
+    invert,
     minimal_covering_quotient,
     parse_subgroup_file,
     parse_word,
@@ -39,7 +44,9 @@ from subsetcurrents import (
     subgroup_generators,
 )
 
-from helpers import covering_quotient_oracle, fold_oracle, wedge
+from subsetcurrents.stallings import _core_and_tail
+
+from helpers import core_and_tail_oracle, covering_quotient_oracle, fold_oracle, wedge
 
 AL2 = Alphabet(2)
 AL3 = Alphabet(3)
@@ -403,12 +410,61 @@ def test_fold_long_word_is_near_linear(acceptance):
     assert len(h.graph.edges) == n + 1
 
 
+def based_graphs_with_tails():
+    """1,000 seeded folded based graphs at ranks 2 and 3.  The generators
+    share a random conjugator, so most graphs have a basepoint arc, and
+    every third graph gets extra hanging arcs folded onto it."""
+    rng = random.Random(72)
+    graphs = []
+    for i in range(1000):
+        al = Alphabet(2 + i % 2)
+        w = random_reduced_word(rng, al, rng.randint(1, 4))
+        h = from_generators(
+            [
+                concat(w, random_reduced_word(rng, al, rng.randint(1, 5)), invert(w))
+                for _ in range(rng.randint(1, 3))
+            ],
+            al,
+        )
+        if i % 3 == 0:
+            edges, n = list(h.edges), h.num_vertices
+            for _ in range(rng.randint(1, 3)):
+                v = rng.randrange(n)
+                for x in random_reduced_word(rng, al, rng.randint(1, 4)):
+                    edges.append((v, n, x) if x > 0 else (n, v, -x))
+                    v, n = n, n + 1
+            h = fold(LabeledGraph(al.rank, n, edges, basepoint=h.basepoint))
+        graphs.append(h)
+    return graphs
+
+
+def test_core_and_tail_matches_oracle():
+    with_tail = with_hanging = 0
+    for h in based_graphs_with_tails():
+        cg, attach, tail = _core_and_tail(h)
+        old_cg, old_attach, old_tail = core_and_tail_oracle(h)
+        _same_graph(cg, old_cg)
+        assert (attach, tail) == (old_attach, old_tail)
+        with_tail += bool(tail)
+        with_hanging += h.num_vertices - cg.num_vertices > len(tail)
+    assert with_tail >= 500
+    assert with_hanging >= 200
+
+
+def _first_component_subgroup(g):
+    fp = fiber_product(g, g)
+    return component_subgroup(fp, fp.components()[0], g, g)
+
+
 UNBASED_CALLS = {
     "contains": lambda g: contains(g, (1,)),
     "subgroup_generators": subgroup_generators,
     "canonical_key_based": canonical_key_based,
     "finite_index": lambda g: finite_index(g, g),
     "commensurator": commensurator,
+    "random_finite_index_cover": lambda g: random_finite_index_cover(g, 2, random.Random(0)),
+    "intersection_number_cosets": lambda g: intersection_number_cosets(g, g),
+    "component_subgroup": _first_component_subgroup,
 }
 
 
