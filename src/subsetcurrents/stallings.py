@@ -344,28 +344,42 @@ def reduced_rank(g: LabeledGraph) -> int:
     return max(rank(g) - 1, 0)
 
 
-def _bfs_code(graph: LabeledGraph, start: int, order: list[int]):
-    ids = {start: 0}
+def _step_table(graph: LabeledGraph) -> list[list[int | None]]:
+    """`step[v][j]` is the target of the j-th signed letter at v, or None."""
+    order = _signed_order(graph.rank)
+    return [[graph.step(v, s) for s in order] for v in range(graph.num_vertices)]
+
+
+def _bfs_code(step: list[list[int | None]], start: int, best=None):
+    """BFS adjacency code from `start`: row i lists, per signed letter, the
+    BFS number of the target at the i-th vertex visited, or -1.
+
+    With `best`, each row is compared with best's row as soon as it is
+    complete: the code is abandoned (None) at its first larger row, and
+    also when every row ties; once a row is smaller it is finished.
+    """
+    ids: dict[int | None, int] = {None: -1, start: 0}
     seq = [start]
     rows = []
-    qi = 0
-    while qi < len(seq):
-        v = seq[qi]
-        qi += 1
+    ahead = best is None
+    for v in seq:
         row = []
-        for s in order:
-            t = graph.step(v, s)
-            if t is None:
-                row.append(-1)
-            else:
-                if t not in ids:
-                    ids[t] = len(seq)
-                    seq.append(t)
-                row.append(ids[t])
-        rows.append(tuple(row))
-    if len(seq) != graph.num_vertices:
+        for t in step[v]:
+            i = ids.get(t)
+            if i is None:
+                i = ids[t] = len(seq)
+                seq.append(t)
+            row.append(i)
+        row = tuple(row)
+        if not ahead:
+            rival = best[len(rows)]
+            if row > rival:
+                return None
+            ahead = row < rival
+        rows.append(row)
+    if len(seq) != len(step):
         raise NotConnectedError("canonical form needs a connected graph")
-    return tuple(rows)
+    return tuple(rows) if ahead else None
 
 
 def canonical_key(graph: LabeledGraph) -> bytes:
@@ -373,16 +387,25 @@ def canonical_key(graph: LabeledGraph) -> bytes:
 
     Minimum over all start vertices of a deterministic BFS adjacency code;
     any isomorphism matches start vertices, so the minimum is invariant.
+    Each start's code grows row by row against the best code so far and is
+    dropped at its first larger row, so a start usually costs a few rows.
+    In a graph with many automorphisms, such as a regular cover or a Cayley
+    graph of a finite group, the starts stay tied to the end and the cost
+    is O(V*E) again.
     """
-    order = _signed_order(graph.rank)
-    best = min(_bfs_code(graph, s, order) for s in range(graph.num_vertices))
+    if graph.num_vertices == 0:
+        raise EmptyCoreError("canonical_key needs a graph with at least one vertex")
+    step = _step_table(graph)
+    best = _bfs_code(step, 0)
+    for start in range(1, graph.num_vertices):
+        best = _bfs_code(step, start, best) or best
     return f"{graph.rank}:{best}".encode()
 
 
 def canonical_key_based(h: LabeledGraph) -> bytes:
     """Canonical byte string for the based graph, i.e. the subgroup itself."""
     _require_basepoint(h, "canonical_key_based")
-    code = _bfs_code(h, h.basepoint, _signed_order(h.rank))
+    code = _bfs_code(_step_table(h), h.basepoint)
     return f"{h.rank}:based:{code}".encode()
 
 
@@ -523,9 +546,10 @@ def commensurator(h: LabeledGraph) -> tuple[LabeledGraph, int]:
 
 def random_reduced_word(rng: random.Random, alphabet: Alphabet, length: int) -> Word:
     """Uniform non-backtracking walk of the given length."""
+    signed = alphabet.signed_letters()
     letters: list[int] = []
     for _ in range(length):
-        options = [s for s in alphabet.signed_letters() if not letters or s != -letters[-1]]
+        options = [s for s in signed if s != -letters[-1]] if letters else signed
         letters.append(rng.choice(options))
     return tuple(letters)
 

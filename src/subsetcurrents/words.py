@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import WordFormatError
 
@@ -39,6 +40,16 @@ class Alphabet:
             out.append(i)
             out.append(-i)
         return out
+
+    @cached_property
+    def _names(self) -> dict[int, str]:
+        """Text of each signed letter: a/A.. up to rank 26, else x<i>/X<i>."""
+        if self.rank <= 26:
+            return {
+                x: chr(ord("a") + x - 1) if x > 0 else chr(ord("A") - x - 1)
+                for x in self.signed_letters()
+            }
+        return {x: f"x{x}" if x > 0 else f"X{-x}" for x in self.signed_letters()}
 
     def check_letter(self, x: int) -> None:
         if not isinstance(x, int) or x == 0 or abs(x) > self.rank:
@@ -133,10 +144,15 @@ def format_word(w: Word, alphabet: Alphabet) -> str:
     """Render a word; inverse of parse_word on reduced words."""
     if not w:
         return "1"
+    names = alphabet._names
+    # Plain ints render in one lookup pass, which refuses any letter out of
+    # range; anything else (bools, floats, int subclasses) goes letter by
+    # letter through check_letter, which names the first letter it refuses.
+    if set(map(type, w)) == {int}:
+        try:
+            return "".join(map(names.__getitem__, w))
+        except KeyError:
+            pass
     for x in w:
         alphabet.check_letter(x)
-    if alphabet.rank <= 26:
-        return "".join(
-            chr(ord("a") + x - 1) if x > 0 else chr(ord("A") - x - 1) for x in w
-        )
-    return "".join(f"x{x}" if x > 0 else f"X{-x}" for x in w)
+    return "".join(map(names.__getitem__, w))

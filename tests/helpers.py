@@ -21,7 +21,10 @@ vertices plus contractible components of the whole product, kept as the
 oracle for edges minus vertices of the pruned product.
 `core_and_tail_oracle` is the earlier `_core_and_tail`, a BFS of its own
 that stops at the first core vertex, kept as the oracle for the
-spanning-tree path.
+spanning-tree path.  `canonical_key_oracle` is the earlier `canonical_key`,
+the minimum of the complete BFS codes from every start vertex, kept as the
+oracle for the row-by-row comparison that drops a start at its first
+losing row.
 """
 
 import random
@@ -380,3 +383,34 @@ def core_and_tail_oracle(h: LabeledGraph):
         letters.append(s)
         v = p
     return cg, renum[hit], tuple(reversed(letters))
+
+
+def _bfs_code_oracle(graph: LabeledGraph, start: int, order: list[int]):
+    ids = {start: 0}
+    seq = [start]
+    rows = []
+    qi = 0
+    while qi < len(seq):
+        v = seq[qi]
+        qi += 1
+        row = []
+        for s in order:
+            t = graph.step(v, s)
+            if t is None:
+                row.append(-1)
+            else:
+                if t not in ids:
+                    ids[t] = len(seq)
+                    seq.append(t)
+                row.append(ids[t])
+        rows.append(tuple(row))
+    if len(seq) != graph.num_vertices:
+        raise NotConnectedError("canonical form needs a connected graph")
+    return tuple(rows)
+
+
+def canonical_key_oracle(graph: LabeledGraph) -> bytes:
+    """Minimum over all start vertices of the complete BFS adjacency code."""
+    order = _signed_order(graph.rank)
+    best = min(_bfs_code_oracle(graph, s, order) for s in range(graph.num_vertices))
+    return f"{graph.rank}:{best}".encode()

@@ -5,6 +5,7 @@ were written; the comments sketch the foldings.
 """
 
 import random
+import time
 
 import pytest
 
@@ -46,7 +47,13 @@ from subsetcurrents import (
 
 from subsetcurrents.stallings import _core_and_tail
 
-from helpers import core_and_tail_oracle, covering_quotient_oracle, fold_oracle, wedge
+from helpers import (
+    canonical_key_oracle,
+    core_and_tail_oracle,
+    covering_quotient_oracle,
+    fold_oracle,
+    wedge,
+)
 
 AL2 = Alphabet(2)
 AL3 = Alphabet(3)
@@ -137,6 +144,81 @@ def test_canonical_key_separates():
     a2b = core(from_generators(gens("aa", "b"), AL2).graph)
     ab2 = core(from_generators(gens("a", "bb"), AL2).graph)
     assert canonical_key(a2b) != canonical_key(ab2)
+
+
+def test_canonical_key_error_cases():
+    disconnected = LabeledGraph(2, 2, [(0, 0, 1), (1, 1, 2)])
+    with pytest.raises(NotConnectedError):
+        canonical_key(disconnected)
+    with pytest.raises(EmptyCoreError, match="at least one vertex"):
+        canonical_key(LabeledGraph(2, 0, []))
+
+
+def relabelled(graph, rng):
+    perm = list(range(graph.num_vertices))
+    rng.shuffle(perm)
+    return LabeledGraph(
+        graph.rank, graph.num_vertices, [(perm[o], perm[t], lab) for o, t, lab in graph.edges]
+    )
+
+
+def cayley_cyclic(n, steps):
+    """Cayley graph of Z/n: the i-th generator adds steps[i-1]."""
+    return LabeledGraph(
+        len(steps),
+        n,
+        [(v, (v + k) % n, i) for i, k in enumerate(steps, 1) for v in range(n)],
+    )
+
+
+def power_cycle(n):
+    """The core of <a^n b>: a cycle reading a^n b."""
+    edges = [(v, v + 1, 1) for v in range(n)] + [(n, 0, 2)]
+    return LabeledGraph(2, n + 1, edges)
+
+
+def canonical_key_corpus():
+    """Seeded cores at ranks 2-4 with a cover, the minimal covering
+    quotients of both and relabelled copies of each; cyclic Cayley graphs,
+    where every start ties; a^n b cycles, where starts tie for n rows."""
+    rng = random.Random(88)
+    graphs = []
+    cores = 0
+    while cores < 300:
+        al = Alphabet(2 + cores % 3)
+        try:
+            h = random_subgroup(rng, al, max_gens=4, max_len=8)
+            cg = core(h)
+        except (TrivialSubgroupError, EmptyCoreError):
+            continue
+        cores += 1
+        cover = core(random_finite_index_cover(h, rng.randint(2, 4), rng))
+        for g in (cg, cover):
+            graphs += [g, minimal_covering_quotient(g)[0], relabelled(g, rng)]
+    for n in range(1, 41):
+        graphs.append(cayley_cyclic(n, (1, rng.randrange(n))))
+        graphs.append(cayley_cyclic(n, (1, rng.randrange(n), rng.randrange(n))))
+        graphs.append(relabelled(power_cycle(n), rng))
+    return graphs
+
+
+def test_canonical_key_matches_oracle():
+    for g in canonical_key_corpus():
+        assert canonical_key(g) == canonical_key_oracle(g)
+
+
+def test_canonical_key_budget(acceptance):
+    rng = random.Random(38)
+    big = core(from_generators([random_reduced_word(rng, AL2, 120) for _ in range(8)], AL2))
+    assert big.num_vertices == 921
+    # Z/400 is vertex-transitive: every start ties to the last row
+    ladder = [(big, 1.0), (cayley_cyclic(400, (1, 7)), 1.0)]
+    with acceptance(14, "canonical keys of a V=921 core and of Z/400 within 1 s each"):
+        for graph, budget in ladder:
+            start = time.perf_counter()
+            canonical_key(graph)
+            elapsed = time.perf_counter() - start
+            assert elapsed < budget, f"V={graph.num_vertices}: {elapsed:.2f} s"
 
 
 def test_finite_index_oracles():

@@ -1,5 +1,7 @@
 """Word arithmetic: parsing, reduction, cyclic reduction."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -66,6 +68,20 @@ def test_format():
     big = Alphabet(27)
     assert format_word((27,), big) == "x27"
     assert format_word((-27, 1), big) == "X27x1"
+
+
+@pytest.mark.parametrize(
+    "word",
+    [(1.0,), (1, 1.0), (2, -1.0), (Fraction(1),), (1, "a"), (None,), (0,), (1, 3), (-3, 2)],
+)
+def test_format_refuses_what_check_letter_refuses(word):
+    with pytest.raises(WordFormatError):
+        format_word(word, AL2)
+
+
+def test_format_accepts_what_check_letter_accepts():
+    # bool is an int subclass, so check_letter has always let True through
+    assert format_word((True, -2), AL2) == "aB"
 
 
 def test_reduce_oracle():
