@@ -9,6 +9,7 @@ failed mathematical cross-check together with a diagnostic dump.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -272,8 +273,7 @@ def cmd_intersect(args: argparse.Namespace) -> Result:
     return EXIT_OK, report, rows
 
 
-def _add_common(parser: argparse.ArgumentParser, fmt_default: str, func) -> None:
-    parser.set_defaults(func=func)
+def _add_common(parser: argparse.ArgumentParser, fmt_default: str) -> None:
     parser.add_argument("--rank", type=int, default=2, help="ambient free-group rank")
     parser.add_argument("--format", choices=("tsv", "json"), default=fmt_default)
     parser.add_argument("--out", default=None, help="write the report to this path")
@@ -286,43 +286,55 @@ def build_parser() -> _Parser:
     p = sub.add_parser("core", help="fold a subgroup file into its core graph")
     p.add_argument("subgroup", help="path to a generator file")
     p.add_argument("--dot", default=None, help="also write a DOT rendering here")
-    _add_common(p, "json", cmd_core)
+    _add_common(p, "json")
 
     p = sub.add_parser("product", help="intersection number of two subgroups, three routes")
     p.add_argument("h", help="path to the first generator file")
     p.add_argument("k", help="path to the second generator file")
     p.add_argument("--dot", default=None, help="DOT of the fiber product, component colored")
     p.add_argument("--automorphism", default=None, help="apply this automorphism file first")
-    _add_common(p, "json", cmd_product)
+    _add_common(p, "json")
 
     p = sub.add_parser("shnc-scan", help="random subgroup pairs against the rank bound")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=_count, default=50)
     p.add_argument("--max-gens", type=_count, default=3)
     p.add_argument("--max-gen-len", type=_count, default=6)
-    _add_common(p, "tsv", cmd_shnc_scan)
+    _add_common(p, "tsv")
 
     p = sub.add_parser("converge", help="cylinder table for the loop-with-tail family")
     p.add_argument("--n-max", type=_count, default=10)
     p.add_argument("--grade", type=_count, default=2)
-    _add_common(p, "tsv", cmd_converge)
+    _add_common(p, "tsv")
 
     p = sub.add_parser("intersect", help="pushforward current of two subgroups")
     p.add_argument("h", help="path to the first generator file")
     p.add_argument("k", help="path to the second generator file")
-    _add_common(p, "json", cmd_intersect)
+    _add_common(p, "json")
 
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser of `main`, built on first use; parsing leaves it unchanged."""
+    return build_parser()
+
+
+def _handler(command: str):
+    """The module-level `cmd_*` function of a subcommand, looked up at call
+    time, so that a wrapped or patched `cmd_*` is the one that runs."""
+    return globals()["cmd_" + command.replace("-", "_")]
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
     try:
-        code, report, rows = args.func(args)
+        code, report, rows = _handler(args.command)(args)
         _emit(_render(args.format, report, rows), args.out)
     except (ValueError, RetryLimitError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

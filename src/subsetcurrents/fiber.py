@@ -1,10 +1,11 @@
 """Fiber products of core graphs over the rose.
 
-The product of two folded labeled graphs keeps every vertex pair, so its
-connected components split into trees and components carrying essential
-loops.  Both intersection-number routes live here: edges minus vertices
-of the pruned product, and the sum of reduced ranks over the double-coset
-components.
+A `FiberProduct` of two folded labeled graphs keeps every vertex pair, so
+its connected components split into trees and components carrying
+essential loops.  Both intersection-number routes live here: edges minus
+vertices of the pruned product, which numbers only the vertex pairs that
+some product edge touches, and the sum of reduced ranks over the
+double-coset components.
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ from dataclasses import dataclass
 
 from .errors import MismatchBugError
 from .stallings import (
+    Edge,
     LabeledGraph,
+    _prune,
     _require_basepoint,
     _spanning_tree,
     contains,
-    core_vertices,
     from_generators,
     reduced_rank,
     subgroup_generators,
@@ -44,37 +46,42 @@ class ComponentReport:
         return len(self.vertices)
 
 
+def _product_edges(left: LabeledGraph, right: LabeledGraph) -> list[Edge]:
+    """Edges of the fiber product, joined by label: edges o1 -> t1 of the
+    left factor and o2 -> t2 of the right with the same label give the
+    edge (o1, o2) -> (t1, t2), where the pair (v1, v2) is numbered
+    v1 * V2 + v2.  Both factors must be folded and of one rank."""
+    if left.rank != right.rank:
+        raise ValueError("fiber product needs a common ambient rank")
+    if not (left.is_folded() and right.is_folded()):
+        raise ValueError("fiber product factors must be folded")
+    n2 = right.num_vertices
+    by_label: dict[int, list[tuple[int, int]]] = {}
+    for o, t, lab in right.edges:
+        by_label.setdefault(lab, []).append((o, t))
+    return [
+        (o1 * n2 + o2, t1 * n2 + t2, lab)
+        for o1, t1, lab in left.edges
+        for o2, t2 in by_label.get(lab, ())
+    ]
+
+
 class FiberProduct:
     """Pullback of two labeled graphs over the common rose.
 
-    Component data is built lazily and at most once: the component ids, the
-    reports, the basepoint paths of both factors, and the product edges
-    bucketed by component.
+    Component data is built lazily and at most once: the component ids
+    (memoized on `graph`), the reports, the basepoint paths of both
+    factors, and the product edges bucketed by component.
     """
 
-    __slots__ = (
-        "left", "right", "graph", "_comp_of", "_reports", "_paths", "_buckets"
-    )
+    __slots__ = ("left", "right", "graph", "_reports", "_paths", "_buckets")
 
     def __init__(self, left: LabeledGraph, right: LabeledGraph):
-        if left.rank != right.rank:
-            raise ValueError("fiber product needs a common ambient rank")
-        if not (left.is_folded() and right.is_folded()):
-            raise ValueError("fiber product factors must be folded")
         self.left = left
         self.right = right
-        n2 = right.num_vertices
-        by_label: dict[int, list[tuple[int, int]]] = {}
-        for o, t, lab in right.edges:
-            by_label.setdefault(lab, []).append((o, t))
-        edges = []
-        for o1, t1, lab in left.edges:
-            for o2, t2 in by_label.get(lab, ()):
-                edges.append((o1 * n2 + o2, t1 * n2 + t2, lab))
         self.graph = LabeledGraph(
-            left.rank, left.num_vertices * n2, edges
+            left.rank, left.num_vertices * right.num_vertices, _product_edges(left, right)
         )
-        self._comp_of = None
         self._reports = None
         self._paths = None
         self._buckets = None
@@ -93,12 +100,6 @@ class FiberProduct:
     def contractible_count(self) -> int:
         return sum(1 for c in self.components() if c.contractible)
 
-    def _component_ids(self) -> list[int]:
-        """Per product vertex, the smallest vertex of its component."""
-        if self._comp_of is None:
-            self._comp_of = self.graph.component_ids()
-        return self._comp_of
-
     def _basepoint_paths(self) -> tuple[dict[int, Word], dict[int, Word]]:
         """Spanning-tree path words from the basepoint of each factor."""
         if self._paths is None:
@@ -116,7 +117,7 @@ class FiberProduct:
         pass; each call after that costs the size of its component.
         """
         if self._buckets is None:
-            comp_of = self._component_ids()
+            comp_of = self.graph.component_ids()
             buckets: dict[int, list] = {}
             for e in self.graph.edges:
                 buckets.setdefault(comp_of[e[0]], []).append(e)
@@ -139,7 +140,7 @@ def classify_components(fp: FiberProduct) -> list[ComponentReport]:
     Isolated vertices count as (contractible) components; a connected
     component is contractible exactly when its Euler characteristic is 1.
     """
-    comp_of = fp._component_ids()
+    comp_of = fp.graph.component_ids()
     groups: dict[int, list[int]] = {}
     for v, c in enumerate(comp_of):
         groups.setdefault(c, []).append(v)
@@ -212,11 +213,17 @@ def intersection_number_euler(h: LabeledGraph, k: LabeledGraph) -> int:
     what is left sums rank minus one over the essential components.  The
     route classifies no component, and it gives the same value for based
     factors as for their cores.
+
+    The product is sparse: only the vertex pairs that some product edge
+    touches are numbered, since an isolated pair is pruned anyway.
     """
-    product = fiber_product(h, k).graph
-    survivors = core_vertices(product)
-    edges = sum(1 for o, t, _ in product.edges if o in survivors and t in survivors)
-    return edges - len(survivors)
+    ids: dict[int, int] = {}
+    edges = [
+        (ids.setdefault(o, len(ids)), ids.setdefault(t, len(ids)), lab)
+        for o, t, lab in _product_edges(h, k)
+    ]
+    survivors, left = _prune(len(ids), edges)
+    return left - len(survivors)
 
 
 def intersection_number_cosets(h: LabeledGraph, k: LabeledGraph) -> int:

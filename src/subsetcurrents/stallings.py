@@ -59,7 +59,9 @@ class UnionFind:
 class LabeledGraph:
     """Finite multigraph over the rank-N rose.  Treated as immutable."""
 
-    __slots__ = ("rank", "num_vertices", "edges", "basepoint", "_germs")
+    __slots__ = (
+        "rank", "num_vertices", "edges", "basepoint", "_germs", "_folded", "_components"
+    )
 
     def __init__(self, rank: int, num_vertices: int, edges, basepoint: int | None = None):
         self.rank = rank
@@ -74,6 +76,8 @@ class LabeledGraph:
         if basepoint is not None and not (0 <= basepoint < num_vertices):
             raise ValueError(f"basepoint {basepoint} out of range")
         self._germs = None
+        self._folded = None
+        self._components = None
 
     def germs(self, v: int) -> dict[int, list[tuple[int, int]]]:
         """Departures at v: signed label -> list of (target, edge index)."""
@@ -107,15 +111,23 @@ class LabeledGraph:
         return lst[0]
 
     def is_folded(self) -> bool:
-        return all(
-            len(lst) == 1 for v in range(self.num_vertices) for lst in self.germs(v).values()
-        )
+        """No vertex has two departures with the same signed label; computed once."""
+        if self._folded is None:
+            self._folded = all(
+                len(lst) == 1
+                for v in range(self.num_vertices)
+                for lst in self.germs(v).values()
+            )
+        return self._folded
 
-    def component_ids(self) -> list[int]:
-        uf = UnionFind(self.num_vertices)
-        for o, t, _ in self.edges:
-            uf.union(o, t)
-        return [uf.find(v) for v in range(self.num_vertices)]
+    def component_ids(self) -> tuple[int, ...]:
+        """Per vertex, the smallest vertex of its component; computed once."""
+        if self._components is None:
+            uf = UnionFind(self.num_vertices)
+            for o, t, _ in self.edges:
+                uf.union(o, t)
+            self._components = tuple(uf.find(v) for v in range(self.num_vertices))
+        return self._components
 
     def is_connected(self) -> bool:
         return self.num_vertices <= 1 or len(set(self.component_ids())) == 1
@@ -169,35 +181,37 @@ def fold(graph: LabeledGraph) -> LabeledGraph:
     return LabeledGraph(graph.rank, len(roots), new_edges, basepoint=bp)
 
 
+def _prune(n: int, edges, keep: int | None = None) -> tuple[set[int], int]:
+    """Iterated removal of degree <= 1 vertices other than `keep` from the
+    graph on vertices 0..n-1 with the given (origin, terminus, label)
+    edges.  Returns the surviving vertices and the number of edges left."""
+    ends: list[list[int]] = [[] for _ in range(n)]
+    for o, t, _ in edges:
+        ends[o].append(t)
+        ends[t].append(o)
+    # deg[v] counts the edges of v that are still alive; a vertex is
+    # queued once, when its degree first drops to 1 or less, and its
+    # degree becomes -1 when it is removed, which kills its last edge.
+    deg = list(map(len, ends))
+    queue = [v for v in range(n) if deg[v] <= 1 and v != keep]
+    left = len(edges)
+    while queue:
+        v = queue.pop()
+        deg[v] = -1
+        for u in ends[v]:
+            d = deg[u]
+            if d < 0:
+                continue
+            left -= 1
+            deg[u] = d - 1
+            if d == 2 and u != keep:
+                queue.append(u)
+    return {v for v in range(n) if deg[v] >= 0}, left
+
+
 def core_vertices(graph: LabeledGraph, keep: int | None = None) -> set[int]:
     """Vertices surviving iterated removal of degree <= 1 vertices."""
-    n = graph.num_vertices
-    deg = [0] * n
-    incident: list[list[int]] = [[] for _ in range(n)]
-    for i, (o, t, _) in enumerate(graph.edges):
-        deg[o] += 1
-        deg[t] += 1
-        incident[o].append(i)
-        incident[t].append(i)
-    alive_v = [True] * n
-    alive_e = [True] * len(graph.edges)
-    queue = deque(v for v in range(n) if deg[v] <= 1 and v != keep)
-    while queue:
-        v = queue.popleft()
-        if not alive_v[v] or deg[v] > 1:
-            continue
-        alive_v[v] = False
-        for i in incident[v]:
-            if not alive_e[i]:
-                continue
-            alive_e[i] = False
-            o, t, _ = graph.edges[i]
-            deg[o] -= 1
-            deg[t] -= 1
-            for u in {o, t} - {v}:
-                if alive_v[u] and deg[u] <= 1 and u != keep:
-                    queue.append(u)
-    return {v for v in range(n) if alive_v[v]}
+    return _prune(graph.num_vertices, graph.edges, keep)[0]
 
 
 def induced_subgraph(
@@ -235,7 +249,10 @@ def core_based(graph: LabeledGraph) -> LabeledGraph:
     """Core that spares the basepoint (plus the arc connecting it, if any)."""
     _require_basepoint(graph, "core_based")
     survivors = core_vertices(graph, keep=graph.basepoint)
-    out, _ = induced_subgraph(graph, survivors, basepoint=graph.basepoint)
+    if len(survivors) == graph.num_vertices:
+        out = graph  # nothing pruned: the renumbering would be the identity
+    else:
+        out, _ = induced_subgraph(graph, survivors, basepoint=graph.basepoint)
     if not out.edges:
         raise EmptyCoreError("graph has no essential loop, so its core is empty")
     return out
@@ -254,8 +271,9 @@ def check_core_graph(graph: LabeledGraph) -> LabeledGraph:
         raise ValueError("core graph must be folded")
     if graph.basepoint is not None and not graph.is_connected():
         raise NotConnectedError("based core graph must be connected")
+    # folded, so each signed label at v carries exactly one departure
     for v in range(graph.num_vertices):
-        if v != graph.basepoint and graph.degree(v) < 2:
+        if v != graph.basepoint and len(graph.germs(v)) < 2:
             raise ValueError(f"non-basepoint vertex {v} has degree < 2")
     return graph
 
@@ -547,10 +565,13 @@ def commensurator(h: LabeledGraph) -> tuple[LabeledGraph, int]:
 def random_reduced_word(rng: random.Random, alphabet: Alphabet, length: int) -> Word:
     """Uniform non-backtracking walk of the given length."""
     signed = alphabet.signed_letters()
+    after = {x: [s for s in signed if s != -x] for x in signed}
     letters: list[int] = []
+    options = signed
     for _ in range(length):
-        options = [s for s in signed if s != -letters[-1]] if letters else signed
-        letters.append(rng.choice(options))
+        x = rng.choice(options)
+        letters.append(x)
+        options = after[x]
     return tuple(letters)
 
 

@@ -19,6 +19,11 @@ the cached paths and the per-component edge buckets.
 `intersection_number_euler_oracle` is the earlier Euler route, edges minus
 vertices plus contractible components of the whole product, kept as the
 oracle for edges minus vertices of the pruned product.
+`intersection_number_euler_full_oracle` is the pruning route as it was
+before the product went sparse: the full `FiberProduct` with every vertex
+pair, pruned by `core_vertices_oracle`, the earlier `core_vertices` (a
+FIFO leaf queue with per-edge liveness flags), kept as the oracle for the
+shared `_prune`.
 `core_and_tail_oracle` is the earlier `_core_and_tail`, a BFS of its own
 that stops at the first core vertex, kept as the oracle for the
 spanning-tree path.  `canonical_key_oracle` is the earlier `canonical_key`,
@@ -414,3 +419,42 @@ def canonical_key_oracle(graph: LabeledGraph) -> bytes:
     order = _signed_order(graph.rank)
     best = min(_bfs_code_oracle(graph, s, order) for s in range(graph.num_vertices))
     return f"{graph.rank}:{best}".encode()
+
+
+def core_vertices_oracle(graph: LabeledGraph, keep: int | None = None) -> set[int]:
+    """Vertices surviving iterated removal of degree <= 1 vertices."""
+    n = graph.num_vertices
+    deg = [0] * n
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for i, (o, t, _) in enumerate(graph.edges):
+        deg[o] += 1
+        deg[t] += 1
+        incident[o].append(i)
+        incident[t].append(i)
+    alive_v = [True] * n
+    alive_e = [True] * len(graph.edges)
+    queue = deque(v for v in range(n) if deg[v] <= 1 and v != keep)
+    while queue:
+        v = queue.popleft()
+        if not alive_v[v] or deg[v] > 1:
+            continue
+        alive_v[v] = False
+        for i in incident[v]:
+            if not alive_e[i]:
+                continue
+            alive_e[i] = False
+            o, t, _ = graph.edges[i]
+            deg[o] -= 1
+            deg[t] -= 1
+            for u in {o, t} - {v}:
+                if alive_v[u] and deg[u] <= 1 and u != keep:
+                    queue.append(u)
+    return {v for v in range(n) if alive_v[v]}
+
+
+def intersection_number_euler_full_oracle(h: LabeledGraph, k: LabeledGraph) -> int:
+    """Edges minus vertices of the pruned full product."""
+    product = fiber_product(h, k).graph
+    survivors = core_vertices_oracle(product)
+    edges = sum(1 for o, t, _ in product.edges if o in survivors and t in survivors)
+    return edges - len(survivors)

@@ -4,11 +4,13 @@ A rename or removal here is an API change: it must show up as a failing
 test, not as a crash of `perfbench/run.py --trace 1`.
 """
 
+import argparse
 import importlib
 import importlib.util
 from pathlib import Path
 
 import subsetcurrents
+from subsetcurrents import cli
 from subsetcurrents import Alphabet, counting_current, from_generators
 
 PUBLIC = [
@@ -43,14 +45,32 @@ def test_public_names_pinned():
         getattr(subsetcurrents, name)
 
 
-def test_tracer_layers_resolve():
+def _tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_layers_resolve():
+    tracer = _tracer()
     for module, names in tracer.LAYERS.items():
         mod = importlib.import_module(f"subsetcurrents.{module}")
         for name in names:
             assert callable(getattr(mod, name, None)), f"{module}.{name}"
+
+
+def test_every_subcommand_dispatches_to_a_traced_cmd():
+    # a renamed command must not drop out of the tracer's cli layer
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    handlers = set()
+    for command in sub.choices:
+        fn = cli._handler(command)
+        assert fn.__name__.startswith("cmd_")
+        assert getattr(cli, fn.__name__) is fn, command
+        handlers.add(fn.__name__)
+    assert handlers == set(_tracer().LAYERS["cli"])
 
 
 def test_graph_alias_and_repr():

@@ -174,6 +174,34 @@ def test_report_bytes_golden(files, key):
     assert report_digests(files, key) == REPORT_DIGESTS[key]
 
 
+def test_patched_command_runs_after_the_parser_is_built(files, monkeypatch, capsys):
+    # perfbench/tracer.py wraps the cmd_* functions after the CLI is imported
+    assert cli.main(["core", files["h"]]) == 0
+    capsys.readouterr()
+    seen = []
+
+    def fake(args):
+        seen.append(args.subgroup)
+        return cli.EXIT_OK, {"fake": True}, [["fake"]]
+
+    monkeypatch.setattr(cli, "cmd_core", fake)
+    assert cli.main(["core", files["h"], "--format", "tsv"]) == 0
+    assert seen == [files["h"]]
+    assert capsys.readouterr().out == "fake\n"
+
+
+def test_one_parser_serves_a_usage_error_and_every_golden_argv(files, monkeypatch, capsys):
+    assert cli.main(["core", "--rank"]) == 1
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1))
+    assert cli.main(["frobnicate"]) == 1
+    assert cli.main(["shnc-scan", "--samples", "0"]) == 1
+    capsys.readouterr()
+    for key in sorted(REPORT_DIGESTS):
+        assert report_digests(files, key) == REPORT_DIGESTS[key]
+    assert built == []
+
+
 def test_core_json(files, tmp_path):
     out = str(tmp_path / "core.json")
     assert run(["core", files["h"]], out) == 0

@@ -6,6 +6,7 @@ import pytest
 
 from subsetcurrents import (
     Alphabet,
+    LabeledGraph,
     check_core_graph,
     component_subgroup,
     contains,
@@ -22,7 +23,11 @@ from subsetcurrents import (
     reduced_rank,
     concat,
 )
-from helpers import component_subgroup_oracle, intersection_number_euler_oracle
+from helpers import (
+    component_subgroup_oracle,
+    intersection_number_euler_full_oracle,
+    intersection_number_euler_oracle,
+)
 
 AL2 = Alphabet(2)
 
@@ -241,15 +246,71 @@ def euler_pairs():
     return pairs
 
 
+def euler_edge_pairs():
+    """Products with no edge, products that are forests of trees and
+    isolated pairs, self-loop roses, and based factors with long tails."""
+    al3 = Alphabet(3)
+    rose2 = sub("a", "b")
+    rose3 = from_generators([(1,), (2,), (3,)], al3)
+    forests = [
+        (sub("a"), sub("b")),
+        (from_generators([(1,)], al3), from_generators([(3,)], al3)),
+        (sub("a"), sub("ab")),
+        (sub("aa"), sub("ab")),
+        (sub("aab"), sub("abb")),
+    ]
+    roses = [
+        (rose2, rose2),
+        (rose2, sub("aa", "b")),
+        (rose2, sub("abAB")),
+        (rose3, rose3),
+        (rose3, from_generators([(1, 2), (3, 3, -1)], al3)),
+    ]
+    rng = random.Random(68)
+    tails = []
+    for rank in (2, 3):
+        al = Alphabet(rank)
+        while len(tails) < 10 * (rank - 1):
+            w = random_reduced_word(rng, al, rng.randint(20, 40))
+            gens = [random_reduced_word(rng, al, rng.randint(1, 5)) for _ in range(2)]
+            h = from_generators([concat(w, g, invert(w)) for g in gens], al)
+            if h.num_vertices - ucore(h).num_vertices < 20:
+                continue  # w cancelled into the generators, or they span F_N
+            k = rng.choice([h, rose3 if rank == 3 else rose2, random_subgroup(rng, al)])
+            tails.append((h, k))
+    return forests, roses, tails
+
+
 def test_euler_by_pruning_matches_oracle():
     pairs = euler_pairs()
     assert len(pairs) == 300
+    forests, roses, tails = euler_edge_pairs()
+    for h, k in forests:
+        assert all(c.contractible for c in fiber_product(h, k).components())
+    assert not fiber_product(*forests[0]).graph.edges
+    assert all(h.num_vertices - ucore(h).num_vertices >= 20 for h, _ in tails)
     positive = with_tail = 0
-    for h, k in pairs:
+    for h, k in pairs + forests + roses + tails:
         expected = intersection_number_euler_oracle(ucore(h), ucore(k))
+        assert intersection_number_euler_full_oracle(h, k) == expected
         assert intersection_number_euler(ucore(h), ucore(k)) == expected
         assert intersection_number_euler(h, k) == expected
         positive += expected > 0
         with_tail += h.degree(h.basepoint) == 1
     assert positive >= 50
-    assert with_tail >= 100
+    assert with_tail >= 120
+    for rose, k in roses:  # the product with the rose is a copy of k
+        assert intersection_number_euler(rose, k) == intersection_number_euler(k, rose)
+        assert intersection_number_euler(rose, k) == reduced_rank(k)
+
+
+def test_euler_refuses_what_the_product_refuses():
+    al3 = Alphabet(3)
+    h2, h3 = sub("aa", "b"), from_generators([(1, 1), (2,)], al3)
+    unfolded = LabeledGraph(2, 1, [(0, 0, 1), (0, 0, 1)])
+    for left, right in ((h2, h3), (h3, h2)):
+        with pytest.raises(ValueError, match="fiber product needs a common ambient rank"):
+            intersection_number_euler(left, right)
+    for left, right in ((h2, unfolded), (unfolded, h2)):
+        with pytest.raises(ValueError, match="fiber product factors must be folded"):
+            intersection_number_euler(left, right)

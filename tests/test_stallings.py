@@ -45,11 +45,13 @@ from subsetcurrents import (
     subgroup_generators,
 )
 
-from subsetcurrents.stallings import _core_and_tail
+from subsetcurrents import stallings
+from subsetcurrents.stallings import UnionFind, _core_and_tail, _prune, core_based
 
 from helpers import (
     canonical_key_oracle,
     core_and_tail_oracle,
+    core_vertices_oracle,
     covering_quotient_oracle,
     fold_oracle,
     wedge,
@@ -560,3 +562,81 @@ def test_based_only_functions_refuse_unbased_graphs(name):
         based = from_generators([(1, 1), (2,)], Alphabet(2))
         with pytest.raises(ValueError, match="finite_index needs a based graph"):
             finite_index(based, unbased)
+
+
+def random_multigraphs():
+    """400 seeded labeled multigraphs on 1..14 vertices: loops, parallel
+    edges, isolated vertices and several components all occur."""
+    rng = random.Random(73)
+    graphs = []
+    for _ in range(400):
+        n = rng.randint(1, 14)
+        edges = [
+            (rng.randrange(n), rng.randrange(n), rng.randint(1, 3))
+            for _ in range(rng.randint(0, 2 * n))
+        ]
+        graphs.append(LabeledGraph(3, n, edges))
+    return graphs
+
+
+def test_prune_matches_oracle():
+    cases = [(g, None) for g in random_multigraphs()]
+    cases += [(g, g.num_vertices - 1) for g in random_multigraphs()]
+    cases += [(h, h.basepoint) for h in based_graphs_with_tails()[:300]]
+    pruned = kept = 0
+    for g, keep in cases:
+        survivors, left = _prune(g.num_vertices, g.edges, keep)
+        assert survivors == core_vertices_oracle(g, keep)
+        assert left == sum(1 for o, t, _ in g.edges if o in survivors and t in survivors)
+        pruned += 0 < len(survivors) < g.num_vertices
+        kept += keep is not None and keep in survivors and g.degree(keep) < 2
+    assert pruned >= 200
+    assert kept >= 100
+
+
+def test_component_ids_is_a_memoized_union_find():
+    for g in random_multigraphs():
+        ids = g.component_ids()
+        assert isinstance(ids, tuple)
+        uf = UnionFind(g.num_vertices)
+        for o, t, _ in g.edges:
+            uf.union(o, t)
+        assert ids == tuple(uf.find(v) for v in range(g.num_vertices))
+        assert g.component_ids() is ids
+
+
+def test_is_folded_memo_keeps_a_false_answer():
+    unfolded = wedge([(1, 2), (1, -2)], 2)
+    assert unfolded.is_folded() is False
+    assert unfolded.is_folded() is False
+    folded = fold(unfolded)
+    assert folded.is_folded() is True
+    assert folded.is_folded() is True
+
+
+def test_rank_reuses_the_connectivity_of_from_generators(monkeypatch):
+    built = []
+
+    class CountingUnionFind(UnionFind):
+        def __init__(self, n):
+            built.append(n)
+            super().__init__(n)
+
+    monkeypatch.setattr(stallings, "UnionFind", CountingUnionFind)
+    h = sub("aab", "bAb", "abab")
+    assert built  # fold and the connectivity check of check_core_graph
+    built.clear()
+    assert rank(h) == 3
+    assert reduced_rank(h) == 2
+    assert check_core_graph(h) is h
+    assert built == []
+
+
+def test_core_based_returns_a_graph_with_nothing_to_prune():
+    h = sub("aab", "bAb")
+    assert core_based(h) is h
+    tailed = sub("abaBA")
+    assert core_based(tailed) is tailed  # the tail ends at the kept basepoint
+    hanging = LabeledGraph(2, 3, [(0, 0, 1), (0, 1, 2), (1, 2, 1)], basepoint=0)
+    pruned = core_based(hanging)
+    assert (pruned.num_vertices, pruned.edges) == (1, ((0, 0, 1),))
