@@ -164,15 +164,13 @@ def classify_components(fp: FiberProduct) -> list[ComponentReport]:
     return reports
 
 
-def component_subgroup(
-    fp: FiberProduct, comp: ComponentReport, h: LabeledGraph, k: LabeledGraph
-) -> tuple[Word, list[Word]]:
+def component_subgroup(fp: FiberProduct, comp: ComponentReport) -> tuple[Word, list[Word]]:
     """Double-coset representative g and generators of H meet gKg^-1.
 
-    The fiber product must have been built from the based graphs of h and k.
-    With (u, v) the component's base vertex and w_a, w_b basepoint paths to
-    u and v, the representative is g = w_a * w_b^-1 and each spanning-tree
-    loop word l of the component yields the generator w_a * l * w_a^-1.
+    H and K are the based factors `fp.left` and `fp.right`.  With (u, v)
+    the component's base vertex and w_a, w_b basepoint paths to u and v,
+    the representative is g = w_a * w_b^-1 and each spanning-tree loop
+    word l of the component yields the generator w_a * l * w_a^-1.
 
     Cost: the first call on a product builds the basepoint paths of both
     factors, and the first call on an essential component buckets the
@@ -181,8 +179,7 @@ def component_subgroup(
     is linear in the product.  A contractible component is a tree: it has
     no non-tree edge, so its generators are [] and no subgraph is built.
     """
-    if fp.left is not h or fp.right is not k:
-        raise ValueError("fiber product was not built from these based graphs")
+    h, k = fp.left, fp.right
     _require_basepoint(h, "component_subgroup")
     _require_basepoint(k, "component_subgroup")
     u, v = fp.vertex_pair(comp.base_vertex)
@@ -237,10 +234,8 @@ def intersection_number_cosets(h: LabeledGraph, k: LabeledGraph) -> int:
     _require_basepoint(k, "intersection_number_cosets")
     fp = fiber_product(h, k)
     alphabet = Alphabet(h.rank)
-    total = 0
-    for comp in fp.components():
-        if comp.contractible:
-            continue
-        _, gens = component_subgroup(fp, comp, h, k)
-        total += reduced_rank(from_generators(gens, alphabet))
-    return total
+    return sum(
+        reduced_rank(from_generators(component_subgroup(fp, comp)[1], alphabet))
+        for comp in fp.components()
+        if not comp.contractible
+    )

@@ -632,8 +632,15 @@ def _json_int(value, what: str) -> int:
 
 
 def graph_from_json_dict(data: dict) -> LabeledGraph:
-    """Read `graph_to_json_dict` output back; every field must be a JSON
-    integer and every edge exactly [origin, terminus, label]."""
+    """Read `graph_to_json_dict` output back, or refuse it with ValueError:
+    every field must be a JSON integer, the rank at least 2, and every edge
+    exactly [origin, terminus, label]."""
+    if not (isinstance(data, dict) and "rank" in data and isinstance(data.get("vertices"), list)
+            and isinstance(data.get("edges"), list)):
+        raise ValueError("a graph is a JSON object with a rank and vertex and edge arrays")
+    rank = _json_int(data["rank"], "rank")
+    if rank < 2:
+        raise ValueError(f"rank must be at least 2, got {rank}")
     vertices = [_json_int(v, "vertex") for v in data["vertices"]]
     if sorted(vertices) != list(range(len(vertices))):
         raise ValueError("vertices must be the integers 0..n-1")
@@ -644,10 +651,7 @@ def graph_from_json_dict(data: dict) -> LabeledGraph:
         edges.append(tuple(_json_int(x, "edge entry") for x in e))
     bp = data.get("basepoint")
     return LabeledGraph(
-        _json_int(data["rank"], "rank"),
-        len(vertices),
-        edges,
-        basepoint=None if bp is None else _json_int(bp, "basepoint"),
+        rank, len(vertices), edges, basepoint=None if bp is None else _json_int(bp, "basepoint")
     )
 
 

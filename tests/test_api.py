@@ -7,6 +7,7 @@ test, not as a crash of `perfbench/run.py --trace 1`.
 import argparse
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import subsetcurrents
@@ -71,6 +72,27 @@ def test_every_subcommand_dispatches_to_a_traced_cmd():
         assert getattr(cli, fn.__name__) is fn, command
         handlers.add(fn.__name__)
     assert handlers == set(_tracer().LAYERS["cli"])
+
+
+def test_traced_product_builds_one_based_product(tmp_path):
+    # <aa,b> and <a,bb> meet in one essential component; the based product
+    # is built once, and c_hat builds the other one the tracer sees
+    h, k, out = tmp_path / "h.txt", tmp_path / "k.txt", tmp_path / "p.json"
+    h.write_text("aa\nb\n", encoding="utf-8")
+    k.write_text("a\nbb\n", encoding="utf-8")
+    tracer = _tracer().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["product", str(h), str(k), "--out", str(out)]) == 0
+    finally:
+        tracer.uninstall()
+    components = json.loads(out.read_text(encoding="utf-8"))["components"]
+    assert any(not c["contractible"] for c in components)
+    metrics = tracer.layer_metrics(1)
+    assert metrics["cli.cmd_product.calls"] == 1
+    assert metrics["fiber.fiber_product.calls"] == 2
+    assert metrics["fiber.intersection_number_cosets.calls"] == 0
+    assert metrics["fiber.component_subgroup.calls"] == len(components)
 
 
 def test_graph_alias_and_repr():

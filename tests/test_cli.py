@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,12 @@ import pytest
 
 import subsetcurrents
 from subsetcurrents import cli, fiber
-from subsetcurrents.currents import counting_current, intersection_functional_N
+from subsetcurrents.currents import (
+    counting_current,
+    functional_rk,
+    intersection_functional_N,
+    pushforward_I,
+)
 from subsetcurrents.stallings import (
     check_core_graph,
     core,
@@ -21,8 +27,11 @@ from subsetcurrents.stallings import (
     graph_from_json_dict,
     graph_to_json_dict,
     parse_subgroup_file,
+    random_finite_index_cover,
+    reduced_rank,
+    subgroup_generators,
 )
-from subsetcurrents.words import Alphabet
+from subsetcurrents.words import Alphabet, format_word
 
 # hand-checked table for the loop-with-tail family at grade 1:
 # e_a is n/n = 1, e_b is 1/n, the interior a-run vertices give (n-1)/n,
@@ -246,6 +255,36 @@ def test_product_rose_matches_reduced_rank(files, tmp_path):
     assert data["intersection_number"] == 1
 
 
+@pytest.mark.parametrize("rank", [2, 3])
+def test_product_of_finite_index_covers_at_the_bound(files, tmp_path, rank):
+    # Index-d subgroups of F_r have rr = (r-1)d, and every intersection of
+    # conjugates has finite index, so N = (r-1)*d1*d2: the bound rr(H)rr(K)
+    # is met at rank 2 (margin 0) and N is half of it at rank 3.
+    alphabet = Alphabet(rank)
+    rose = from_generators([(x,) for x in alphabet.letters()], alphabet)
+    rng = random.Random(rank)
+    for d1 in range(2, 7):
+        for d2 in range(2, 7):
+            h, k = (random_finite_index_cover(rose, d, rng) for d in (d1, d2))
+            n = (rank - 1) * d1 * d2
+            mu, nu = counting_current(h), counting_current(k)
+            assert fiber.intersection_number_euler(h, k) == n
+            assert fiber.intersection_number_cosets(h, k) == n
+            assert intersection_functional_N(mu, nu) == n
+            assert functional_rk(pushforward_I(mu, nu)) == n
+            paths = [
+                files["write"](f"{name}.txt", "".join(
+                    format_word(w, alphabet) + "\n" for w in subgroup_generators(g)))
+                for name, g in (("fh", h), ("fk", k))
+            ]
+            out = str(tmp_path / "bound.json")
+            assert run(["product", *paths, "--rank", str(rank)], out) == 0
+            data = json.loads(open(out).read())
+            assert data["routes"] == {"euler": n, "cosets": n, "cylinder": str(n)}
+            assert data["reduced_rank_product"] == (rank - 1) * n
+            assert data["margin"] == (rank - 2) * n
+
+
 def test_product_automorphism_invariance(files, tmp_path):
     out1 = str(tmp_path / "p1.json")
     out2 = str(tmp_path / "p2.json")
@@ -339,8 +378,13 @@ def test_usage_errors(files, tmp_path, capsys):
     capsys.readouterr()
 
 
+def _lose_generators(fp, comp):
+    """`component_subgroup` with the right representative and no generators."""
+    return fiber.component_subgroup(fp, comp)[0], []
+
+
 def test_math_failure_exit_code(files, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "intersection_number_cosets", lambda h, k: 999)
+    monkeypatch.setattr(cli, "component_subgroup", _lose_generators)
     code = run(["product", files["h"], files["k"]], str(tmp_path / "x.json"))
     assert code == 2
     assert "math check failed" in capsys.readouterr().err
@@ -349,9 +393,15 @@ def test_math_failure_exit_code(files, tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize(
     "command, attr, fake, routes",
     [
-        ("product", "intersection_number_cosets", lambda h, k: 999,
-         {"euler": 1, "cosets": 999, "cylinder": "1"}),
-        ("product", "reduced_rank", lambda g: 0, {"euler": 1, "reduced_rank_product": 0}),
+        # the cosets route is the sum of the reported ranks, so lost
+        # generators show in the route check
+        ("product", "component_subgroup", _lose_generators,
+         {"euler": 1, "cosets": 0, "cylinder": "1"}),
+        # zero only the factors <aa,b> and <a,bb> (two vertices each), not
+        # their three-vertex intersection, so the routes agree and the
+        # rk-product bound is what fails
+        ("product", "reduced_rank", lambda g: 0 if g.num_vertices == 2 else reduced_rank(g),
+         {"euler": 1, "reduced_rank_product": 0}),
         ("intersect", "functional_rk", lambda mu: 5, {"rk": 5, "intersection_number": "1"}),
     ],
 )

@@ -382,23 +382,34 @@ def test_json_roundtrip():
 GOOD_JSON = {"rank": 2, "vertices": [0, 1], "edges": [[0, 1, 1], [1, 0, 2]], "basepoint": 0}
 
 
+def _json_without(key):
+    return {k: v for k, v in GOOD_JSON.items() if k != key}
+
+
 @pytest.mark.parametrize(
-    "key, value",
+    "data",
     [
-        ("edges", [[0, 1.0, 1], [1, 0, 2]]),
-        ("rank", 2.5),
-        ("basepoint", 0.0),
-        ("edges", [[0, 1, True], [1, 0, 2]]),
-        ("vertices", [0, 1.0]),
-        ("edges", [[0, 1, 1, 1], [1, 0, 2]]),
+        {**GOOD_JSON, "edges": [[0, 1.0, 1], [1, 0, 2]]},
+        {**GOOD_JSON, "rank": 2.5},
+        {**GOOD_JSON, "basepoint": 0.0},
+        {**GOOD_JSON, "edges": [[0, 1, True], [1, 0, 2]]},
+        {**GOOD_JSON, "vertices": [0, 1.0]},
+        {**GOOD_JSON, "edges": [[0, 1, 1, 1], [1, 0, 2]]},
+        _json_without("rank"),
+        _json_without("edges"),
+        {**GOOD_JSON, "vertices": 5},
+        {**GOOD_JSON, "edges": None},
+        [1, 2],
+        {**GOOD_JSON, "rank": 1, "edges": [[0, 1, 1], [1, 0, 1]]},
     ],
     ids=["float-edge-entry", "float-rank", "float-basepoint", "bool-label", "float-vertex",
-         "four-entry-edge"],
+         "four-entry-edge", "missing-rank", "missing-edges", "int-vertices", "null-edges",
+         "non-object", "rank-1"],
 )
-def test_graph_from_json_dict_rejects_non_integers(key, value):
+def test_graph_from_json_dict_rejects_non_integers(data):
     assert graph_from_json_dict(GOOD_JSON).edges == ((0, 1, 1), (1, 0, 2))
     with pytest.raises(ValueError):
-        graph_from_json_dict({**GOOD_JSON, key: value})
+        graph_from_json_dict(data)
 
 
 def test_dot_export_mentions_basepoint():
@@ -537,7 +548,7 @@ def test_core_and_tail_matches_oracle():
 
 def _first_component_subgroup(g):
     fp = fiber_product(g, g)
-    return component_subgroup(fp, fp.components()[0], g, g)
+    return component_subgroup(fp, fp.components()[0])
 
 
 UNBASED_CALLS = {
