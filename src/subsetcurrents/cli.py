@@ -168,11 +168,12 @@ def cmd_product(args: argparse.Namespace) -> Result:
             euler=n_euler, reduced_rank_product=rk_product,
         )
     if args.dot:
-        colors = {}
         palette = ["red", "blue", "green", "orange", "purple", "brown", "cyan"]
-        for i, comp in enumerate(fp.components()):
-            for v in comp.vertices:
-                colors[v] = palette[i % len(palette)]
+        index = {comp.base_vertex: i for i, comp in enumerate(fp.components())}
+        colors = {
+            v: palette[index[c] % len(palette)]
+            for v, c in enumerate(fp.graph.component_ids())
+        }
         _emit(graph_to_dot(fp.graph, component_colors=colors) + "\n", args.dot)
     report = {
         "intersection_number": n_euler,

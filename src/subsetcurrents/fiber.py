@@ -10,6 +10,7 @@ double-coset components.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import MismatchBugError
@@ -27,23 +28,26 @@ from .stallings import (
 from .words import Alphabet, Word, concat, invert
 
 
-@dataclass
+@dataclass(slots=True)
 class ComponentReport:
-    """Shape summary of one connected component of a fiber product.
+    """Shape of one connected component of a fiber product.
 
-    `vertices` is ascending, so `base_vertex` is its first entry; the
-    per-component subgraphs of `FiberProduct` renumber in this order.
+    The component's vertices are those whose entry in
+    `fp.graph.component_ids()` is `base_vertex`, its smallest vertex.
     """
 
-    vertices: list[int]
-    num_edges: int
-    euler: int
-    contractible: bool
     base_vertex: int
+    num_vertices: int
+    num_edges: int
 
     @property
-    def num_vertices(self) -> int:
-        return len(self.vertices)
+    def euler(self) -> int:
+        return self.num_vertices - self.num_edges
+
+    @property
+    def contractible(self) -> bool:
+        """A connected graph is a tree exactly when V - E = 1."""
+        return self.euler == 1
 
 
 def _product_edges(left: LabeledGraph, right: LabeledGraph) -> list[Edge]:
@@ -89,9 +93,6 @@ class FiberProduct:
     def vertex_pair(self, pv: int) -> tuple[int, int]:
         return divmod(pv, self.right.num_vertices)
 
-    def pair_vertex(self, v1: int, v2: int) -> int:
-        return v1 * self.right.num_vertices + v2
-
     def components(self) -> list[ComponentReport]:
         if self._reports is None:
             self._reports = classify_components(self)
@@ -114,7 +115,9 @@ class FiberProduct:
         ascending renumbering (as in `induced_subgraph`) makes vertex 0.
 
         The first call buckets every product edge by component in one
-        pass; each call after that costs the size of its component.
+        pass; each call after that costs the size of its component.  The
+        vertices are the endpoints of the component's edges, or the base
+        vertex alone for an isolated pair.
         """
         if self._buckets is None:
             comp_of = self.graph.component_ids()
@@ -122,11 +125,10 @@ class FiberProduct:
             for e in self.graph.edges:
                 buckets.setdefault(comp_of[e[0]], []).append(e)
             self._buckets = buckets
-        renum = {v: i for i, v in enumerate(comp.vertices)}
-        edges = [
-            (renum[o], renum[t], lab)
-            for o, t, lab in self._buckets.get(comp.base_vertex, ())
-        ]
+        bucket = self._buckets.get(comp.base_vertex, ())
+        members = sorted({v for o, t, _ in bucket for v in (o, t)}) or [comp.base_vertex]
+        renum = {v: i for i, v in enumerate(members)}
+        edges = [(renum[o], renum[t], lab) for o, t, lab in bucket]
         return LabeledGraph(self.graph.rank, len(renum), edges, basepoint=0)
 
 
@@ -135,33 +137,15 @@ def fiber_product(g1: LabeledGraph, g2: LabeledGraph) -> FiberProduct:
 
 
 def classify_components(fp: FiberProduct) -> list[ComponentReport]:
-    """Per-component vertex lists, edge counts and Euler characteristics.
+    """Vertex and edge counts per component, by ascending base vertex.
 
-    Isolated vertices count as (contractible) components; a connected
-    component is contractible exactly when its Euler characteristic is 1.
+    Isolated vertices count as (contractible) components.  Membership is
+    read from `fp.graph.component_ids()`, so no vertex list is built.
     """
     comp_of = fp.graph.component_ids()
-    groups: dict[int, list[int]] = {}
-    for v, c in enumerate(comp_of):
-        groups.setdefault(c, []).append(v)
-    edge_count = {c: 0 for c in groups}
-    for o, _, _ in fp.graph.edges:
-        edge_count[comp_of[o]] += 1
-    reports = []
-    for c in sorted(groups):
-        vs = groups[c]
-        e = edge_count[c]
-        euler = len(vs) - e
-        reports.append(
-            ComponentReport(
-                vertices=vs,
-                num_edges=e,
-                euler=euler,
-                contractible=(euler == 1),
-                base_vertex=min(vs),
-            )
-        )
-    return reports
+    sizes = Counter(comp_of)
+    edge_count = Counter(comp_of[o] for o, _, _ in fp.graph.edges)
+    return [ComponentReport(c, sizes[c], edge_count[c]) for c in sorted(sizes)]
 
 
 def component_subgroup(fp: FiberProduct, comp: ComponentReport) -> tuple[Word, list[Word]]:

@@ -236,6 +236,13 @@ def _require_basepoint(graph: LabeledGraph, fn: str) -> None:
         raise ValueError(f"{fn} needs a based graph, got one without a basepoint")
 
 
+def _require_folded(graph: LabeledGraph, fn: str) -> None:
+    """Canonical forms and covering quotients follow one departure per
+    signed label, which only describes a folded graph."""
+    if not graph.is_folded():
+        raise ValueError(f"{fn} needs a folded graph")
+
+
 def core(graph: LabeledGraph) -> LabeledGraph:
     """Unbased core: prune hanging trees, forget the basepoint."""
     survivors = core_vertices(graph)
@@ -413,6 +420,7 @@ def canonical_key(graph: LabeledGraph) -> bytes:
     """
     if graph.num_vertices == 0:
         raise EmptyCoreError("canonical_key needs a graph with at least one vertex")
+    _require_folded(graph, "canonical_key")
     step = _step_table(graph)
     best = _bfs_code(step, 0)
     for start in range(1, graph.num_vertices):
@@ -423,6 +431,7 @@ def canonical_key(graph: LabeledGraph) -> bytes:
 def canonical_key_based(h: LabeledGraph) -> bytes:
     """Canonical byte string for the based graph, i.e. the subgroup itself."""
     _require_basepoint(h, "canonical_key_based")
+    _require_folded(h, "canonical_key_based")
     code = _bfs_code(_step_table(h), h.basepoint)
     return f"{h.rank}:based:{code}".encode()
 
@@ -513,6 +522,7 @@ def minimal_covering_quotient(graph: LabeledGraph) -> tuple[LabeledGraph, int, l
     quotient: it is the minimal one.  Classes are numbered by their
     smallest member.
     """
+    _require_folded(graph, "minimal_covering_quotient")
     if not graph.is_connected():
         raise NotConnectedError("covering quotients need a connected graph")
     first: dict[int, int] = {}

@@ -15,6 +15,10 @@ oracle for the sum over observed neighborhoods.  `component_subgroup_oracle`
 is the earlier `component_subgroup`, which rebuilds both basepoint trees
 and scans every product edge for each component, kept as the oracle for
 the cached paths and the per-component edge buckets.
+`classify_components_oracle` is the earlier `classify_components`, which
+kept an ascending vertex list per component, kept as the oracle for the
+counts read from `component_ids()` and for the members that
+`FiberProduct._component_graph` takes from its edge bucket.
 
 `intersection_number_euler_oracle` is the earlier Euler route, edges minus
 vertices plus contractible components of the whole product, kept as the
@@ -33,7 +37,7 @@ losing row.
 """
 
 import random
-from collections import deque
+from collections import deque, namedtuple
 from fractions import Fraction
 
 from subsetcurrents import (
@@ -332,7 +336,10 @@ def component_subgroup_oracle(fp, comp, h: LabeledGraph, k: LabeledGraph):
     w_a = path_h[u]
     w_b = path_k[v]
     g = concat(w_a, invert(w_b))
-    sub, renum = induced_subgraph(fp.graph, comp.vertices)
+    members = [
+        v for v, c in enumerate(fp.graph.component_ids()) if c == comp.base_vertex
+    ]
+    sub, renum = induced_subgraph(fp.graph, members)
     path_c, tree_edges = _spanning_tree(sub, renum[comp.base_vertex])
     gens = []
     for i, (o, t, lab) in enumerate(sub.edges):
@@ -347,6 +354,41 @@ def component_subgroup_oracle(fp, comp, h: LabeledGraph, k: LabeledGraph):
                 "component generator escaped H or its K-conjugate"
             )
     return g, gens
+
+
+OracleComponent = namedtuple(
+    "OracleComponent", "vertices num_edges euler contractible base_vertex"
+)
+
+
+def classify_components_oracle(fp) -> list[OracleComponent]:
+    """Per-component vertex lists, edge counts and Euler characteristics.
+
+    Isolated vertices count as (contractible) components; a connected
+    component is contractible exactly when its Euler characteristic is 1.
+    """
+    comp_of = fp.graph.component_ids()
+    groups: dict[int, list[int]] = {}
+    for v, c in enumerate(comp_of):
+        groups.setdefault(c, []).append(v)
+    edge_count = {c: 0 for c in groups}
+    for o, _, _ in fp.graph.edges:
+        edge_count[comp_of[o]] += 1
+    reports = []
+    for c in sorted(groups):
+        vs = groups[c]
+        e = edge_count[c]
+        euler = len(vs) - e
+        reports.append(
+            OracleComponent(
+                vertices=vs,
+                num_edges=e,
+                euler=euler,
+                contractible=(euler == 1),
+                base_vertex=min(vs),
+            )
+        )
+    return reports
 
 
 def intersection_number_euler_oracle(h: LabeledGraph, k: LabeledGraph) -> int:

@@ -25,6 +25,7 @@ from subsetcurrents.stallings import (
     core,
     from_generators,
     graph_from_json_dict,
+    graph_to_dot,
     graph_to_json_dict,
     parse_subgroup_file,
     random_finite_index_cover,
@@ -32,6 +33,8 @@ from subsetcurrents.stallings import (
     subgroup_generators,
 )
 from subsetcurrents.words import Alphabet, format_word
+
+from helpers import classify_components_oracle
 
 # hand-checked table for the loop-with-tail family at grade 1:
 # e_a is n/n = 1, e_b is 1/n, the interior a-run vertices give (n-1)/n,
@@ -246,6 +249,26 @@ def test_product_golden(files, tmp_path):
     assert big["representative"] == "1"
     assert big["reduced_rank"] == 1
     assert isolated["contractible"] and isolated["generators"] == []
+
+
+def test_product_dot_cycles_the_palette(files, tmp_path):
+    # 22 components, so the 7 colours wrap around three times; the expected
+    # DOT is coloured from the oracle's per-component vertex lists.
+    h = files["write"]("h8.txt", "aaabb\nbabab\n")
+    k = files["write"]("k8.txt", "abbaa\naabba\n")
+    dot = str(tmp_path / "product.dot")
+    assert run(["product", h, k, "--dot", dot], str(tmp_path / "x.json")) == 0
+    alphabet = Alphabet(2)
+    fp = fiber.fiber_product(
+        *(from_generators(parse_subgroup_file(Path(p).read_text(), alphabet), alphabet)
+          for p in (h, k))
+    )
+    palette = ["red", "blue", "green", "orange", "purple", "brown", "cyan"]
+    comps = classify_components_oracle(fp)
+    assert len(comps) == 22
+    colors = {v: palette[i % 7] for i, comp in enumerate(comps) for v in comp.vertices}
+    with open(dot, encoding="utf-8") as fh:
+        assert fh.read() == graph_to_dot(fp.graph, component_colors=colors) + "\n"
 
 
 def test_product_rose_matches_reduced_rank(files, tmp_path):

@@ -1,6 +1,7 @@
 """Fiber products, component classification, intersection numbers."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -8,6 +9,7 @@ from subsetcurrents import (
     Alphabet,
     LabeledGraph,
     check_core_graph,
+    classify_components,
     component_subgroup,
     contains,
     core,
@@ -23,7 +25,9 @@ from subsetcurrents import (
     reduced_rank,
     concat,
 )
+from subsetcurrents.stallings import induced_subgraph
 from helpers import (
+    classify_components_oracle,
     component_subgroup_oracle,
     intersection_number_euler_full_oracle,
     intersection_number_euler_oracle,
@@ -128,7 +132,7 @@ def test_component_subgroup_identity_coset():
         c
         for c in fp.components()
         if fp.vertex_pair(c.base_vertex)[0] == fp.vertex_pair(c.base_vertex)[1]
-        and c.base_vertex == fp.pair_vertex(0, 0)
+        and c.base_vertex == 0
     )
     g, gens = component_subgroup(fp, diag)
     assert g == ()
@@ -304,3 +308,66 @@ def test_euler_refuses_what_the_product_refuses():
     for left, right in ((h2, unfolded), (unfolded, h2)):
         with pytest.raises(ValueError, match="fiber product factors must be folded"):
             intersection_number_euler(left, right)
+
+
+def classify_pairs():
+    """Seeded based pairs at ranks 2 to 4 and finite-index covers against
+    their base, plus edgeless products, forests and self-loop roses."""
+    rng = random.Random(69)
+    pairs = []
+    for rank in (2, 3, 4):
+        al = Alphabet(rank)
+        for _ in range(30):
+            pairs.append((random_subgroup(rng, al), random_subgroup(rng, al)))
+        for _ in range(10):
+            h = random_subgroup(rng, al)
+            pairs.append((random_finite_index_cover(h, rng.randint(2, 3), rng), h))
+    forests, roses, _ = euler_edge_pairs()
+    return pairs + forests + roses
+
+
+def test_classify_components_matches_oracle():
+    isolated = loop_only = essential = 0
+    for h, k in classify_pairs():
+        fp = fiber_product(h, k)
+        expected = classify_components_oracle(fp)
+        got = classify_components(fp)
+        assert [
+            (c.base_vertex, c.num_vertices, c.num_edges, c.euler, c.contractible)
+            for c in got
+        ] == [
+            (c.base_vertex, len(c.vertices), c.num_edges, c.euler, c.contractible)
+            for c in expected
+        ]
+        for comp, oracle in zip(got, expected):
+            sub = fp._component_graph(comp)
+            want, _ = induced_subgraph(fp.graph, oracle.vertices, oracle.base_vertex)
+            assert (sub.num_vertices, sub.edges, sub.basepoint) == (
+                want.num_vertices, want.edges, want.basepoint
+            )
+            isolated += comp.num_vertices == 1 and comp.num_edges == 0
+            loop_only += comp.num_vertices == 1 and comp.num_edges > 0
+            essential += not comp.contractible
+    assert isolated >= 1000
+    assert loop_only >= 5
+    assert essential >= 75
+
+
+def test_classify_components_keeps_no_vertex_lists():
+    # The 8x30 pair of acceptance criterion 13.  Its 20,384 reports keep
+    # 1.25 MiB under Python 3.11; a vertex list per component kept 5.25 MiB.
+    rng = random.Random(5)
+    h, k = (
+        from_generators([random_reduced_word(rng, AL2, 30) for _ in range(8)], AL2)
+        for _ in range(2)
+    )
+    fp = fiber_product(h, k)
+    fp.graph.component_ids()
+    tracemalloc.start()
+    try:
+        reports = classify_components(fp)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(reports) == 20384
+    assert retained < 2.5 * 2**20

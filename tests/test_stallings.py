@@ -25,6 +25,7 @@ from subsetcurrents import (
     concat,
     contains,
     core,
+    counting_current,
     fiber_product,
     finite_index,
     fold,
@@ -573,6 +574,30 @@ def test_based_only_functions_refuse_unbased_graphs(name):
         based = from_generators([(1, 1), (2,)], Alphabet(2))
         with pytest.raises(ValueError, match="finite_index needs a based graph"):
             finite_index(based, unbased)
+
+
+UNFOLDED = {
+    # a doubled a-loop: the first departure per label reads it as the rose
+    "doubled-loop": LabeledGraph(2, 1, [(0, 0, 1), (0, 0, 1), (0, 0, 2)], basepoint=0),
+    # two a-departures at 0: the first one is the loop, so 1 looks unreachable
+    "two-a-departures": LabeledGraph(
+        2, 2, [(0, 1, 1), (0, 0, 1), (1, 1, 2), (0, 0, 2)], basepoint=0
+    ),
+}
+FOLDED_ONLY_CALLS = {
+    "canonical_key": canonical_key,
+    "canonical_key_based": canonical_key_based,
+    "minimal_covering_quotient": minimal_covering_quotient,
+    "counting_current": counting_current,
+}
+
+
+@pytest.mark.parametrize("graph", sorted(UNFOLDED))
+@pytest.mark.parametrize("name", sorted(FOLDED_ONLY_CALLS))
+def test_folded_only_functions_refuse_unfolded_graphs(name, graph):
+    assert UNFOLDED[graph].is_connected() and not UNFOLDED[graph].is_folded()
+    with pytest.raises(ValueError, match="needs a folded graph"):
+        FOLDED_ONLY_CALLS[name](UNFOLDED[graph])
 
 
 def random_multigraphs():
