@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from .errors import NotAutomorphismError, TrivialSubgroupError, WordFormatError
-from .currents import RationalCurrent, normalize, zero_current
+from .currents import RationalCurrent, normalize
 from .stallings import (
     LabeledGraph,
     check_core_graph,
@@ -136,14 +136,10 @@ def act_on_current(
     """Push a current through phi term by term, then re-normalize."""
     if require_automorphism and not is_automorphism(phi):
         raise NotAutomorphismError("invariance checks need an automorphism")
-    if mu.is_zero:
-        return zero_current()
     raw = []
     for coeff, g in mu.terms():
         based = check_core_graph(LabeledGraph(g.rank, g.num_vertices, g.edges, basepoint=0))
-        gens = subgroup_generators(based)
-        image = from_generators([apply_word(phi, w) for w in gens], phi.alphabet)
-        raw.append((coeff, image))
+        raw.append((coeff, act_on_subgroup(phi, based)))
     return normalize(raw)
 
 

@@ -15,9 +15,10 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .errors import MismatchBugError, NotConnectedError, SizeLimitError
-from .fiber import ComponentReport, FiberProduct, fiber_product
+from .fiber import fiber_product
 from .stallings import (
     LabeledGraph,
+    _require_folded,
     canonical_key,
     check_core_graph,
     core,
@@ -122,11 +123,6 @@ def check_round_graph(tree: FiniteSubtree, grade: int) -> FiniteSubtree:
     return tree
 
 
-def tree_intersection(t1: FiniteSubtree, t2: FiniteSubtree) -> FiniteSubtree:
-    """Vertex-wise intersection; always contains the identity."""
-    return FiniteSubtree(t1.words & t2.words)
-
-
 def neighborhood_tree(graph: LabeledGraph, v: int, r: int) -> FiniteSubtree:
     """The subtree of reduced words of length <= r readable from v.
 
@@ -135,6 +131,7 @@ def neighborhood_tree(graph: LabeledGraph, v: int, r: int) -> FiniteSubtree:
     """
     if r < 1:
         raise ValueError("neighborhood radius must be at least 1")
+    _require_folded(graph, "neighborhood_tree")
     words: set[Word] = {()}
     frontier: list[tuple[Word, int]] = [((), v)]
     for _ in range(r):
@@ -230,6 +227,7 @@ def occurrence_count(tree: FiniteSubtree, graph: LabeledGraph) -> int:
     """
     if not tree.nondegenerate:
         raise ValueError("occurrences are counted for subtrees with an edge")
+    _require_folded(graph, "occurrence_count")
     ws = tree.sorted_words()
     interior = [w for w in ws if tree.degree(w) > 1]
     count = 0
@@ -268,9 +266,6 @@ class RationalCurrent:
 
     def terms(self) -> list[tuple[Fraction, LabeledGraph]]:
         return [self._terms[k] for k in sorted(self._terms)]
-
-    def coefficient(self, key: bytes) -> Fraction:
-        return self._terms.get(key, (Fraction(0), None))[0]
 
     def __add__(self, other: "RationalCurrent") -> "RationalCurrent":
         if self.is_zero:
@@ -352,21 +347,19 @@ def eval_cylinder(mu: RationalCurrent, tree: FiniteSubtree) -> Fraction:
     """Measure of the cylinder of subsets whose local picture is the tree."""
     if not tree.nondegenerate:
         raise ValueError("cylinder evaluation needs a subtree with an edge")
-    total = Fraction(0)
-    for coeff, g in mu.terms():
-        total += coeff * occurrence_count(tree, g)
-    return total
+    return sum((coeff * occurrence_count(tree, g) for coeff, g in mu.terms()), Fraction(0))
+
+
+def _edge_cylinders(mu: RationalCurrent) -> list[Fraction]:
+    """The single-edge cylinder values, one per generator; none for zero."""
+    if mu.is_zero:
+        return []
+    return [eval_cylinder(mu, FiniteSubtree.edge(i)) for i in Alphabet(mu.rank).letters()]
 
 
 def functional_E(mu: RationalCurrent) -> Fraction:
     """Sum of the single-edge cylinder values, one per generator."""
-    if mu.is_zero:
-        return Fraction(0)
-    alphabet = Alphabet(mu.rank)
-    return sum(
-        (eval_cylinder(mu, FiniteSubtree.edge(i)) for i in alphabet.letters()),
-        Fraction(0),
-    )
+    return sum(_edge_cylinders(mu), Fraction(0))
 
 
 def functional_V(mu: RationalCurrent) -> Fraction:
@@ -392,88 +385,31 @@ def functional_rk(mu: RationalCurrent) -> Fraction:
     return functional_E(mu) - functional_V(mu)
 
 
-def c_hat(mu: RationalCurrent, nu: RationalCurrent) -> Fraction:
-    """Bilinear count of contractible fiber-product components."""
+def _term_pairs(mu: RationalCurrent, nu: RationalCurrent) -> list[tuple]:
+    """(c1 * c2, g1, g2) over every pair of terms; none when either current
+    is zero, and ValueError when two nonzero currents differ in rank."""
     if mu.is_zero or nu.is_zero:
-        return Fraction(0)
+        return []
     if mu.rank != nu.rank:
         raise ValueError("currents live over different ambient ranks")
+    return [(c1 * c2, g1, g2) for c1, g1 in mu.terms() for c2, g2 in nu.terms()]
+
+
+def c_hat(mu: RationalCurrent, nu: RationalCurrent) -> Fraction:
+    """Bilinear count of contractible fiber-product components."""
     total = Fraction(0)
-    for c1, g1 in mu.terms():
-        for c2, g2 in nu.terms():
-            total += c1 * c2 * fiber_product(g1, g2).contractible_count()
+    for c, g1, g2 in _term_pairs(mu, nu):
+        total += c * sum(comp.contractible for comp in fiber_product(g1, g2).components())
     return total
-
-
-def _component_matches_tree(
-    fp: FiberProduct, comp: ComponentReport, tree: FiniteSubtree
-) -> bool:
-    """Unbased label-isomorphism test between a tree component and a subtree."""
-    if comp.num_vertices != tree.num_vertices or comp.num_edges != tree.num_edges:
-        return False
-    sub = fp._component_graph(comp)
-    ws = tree.sorted_words()
-    for start in range(sub.num_vertices):
-        image = _read_tree(sub, start, ws)
-        if image is not None and len(set(image.values())) == sub.num_vertices:
-            return True
-    return False
-
-
-def c_hat_via_round_graphs(
-    h: LabeledGraph, k: LabeledGraph, tree: FiniteSubtree, r: int | None = None
-) -> int:
-    """Count contractible components isomorphic to the tree by two routes.
-
-    Route one inspects components of the fiber product directly.  Route two
-    never looks at the product: a component through a vertex pair is a copy
-    of the tree exactly when the grade-(r+1) neighborhood trees of the two
-    factor vertices intersect in it, so scanning all vertex pairs gives the
-    same count.  Both are computed and compared before returning;
-    disagreement is a bug, never a valid outcome.
-    """
-    if r is None:
-        r = tree.depth
-    if tree.depth > r:
-        raise ValueError(f"tree of depth {tree.depth} does not fit radius {r}")
-    fp = fiber_product(h, k)
-    direct = sum(
-        1
-        for comp in fp.components()
-        if comp.contractible
-        and _component_matches_tree(fp, comp, tree)
-    )
-    trees_h = [neighborhood_tree(h, v, r + 1) for v in range(h.num_vertices)]
-    trees_k = [neighborhood_tree(k, v, r + 1) for v in range(k.num_vertices)]
-    paired = sum(
-        1
-        for t1 in trees_h
-        for t2 in trees_k
-        if tree_intersection(t1, t2) == tree
-    )
-    if direct != paired:
-        raise MismatchBugError(
-            f"component isomorphism count {direct} != vertex-pair count {paired} "
-            f"for tree {sorted(tree.words)}"
-        )
-    return direct
 
 
 def intersection_functional_N(mu: RationalCurrent, nu: RationalCurrent) -> Fraction:
     """The intersection functional: edge pairing minus vertex pairing plus
     the contractible correction."""
-    if mu.is_zero or nu.is_zero:
+    if not _term_pairs(mu, nu):
         return Fraction(0)
-    if mu.rank != nu.rank:
-        raise ValueError("currents live over different ambient ranks")
-    alphabet = Alphabet(mu.rank)
     edge_pairing = sum(
-        (
-            eval_cylinder(mu, FiniteSubtree.edge(i))
-            * eval_cylinder(nu, FiniteSubtree.edge(i))
-            for i in alphabet.letters()
-        ),
-        Fraction(0),
+        (a * b for a, b in zip(_edge_cylinders(mu), _edge_cylinders(nu))), Fraction(0)
     )
     vertex_pairing = functional_V(mu) * functional_V(nu)
     return edge_pairing - vertex_pairing + c_hat(mu, nu)
@@ -482,18 +418,12 @@ def intersection_functional_N(mu: RationalCurrent, nu: RationalCurrent) -> Fract
 def pushforward_I(mu: RationalCurrent, nu: RationalCurrent) -> RationalCurrent:
     """Current-valued pairing: one counting term per essential component of
     each fiber product, i.e. per double coset with nontrivial intersection."""
-    if mu.is_zero or nu.is_zero:
-        return zero_current()
-    if mu.rank != nu.rank:
-        raise ValueError("currents live over different ambient ranks")
     raw: list[tuple[Fraction, LabeledGraph]] = []
-    for c1, g1 in mu.terms():
-        for c2, g2 in nu.terms():
-            fp = fiber_product(g1, g2)
-            for comp in fp.components():
-                if comp.contractible:
-                    continue
-                raw.append((c1 * c2, fp._component_graph(comp)))
+    for c, g1, g2 in _term_pairs(mu, nu):
+        fp = fiber_product(g1, g2)
+        raw.extend(
+            (c, fp._component_graph(comp)) for comp in fp.components() if not comp.contractible
+        )
     return normalize(raw)
 
 

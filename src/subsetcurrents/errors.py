@@ -1,7 +1,9 @@
 """Shared exception types.
 
-Everything user-facing raises one of these instead of a bare ValueError so
-the CLI can map failures to exit codes without string matching.
+Each names a failure a caller may catch on its own; malformed graphs, unbased
+or unfolded graphs and currents of different ranks raise a bare ValueError.
+The CLI maps exit codes by base class: ValueError and RetryLimitError exit 1,
+MismatchBugError exits 2.
 """
 
 

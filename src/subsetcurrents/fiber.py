@@ -98,9 +98,6 @@ class FiberProduct:
             self._reports = classify_components(self)
         return self._reports
 
-    def contractible_count(self) -> int:
-        return sum(1 for c in self.components() if c.contractible)
-
     def _basepoint_paths(self) -> tuple[dict[int, Word], dict[int, Word]]:
         """Spanning-tree path words from the basepoint of each factor."""
         if self._paths is None:

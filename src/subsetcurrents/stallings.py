@@ -26,14 +26,6 @@ from .words import Alphabet, Word, concat, invert, parse_word, reduce_word
 Edge = tuple[int, int, int]  # (origin, terminus, positive label)
 
 
-def _signed_order(rank: int) -> list[int]:
-    out = []
-    for i in range(1, rank + 1):
-        out.append(i)
-        out.append(-i)
-    return out
-
-
 class UnionFind:
     def __init__(self, n: int):
         self.parent = list(range(n))
@@ -103,12 +95,6 @@ class LabeledGraph:
         if lst is None:
             return None
         return lst[0][0]
-
-    def step_edge(self, v: int, signed: int) -> tuple[int, int] | None:
-        lst = self.germs(v).get(signed)
-        if lst is None:
-            return None
-        return lst[0]
 
     def is_folded(self) -> bool:
         """No vertex has two departures with the same signed label; computed once."""
@@ -317,6 +303,7 @@ def from_generators(gens, alphabet: Alphabet) -> LabeledGraph:
 def contains(h: LabeledGraph, w: Word) -> bool:
     """Does the word lie in the subgroup, i.e. read as a loop at the basepoint."""
     _require_basepoint(h, "contains")
+    _require_folded(h, "contains")
     v = h.basepoint
     for x in reduce_word(w):
         nxt = h.step(v, x)
@@ -328,17 +315,17 @@ def contains(h: LabeledGraph, w: Word) -> bool:
 
 def _spanning_tree(graph: LabeledGraph, root: int) -> tuple[dict[int, Word], set[int]]:
     """Deterministic BFS tree: path words from the root and tree edge ids."""
-    order = _signed_order(graph.rank)
+    order = Alphabet(graph.rank).signed_letters()
     path: dict[int, Word] = {root: ()}
     tree_edges: set[int] = set()
     queue = deque([root])
     while queue:
         v = queue.popleft()
         for s in order:
-            hit = graph.step_edge(v, s)
-            if hit is None:
+            lst = graph.germs(v).get(s)
+            if lst is None:
                 continue
-            t, eid = hit
+            t, eid = lst[0]
             if t not in path:
                 path[t] = path[v] + (s,)
                 tree_edges.add(eid)
@@ -349,6 +336,7 @@ def _spanning_tree(graph: LabeledGraph, root: int) -> tuple[dict[int, Word], set
 def subgroup_generators(h: LabeledGraph) -> list[Word]:
     """Free basis read off a spanning tree; one word per non-tree edge."""
     _require_basepoint(h, "subgroup_generators")
+    _require_folded(h, "subgroup_generators")
     path, tree_edges = _spanning_tree(h, h.basepoint)
     gens = []
     for i, (o, t, lab) in enumerate(h.edges):
@@ -371,7 +359,7 @@ def reduced_rank(g: LabeledGraph) -> int:
 
 def _step_table(graph: LabeledGraph) -> list[list[int | None]]:
     """`step[v][j]` is the target of the j-th signed letter at v, or None."""
-    order = _signed_order(graph.rank)
+    order = Alphabet(graph.rank).signed_letters()
     return [[graph.step(v, s) for s in order] for v in range(graph.num_vertices)]
 
 
@@ -465,23 +453,24 @@ def finite_index(h: LabeledGraph, k: LabeledGraph) -> int | None:
     """
     if h.rank != k.rank:
         raise ValueError("subgroups of different ambient ranks")
-    _require_basepoint(h, "finite_index")
-    _require_basepoint(k, "finite_index")
+    for g in (h, k):
+        _require_basepoint(g, "finite_index")
+        _require_folded(g, "finite_index")
     f = _based_morphism(h, k)
     core_h = core_vertices(h)
     core_k = core_vertices(k)
-    ch, map_h = induced_subgraph(h, core_h)
-    ck, map_k = induced_subgraph(k, core_k)
-    for v_old in core_h:
-        img_old = f[v_old]
-        if img_old not in map_k:
+
+    def core_labels(g: LabeledGraph, kept: set[int], v: int) -> set[int]:
+        return {s for s, lst in g.germs(v).items() if lst[0][0] in kept}
+
+    for v in core_h:
+        if f[v] not in core_k:
             raise MismatchBugError("core image escaped the target core")
-        if ch.germ_labels(map_h[v_old]) != ck.germ_labels(map_k[img_old]):
+        if core_labels(h, core_h, v) != core_labels(k, core_k, f[v]):
             return None
-    image = {map_k[f[v]] for v in core_h}
-    if len(image) != ck.num_vertices or ch.num_vertices % ck.num_vertices:
+    if len({f[v] for v in core_h}) != len(core_k) or len(core_h) % len(core_k):
         raise MismatchBugError("locally bijective map of cores failed to be a covering")
-    return ch.num_vertices // ck.num_vertices
+    return len(core_h) // len(core_k)
 
 
 def _wl_classes(graph: LabeledGraph) -> list[int]:

@@ -20,6 +20,12 @@ kept an ascending vertex list per component, kept as the oracle for the
 counts read from `component_ids()` and for the members that
 `FiberProduct._component_graph` takes from its edge bucket.
 
+`c_hat_via_round_graphs` is the package's earlier cross-check of the
+contractible correction, which counts the components of one tree shape by
+two routes, component isomorphism and vertex-pair neighborhood
+intersections, and raises on disagreement; it is the reference for
+acceptance 5 and the round-graph tests.
+
 `intersection_number_euler_oracle` is the earlier Euler route, edges minus
 vertices plus contractible components of the whole product, kept as the
 oracle for edges minus vertices of the pruned product.
@@ -42,6 +48,7 @@ from fractions import Fraction
 
 from subsetcurrents import (
     Alphabet,
+    FiniteSubtree,
     LabeledGraph,
     MismatchBugError,
     NotConnectedError,
@@ -54,12 +61,13 @@ from subsetcurrents import (
     fiber_product,
     from_generators,
     invert,
+    neighborhood_tree,
     normalize,
     random_subgroup,
 )
+from subsetcurrents.currents import _read_tree
 from subsetcurrents.stallings import (
     UnionFind,
-    _signed_order,
     _spanning_tree,
     _wl_classes,
     core_vertices,
@@ -395,7 +403,9 @@ def intersection_number_euler_oracle(h: LabeledGraph, k: LabeledGraph) -> int:
     """Edges minus vertices plus contractible components of the product."""
     fp = fiber_product(h, k)
     return (
-        len(fp.graph.edges) - fp.graph.num_vertices + fp.contractible_count()
+        len(fp.graph.edges)
+        - fp.graph.num_vertices
+        + sum(1 for c in fp.components() if c.contractible)
     )
 
 
@@ -406,7 +416,7 @@ def core_and_tail_oracle(h: LabeledGraph):
     cg, renum = induced_subgraph(h, survivors)
     if h.basepoint in survivors:
         return cg, renum[h.basepoint], ()
-    order = _signed_order(h.rank)
+    order = Alphabet(h.rank).signed_letters()
     prev: dict[int, tuple[int, int]] = {h.basepoint: (-1, 0)}
     queue = deque([h.basepoint])
     hit = None
@@ -458,7 +468,7 @@ def _bfs_code_oracle(graph: LabeledGraph, start: int, order: list[int]):
 
 def canonical_key_oracle(graph: LabeledGraph) -> bytes:
     """Minimum over all start vertices of the complete BFS adjacency code."""
-    order = _signed_order(graph.rank)
+    order = Alphabet(graph.rank).signed_letters()
     best = min(_bfs_code_oracle(graph, s, order) for s in range(graph.num_vertices))
     return f"{graph.rank}:{best}".encode()
 
@@ -500,3 +510,55 @@ def intersection_number_euler_full_oracle(h: LabeledGraph, k: LabeledGraph) -> i
     survivors = core_vertices_oracle(product)
     edges = sum(1 for o, t, _ in product.edges if o in survivors and t in survivors)
     return edges - len(survivors)
+
+
+def _component_matches_tree(fp, comp, tree: FiniteSubtree) -> bool:
+    """Unbased label-isomorphism test between a tree component and a subtree."""
+    if comp.num_vertices != tree.num_vertices or comp.num_edges != tree.num_edges:
+        return False
+    sub = fp._component_graph(comp)
+    ws = tree.sorted_words()
+    for start in range(sub.num_vertices):
+        image = _read_tree(sub, start, ws)
+        if image is not None and len(set(image.values())) == sub.num_vertices:
+            return True
+    return False
+
+
+def c_hat_via_round_graphs(
+    h: LabeledGraph, k: LabeledGraph, tree: FiniteSubtree, r: int | None = None
+) -> int:
+    """Count contractible components isomorphic to the tree by two routes.
+
+    Route one inspects components of the fiber product directly.  Route two
+    never looks at the product: a component through a vertex pair is a copy
+    of the tree exactly when the grade-(r+1) neighborhood trees of the two
+    factor vertices intersect in it, so scanning all vertex pairs gives the
+    same count.  Both are computed and compared before returning;
+    disagreement is a bug, never a valid outcome.
+    """
+    if r is None:
+        r = tree.depth
+    if tree.depth > r:
+        raise ValueError(f"tree of depth {tree.depth} does not fit radius {r}")
+    fp = fiber_product(h, k)
+    direct = sum(
+        1
+        for comp in fp.components()
+        if comp.contractible
+        and _component_matches_tree(fp, comp, tree)
+    )
+    trees_h = [neighborhood_tree(h, v, r + 1) for v in range(h.num_vertices)]
+    trees_k = [neighborhood_tree(k, v, r + 1) for v in range(k.num_vertices)]
+    paired = sum(
+        1
+        for t1 in trees_h
+        for t2 in trees_k
+        if FiniteSubtree(t1.words & t2.words) == tree
+    )
+    if direct != paired:
+        raise MismatchBugError(
+            f"component isomorphism count {direct} != vertex-pair count {paired} "
+            f"for tree {sorted(tree.words)}"
+        )
+    return direct

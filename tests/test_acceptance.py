@@ -17,7 +17,6 @@ from subsetcurrents import (
     act_on_current,
     act_on_subgroup,
     canonical_key_based,
-    c_hat_via_round_graphs,
     commensurator,
     core,
     counting_current,
@@ -44,6 +43,7 @@ from subsetcurrents import (
 )
 from helpers import (
     brute_force_occurrences,
+    c_hat_via_round_graphs,
     current_pair_corpus,
     random_tree_words,
     special_corpus,

@@ -14,10 +14,10 @@ import pytest
 from subsetcurrents import (
     Alphabet,
     FiniteSubtree,
+    LabeledGraph,
     MismatchBugError,
     SizeLimitError,
     c_hat,
-    c_hat_via_round_graphs,
     check_core_graph,
     check_round_graph,
     core,
@@ -38,11 +38,11 @@ from subsetcurrents import (
     pushforward_I,
     random_finite_index_cover,
     random_subgroup,
-    tree_intersection,
     zero_current,
 )
 from helpers import (
     brute_force_occurrences,
+    c_hat_via_round_graphs,
     functional_V_oracle,
     random_current,
     random_tree_words,
@@ -279,11 +279,11 @@ def test_eval_accepts_round_graphs():
 def test_tree_intersection():
     t1 = tree("1", "a", "A", "ab")
     t2 = tree("1", "a", "b", "ab")
-    assert tree_intersection(t1, t2) == tree("1", "a", "ab")
+    assert FiniteSubtree(t1.words & t2.words) == tree("1", "a", "ab")
     g = ucore(sub("aa", "b"))
     n0 = neighborhood_tree(g, 0, 1)
     n1 = neighborhood_tree(g, 1, 1)
-    assert tree_intersection(n0, n1) == tree("1", "a", "A")
+    assert FiniteSubtree(n0.words & n1.words) == tree("1", "a", "A")
 
 
 def test_c_hat_goldens():
@@ -387,3 +387,49 @@ def test_component_tree_match_is_unbased():
         counting_current(sub("aa", "b")), counting_current(sub("a", "bb"))
     )
     assert pushed == counting_current(sub("aa", "bb"))
+
+
+PAIRINGS = {"c_hat": c_hat, "N": intersection_functional_N, "I": pushforward_I}
+
+
+@pytest.mark.parametrize("name", sorted(PAIRINGS))
+def test_pairings_share_the_zero_and_rank_preamble(name):
+    pair = PAIRINGS[name]
+    eta2 = counting_current(sub("aa", "b"))
+    eta3 = counting_current(sub("ac", "b", alphabet=AL3))
+    with pytest.raises(ValueError, match="different ambient ranks"):
+        pair(eta2, eta3)
+    with pytest.raises(ValueError, match="different ambient ranks"):
+        pair(eta3, eta2)
+    zero = zero_current()
+    for mu, nu in [(zero, eta2), (eta2, zero), (zero, eta3), (eta3, zero), (zero, zero)]:
+        assert pair(mu, nu) == (zero if name == "I" else 0)
+    assert functional_E(zero) == functional_rk(zero) == 0
+
+
+INPUT_REFUSALS = {
+    "edge-origin-out-of-range": (lambda: LabeledGraph(2, 2, [(2, 0, 1)]), "vertex range"),
+    "edge-terminus-out-of-range": (lambda: LabeledGraph(2, 2, [(0, -1, 1)]), "vertex range"),
+    "label-0": (lambda: LabeledGraph(2, 1, [(0, 0, 0)]), "label 0 out of range"),
+    "label-above-rank": (lambda: LabeledGraph(2, 1, [(0, 0, 3)]), "label 3 out of range"),
+    "basepoint-out-of-range": (
+        lambda: LabeledGraph(2, 1, [(0, 0, 1)], basepoint=1), "basepoint 1 out of range"
+    ),
+    "negative-coefficient": (
+        lambda: normalize([(1, sub("a")), (-1, sub("b"))]), "must be nonnegative"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INPUT_REFUSALS))
+def test_malformed_graphs_and_terms_are_refused(name):
+    build, message = INPUT_REFUSALS[name]
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_normalize_skips_zero_coefficients():
+    # an edgeless graph has no core, so reaching it at all would raise
+    empty = LabeledGraph(2, 1, [])
+    assert normalize([(0, empty)]) == zero_current()
+    assert normalize([(0, empty), (2, sub("ab"))]) == counting_current(sub("ab")).scale(2)

@@ -56,7 +56,7 @@ def test_product_size_oracle():
     assert len(comps) == 2
     eulers = sorted(c.euler for c in comps)
     assert eulers == [-1, 1]
-    assert fp.contractible_count() == 1
+    assert sum(c.contractible for c in comps) == 1
 
 
 def test_intersection_number_oracle():

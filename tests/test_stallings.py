@@ -12,6 +12,7 @@ import pytest
 from subsetcurrents import (
     Alphabet,
     EmptyCoreError,
+    FiniteSubtree,
     LabeledGraph,
     NotConnectedError,
     NotSubgroupError,
@@ -36,6 +37,9 @@ from subsetcurrents import (
     intersection_number_cosets,
     invert,
     minimal_covering_quotient,
+    neighborhood_profile,
+    neighborhood_tree,
+    occurrence_count,
     parse_subgroup_file,
     parse_word,
     random_finite_index_cover,
@@ -598,6 +602,30 @@ def test_folded_only_functions_refuse_unfolded_graphs(name, graph):
     assert UNFOLDED[graph].is_connected() and not UNFOLDED[graph].is_folded()
     with pytest.raises(ValueError, match="needs a folded graph"):
         FOLDED_ONLY_CALLS[name](UNFOLDED[graph])
+
+
+# two a-edges, 0 -> 0 and 0 -> 1, so the first a-departure at 0 hides one
+UNFOLDED_CORE = LabeledGraph(2, 2, [(0, 0, 1), (0, 1, 1), (1, 1, 2), (0, 0, 2), (1, 0, 2)])
+# based at 0 it generates F_2, which the folded rose would report
+UNFOLDED_BASED = UNFOLDED["two-a-departures"]
+FOLDED_READERS = {
+    "neighborhood_tree": lambda: neighborhood_tree(UNFOLDED_CORE, 0, 1),
+    "neighborhood_profile": lambda: neighborhood_profile(UNFOLDED_CORE, 2),
+    "occurrence_count": lambda: occurrence_count(FiniteSubtree.edge(1), UNFOLDED_CORE),
+    "subgroup_generators": lambda: subgroup_generators(UNFOLDED_BASED),
+    "contains": lambda: contains(UNFOLDED_BASED, (2,)),
+    "finite_index": lambda: finite_index(
+        UNFOLDED_BASED, from_generators([(1,), (2,)], Alphabet(2))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOLDED_READERS))
+def test_folded_readers_refuse_unfolded_graphs(name):
+    """Each reader follows one departure per signed label; on an unfolded
+    graph that silently drops edges, so it must refuse instead."""
+    with pytest.raises(ValueError, match="needs a folded graph"):
+        FOLDED_READERS[name]()
 
 
 def random_multigraphs():
