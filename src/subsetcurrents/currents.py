@@ -18,7 +18,6 @@ from .errors import MismatchBugError, NotConnectedError, SizeLimitError
 from .fiber import fiber_product
 from .stallings import (
     LabeledGraph,
-    _require_folded,
     canonical_key,
     check_core_graph,
     core,
@@ -85,8 +84,8 @@ class FiniteSubtree:
             for v in self.words:
                 if v:
                     table[v[:-1]].append(v[-1])
-            for lst in table.values():
-                lst.sort()
+            for letters in table.values():
+                letters.sort()
             self._children = table
         return self._children[w]
 
@@ -131,18 +130,18 @@ def neighborhood_tree(graph: LabeledGraph, v: int, r: int) -> FiniteSubtree:
     """
     if r < 1:
         raise ValueError("neighborhood radius must be at least 1")
-    _require_folded(graph, "neighborhood_tree")
+    moves = graph.moves()
     words: set[Word] = {()}
     frontier: list[tuple[Word, int]] = [((), v)]
     for _ in range(r):
         nxt = []
         for w, u in frontier:
-            for s, lst in graph.germs(u).items():
+            for s, t in moves[u].items():
                 if w and s == -w[-1]:
                     continue
                 nw = w + (s,)
                 words.add(nw)
-                nxt.append((nw, lst[0][0]))
+                nxt.append((nw, t))
         frontier = nxt
     return check_round_graph(FiniteSubtree(words), r)
 
@@ -209,9 +208,10 @@ def enumerate_round_graphs(
 def _read_tree(graph: LabeledGraph, v: int, words: list[Word]) -> dict[Word, int] | None:
     """Image of every tree word read from v, or None when a label cannot be
     read.  The words must list each prefix before its extensions."""
+    moves = graph.moves()
     image: dict[Word, int] = {(): v}
     for w in words[1:]:
-        tgt = graph.step(image[w[:-1]], w[-1])
+        tgt = moves[image[w[:-1]]].get(w[-1])
         if tgt is None:
             return None
         image[w] = tgt
@@ -227,14 +227,14 @@ def occurrence_count(tree: FiniteSubtree, graph: LabeledGraph) -> int:
     """
     if not tree.nondegenerate:
         raise ValueError("occurrences are counted for subtrees with an edge")
-    _require_folded(graph, "occurrence_count")
+    moves = graph.moves()
     ws = tree.sorted_words()
     interior = [w for w in ws if tree.degree(w) > 1]
     count = 0
     for v in range(graph.num_vertices):
         image = _read_tree(graph, v, ws)
         if image is not None and all(
-            graph.degree(image[w]) == tree.degree(w) for w in interior
+            len(moves[image[w]]) == tree.degree(w) for w in interior
         ):
             count += 1
     return count

@@ -52,10 +52,12 @@ class LabeledGraph:
     """Finite multigraph over the rank-N rose.  Treated as immutable."""
 
     __slots__ = (
-        "rank", "num_vertices", "edges", "basepoint", "_germs", "_folded", "_components"
+        "rank", "num_vertices", "edges", "basepoint", "_moves", "_folded", "_components"
     )
 
     def __init__(self, rank: int, num_vertices: int, edges, basepoint: int | None = None):
+        if rank < 2:
+            raise ValueError(f"rank must be at least 2, got {rank}")
         self.rank = rank
         self.num_vertices = num_vertices
         self.edges: tuple[Edge, ...] = tuple(sorted(tuple(e) for e in edges))
@@ -67,44 +69,32 @@ class LabeledGraph:
                 raise ValueError(f"edge label {lab} out of range for rank {rank}")
         if basepoint is not None and not (0 <= basepoint < num_vertices):
             raise ValueError(f"basepoint {basepoint} out of range")
-        self._germs = None
+        self._moves = None
         self._folded = None
         self._components = None
 
-    def germs(self, v: int) -> dict[int, list[tuple[int, int]]]:
-        """Departures at v: signed label -> list of (target, edge index)."""
-        if self._germs is None:
-            table: list[dict[int, list[tuple[int, int]]]] = [
-                {} for _ in range(self.num_vertices)
-            ]
-            for i, (o, t, lab) in enumerate(self.edges):
-                table[o].setdefault(lab, []).append((t, i))
-                table[t].setdefault(-lab, []).append((o, i))
-            self._germs = table
-        return self._germs[v]
-
-    def germ_labels(self, v: int) -> frozenset[int]:
-        return frozenset(self.germs(v))
-
-    def degree(self, v: int) -> int:
-        return sum(len(lst) for lst in self.germs(v).values())
-
-    def step(self, v: int, signed: int) -> int | None:
-        """Follow the unique signed-label departure; requires a folded graph."""
-        lst = self.germs(v).get(signed)
-        if lst is None:
-            return None
-        return lst[0][0]
-
     def is_folded(self) -> bool:
-        """No vertex has two departures with the same signed label; computed once."""
+        """No two edges share (origin, label) or (terminus, label); computed once."""
         if self._folded is None:
-            self._folded = all(
-                len(lst) == 1
-                for v in range(self.num_vertices)
-                for lst in self.germs(v).values()
+            n = len(self.edges)
+            self._folded = (
+                len({(o, lab) for o, _, lab in self.edges}) == n
+                and len({(t, lab) for _, t, lab in self.edges}) == n
             )
         return self._folded
+
+    def moves(self) -> list[dict[int, int]]:
+        """Per vertex, signed label -> target; computed once.  Every departure
+        reader goes through here, so here is where unfolded graphs are refused."""
+        if self._moves is None:
+            if not self.is_folded():
+                raise ValueError("following departures needs a folded graph; fold it first")
+            table: list[dict[int, int]] = [{} for _ in range(self.num_vertices)]
+            for o, t, lab in self.edges:
+                table[o][lab] = t
+                table[t][-lab] = o
+            self._moves = table
+        return self._moves
 
     def component_ids(self) -> tuple[int, ...]:
         """Per vertex, the smallest vertex of its component; computed once."""
@@ -222,13 +212,6 @@ def _require_basepoint(graph: LabeledGraph, fn: str) -> None:
         raise ValueError(f"{fn} needs a based graph, got one without a basepoint")
 
 
-def _require_folded(graph: LabeledGraph, fn: str) -> None:
-    """Canonical forms and covering quotients follow one departure per
-    signed label, which only describes a folded graph."""
-    if not graph.is_folded():
-        raise ValueError(f"{fn} needs a folded graph")
-
-
 def core(graph: LabeledGraph) -> LabeledGraph:
     """Unbased core: prune hanging trees, forget the basepoint."""
     survivors = core_vertices(graph)
@@ -260,13 +243,11 @@ def check_core_graph(graph: LabeledGraph) -> LabeledGraph:
     """
     if not graph.edges:
         raise EmptyCoreError("empty graph does not represent a nontrivial subgroup")
-    if not graph.is_folded():
-        raise ValueError("core graph must be folded")
+    moves = graph.moves()
     if graph.basepoint is not None and not graph.is_connected():
         raise NotConnectedError("based core graph must be connected")
-    # folded, so each signed label at v carries exactly one departure
-    for v in range(graph.num_vertices):
-        if v != graph.basepoint and len(graph.germs(v)) < 2:
+    for v, departures in enumerate(moves):
+        if v != graph.basepoint and len(departures) < 2:
             raise ValueError(f"non-basepoint vertex {v} has degree < 2")
     return graph
 
@@ -303,32 +284,30 @@ def from_generators(gens, alphabet: Alphabet) -> LabeledGraph:
 def contains(h: LabeledGraph, w: Word) -> bool:
     """Does the word lie in the subgroup, i.e. read as a loop at the basepoint."""
     _require_basepoint(h, "contains")
-    _require_folded(h, "contains")
+    moves = h.moves()
     v = h.basepoint
     for x in reduce_word(w):
-        nxt = h.step(v, x)
-        if nxt is None:
+        v = moves[v].get(x)
+        if v is None:
             return False
-        v = nxt
     return v == h.basepoint
 
 
-def _spanning_tree(graph: LabeledGraph, root: int) -> tuple[dict[int, Word], set[int]]:
-    """Deterministic BFS tree: path words from the root and tree edge ids."""
+def _spanning_tree(graph: LabeledGraph, root: int) -> tuple[dict[int, Word], set[Edge]]:
+    """Deterministic BFS tree: path words from the root and the tree edges,
+    as triples, which name edges since a folded graph has no duplicates."""
     order = Alphabet(graph.rank).signed_letters()
+    moves = graph.moves()
     path: dict[int, Word] = {root: ()}
-    tree_edges: set[int] = set()
+    tree_edges: set[Edge] = set()
     queue = deque([root])
     while queue:
         v = queue.popleft()
         for s in order:
-            lst = graph.germs(v).get(s)
-            if lst is None:
-                continue
-            t, eid = lst[0]
-            if t not in path:
+            t = moves[v].get(s)
+            if t is not None and t not in path:
                 path[t] = path[v] + (s,)
-                tree_edges.add(eid)
+                tree_edges.add((v, t, s) if s > 0 else (t, v, -s))
                 queue.append(t)
     return path, tree_edges
 
@@ -336,14 +315,12 @@ def _spanning_tree(graph: LabeledGraph, root: int) -> tuple[dict[int, Word], set
 def subgroup_generators(h: LabeledGraph) -> list[Word]:
     """Free basis read off a spanning tree; one word per non-tree edge."""
     _require_basepoint(h, "subgroup_generators")
-    _require_folded(h, "subgroup_generators")
     path, tree_edges = _spanning_tree(h, h.basepoint)
-    gens = []
-    for i, (o, t, lab) in enumerate(h.edges):
-        if i in tree_edges:
-            continue
-        gens.append(concat(path[o], (lab,), invert(path[t])))
-    return gens
+    return [
+        concat(path[o], (lab,), invert(path[t]))
+        for o, t, lab in h.edges
+        if (o, t, lab) not in tree_edges
+    ]
 
 
 def rank(graph: LabeledGraph) -> int:
@@ -360,7 +337,7 @@ def reduced_rank(g: LabeledGraph) -> int:
 def _step_table(graph: LabeledGraph) -> list[list[int | None]]:
     """`step[v][j]` is the target of the j-th signed letter at v, or None."""
     order = Alphabet(graph.rank).signed_letters()
-    return [[graph.step(v, s) for s in order] for v in range(graph.num_vertices)]
+    return [[departures.get(s) for s in order] for departures in graph.moves()]
 
 
 def _bfs_code(step: list[list[int | None]], start: int, best=None):
@@ -408,7 +385,6 @@ def canonical_key(graph: LabeledGraph) -> bytes:
     """
     if graph.num_vertices == 0:
         raise EmptyCoreError("canonical_key needs a graph with at least one vertex")
-    _require_folded(graph, "canonical_key")
     step = _step_table(graph)
     best = _bfs_code(step, 0)
     for start in range(1, graph.num_vertices):
@@ -419,28 +395,27 @@ def canonical_key(graph: LabeledGraph) -> bytes:
 def canonical_key_based(h: LabeledGraph) -> bytes:
     """Canonical byte string for the based graph, i.e. the subgroup itself."""
     _require_basepoint(h, "canonical_key_based")
-    _require_folded(h, "canonical_key_based")
     code = _bfs_code(_step_table(h), h.basepoint)
     return f"{h.rank}:based:{code}".encode()
 
 
 def _based_morphism(h: LabeledGraph, k: LabeledGraph) -> list[int]:
     """The label-preserving map (h, *) -> (k, *); exists exactly when H <= K."""
+    h_moves, k_moves = h.moves(), k.moves()
     f = [-1] * h.num_vertices
     f[h.basepoint] = k.basepoint
     queue = deque([h.basepoint])
     while queue:
         v = queue.popleft()
-        for s, lst in h.germs(v).items():
-            img = k.step(f[v], s)
+        for s, t in h_moves[v].items():
+            img = k_moves[f[v]].get(s)
             if img is None:
                 raise NotSubgroupError("subgroup graph does not map into the target")
-            for t, _ in lst:
-                if f[t] == -1:
-                    f[t] = img
-                    queue.append(t)
-                elif f[t] != img:
-                    raise NotSubgroupError("no consistent label-preserving map exists")
+            if f[t] == -1:
+                f[t] = img
+                queue.append(t)
+            elif f[t] != img:
+                raise NotSubgroupError("no consistent label-preserving map exists")
     return f
 
 
@@ -449,24 +424,29 @@ def finite_index(h: LabeledGraph, k: LabeledGraph) -> int | None:
 
     Raises NotSubgroupError unless H <= K.  Finite index is equivalent to the
     induced map of unbased cores being a covering, and the index equals the
-    vertex-count ratio of the cores.
+    vertex-count ratio of the cores.  An empty core is the trivial subgroup:
+    a trivial K forces H = K, and a trivial H has infinite index in any
+    other K.
     """
     if h.rank != k.rank:
         raise ValueError("subgroups of different ambient ranks")
     for g in (h, k):
         _require_basepoint(g, "finite_index")
-        _require_folded(g, "finite_index")
+        if not g.is_connected():
+            raise NotConnectedError("finite_index needs connected based graphs")
     f = _based_morphism(h, k)
     core_h = core_vertices(h)
     core_k = core_vertices(k)
-
-    def core_labels(g: LabeledGraph, kept: set[int], v: int) -> set[int]:
-        return {s for s, lst in g.germs(v).items() if lst[0][0] in kept}
-
+    if not core_k:
+        return 1
+    if not core_h:
+        return None
+    h_moves, k_moves = h.moves(), k.moves()
     for v in core_h:
         if f[v] not in core_k:
             raise MismatchBugError("core image escaped the target core")
-        if core_labels(h, core_h, v) != core_labels(k, core_k, f[v]):
+        here = {s for s, t in h_moves[v].items() if t in core_h}
+        if here != {s for s, t in k_moves[f[v]].items() if t in core_k}:
             return None
     if len({f[v] for v in core_h}) != len(core_k) or len(core_h) % len(core_k):
         raise MismatchBugError("locally bijective map of cores failed to be a covering")
@@ -479,18 +459,14 @@ def _wl_classes(graph: LabeledGraph) -> list[int]:
     Colors start from the sets of signed departures and are refined by the
     colors each label leads to until the number of classes stops growing.
     """
-    color = {v: tuple(sorted(graph.germ_labels(v))) for v in range(graph.num_vertices)}
-    palette = {c: i for i, c in enumerate(sorted(set(color.values())))}
-    colors = [palette[color[v]] for v in range(graph.num_vertices)]
+    moves = graph.moves()
+    color = [tuple(sorted(departures)) for departures in moves]
+    palette = {c: i for i, c in enumerate(sorted(set(color)))}
+    colors = [palette[c] for c in color]
     while True:
         sig = [
-            (
-                colors[v],
-                tuple(
-                    sorted((s, colors[lst[0][0]]) for s, lst in graph.germs(v).items())
-                ),
-            )
-            for v in range(graph.num_vertices)
+            (colors[v], tuple(sorted((s, colors[t]) for s, t in departures.items())))
+            for v, departures in enumerate(moves)
         ]
         palette = {c: i for i, c in enumerate(sorted(set(sig)))}
         new_colors = [palette[sig[v]] for v in range(graph.num_vertices)]
@@ -511,7 +487,8 @@ def minimal_covering_quotient(graph: LabeledGraph) -> tuple[LabeledGraph, int, l
     quotient: it is the minimal one.  Classes are numbered by their
     smallest member.
     """
-    _require_folded(graph, "minimal_covering_quotient")
+    if graph.num_vertices == 0:
+        raise EmptyCoreError("minimal_covering_quotient needs a graph with at least one vertex")
     if not graph.is_connected():
         raise NotConnectedError("covering quotients need a connected graph")
     first: dict[int, int] = {}
@@ -528,13 +505,16 @@ def minimal_covering_quotient(graph: LabeledGraph) -> tuple[LabeledGraph, int, l
 def _core_and_tail(h: LabeledGraph) -> tuple[LabeledGraph, int, Word]:
     """Split a based graph into its unbased core, the attachment vertex
     (as a core-graph index) and the word read along the basepoint arc:
-    the spanning-tree path to the first core vertex the BFS discovers."""
+    the spanning-tree path to the first core vertex the BFS discovers.
+    A disconnected graph or an empty core names no nontrivial subgroup."""
+    if not h.is_connected():
+        raise NotConnectedError("a based graph must be connected to name a subgroup")
     survivors = core_vertices(h)
+    if not survivors:
+        raise TrivialSubgroupError("a based tree is the trivial subgroup, which has no core")
     cg, renum = induced_subgraph(h, survivors)
     path, _ = _spanning_tree(h, h.basepoint)
-    hit = next((v for v in path if v in survivors), None)
-    if hit is None:
-        raise MismatchBugError("based graph is disconnected from its own core")
+    hit = next(v for v in path if v in survivors)
     return cg, renum[hit], path[hit]
 
 
@@ -638,8 +618,6 @@ def graph_from_json_dict(data: dict) -> LabeledGraph:
             and isinstance(data.get("edges"), list)):
         raise ValueError("a graph is a JSON object with a rank and vertex and edge arrays")
     rank = _json_int(data["rank"], "rank")
-    if rank < 2:
-        raise ValueError(f"rank must be at least 2, got {rank}")
     vertices = [_json_int(v, "vertex") for v in data["vertices"]]
     if sorted(vertices) != list(range(len(vertices))):
         raise ValueError("vertices must be the integers 0..n-1")

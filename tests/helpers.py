@@ -34,6 +34,10 @@ before the product went sparse: the full `FiberProduct` with every vertex
 pair, pruned by `core_vertices_oracle`, the earlier `core_vertices` (a
 FIFO leaf queue with per-edge liveness flags), kept as the oracle for the
 shared `_prune`.
+`is_folded_oracle` is the earlier `is_folded`, which built a list of
+departures per signed label at each vertex and required one per list, kept
+as the oracle for the two set sizes read off the edge list; the first entry
+of each of those `germ_lists_oracle` lists is what `moves()` must return.
 `core_and_tail_oracle` is the earlier `_core_and_tail`, a BFS of its own
 that stops at the first core vertex, kept as the oracle for the
 spanning-tree path.  `canonical_key_oracle` is the earlier `canonical_key`,
@@ -232,13 +236,26 @@ def fold_oracle(graph: LabeledGraph) -> LabeledGraph:
     return LabeledGraph(graph.rank, len(roots), new_edges, basepoint=bp)
 
 
+def germ_lists_oracle(graph: LabeledGraph) -> list[dict[int, list[int]]]:
+    """Per vertex, signed label -> every target, in edge order."""
+    table: list[dict[int, list[int]]] = [{} for _ in range(graph.num_vertices)]
+    for o, t, lab in graph.edges:
+        table[o].setdefault(lab, []).append(t)
+        table[t].setdefault(-lab, []).append(o)
+    return table
+
+
+def is_folded_oracle(graph: LabeledGraph) -> bool:
+    """No vertex has two departures with the same signed label."""
+    return all(
+        len(targets) == 1 for germs in germ_lists_oracle(graph) for targets in germs.values()
+    )
+
+
 def _closure_partition(graph: LabeledGraph, v: int, w: int) -> UnionFind:
     """Finest vertex identification containing v ~ w with a folded quotient."""
     uf = UnionFind(graph.num_vertices)
-    germ: dict[int, dict[int, int]] = {
-        u: {s: lst[0][0] for s, lst in graph.germs(u).items()}
-        for u in range(graph.num_vertices)
-    }
+    germ: dict[int, dict[int, int]] = {u: dict(m) for u, m in enumerate(graph.moves())}
     stack = [(v, w)]
     while stack:
         a, b = stack.pop()
@@ -268,9 +285,10 @@ def _quotient_if_covering(
     roots = {}
     for v in range(graph.num_vertices):
         roots.setdefault(uf.find(v), []).append(v)
+    moves = graph.moves()
     for members in roots.values():
-        sig = graph.germ_labels(members[0])
-        if any(graph.germ_labels(u) != sig for u in members[1:]):
+        sig = moves[members[0]].keys()
+        if any(moves[u].keys() != sig for u in members[1:]):
             return None
     renum = {r: i for i, r in enumerate(sorted(roots))}
     vmap = [renum[uf.find(v)] for v in range(graph.num_vertices)]
@@ -350,8 +368,8 @@ def component_subgroup_oracle(fp, comp, h: LabeledGraph, k: LabeledGraph):
     sub, renum = induced_subgraph(fp.graph, members)
     path_c, tree_edges = _spanning_tree(sub, renum[comp.base_vertex])
     gens = []
-    for i, (o, t, lab) in enumerate(sub.edges):
-        if i in tree_edges:
+    for o, t, lab in sub.edges:
+        if (o, t, lab) in tree_edges:
             continue
         loop = concat(path_c[o], (lab,), invert(path_c[t]))
         gens.append(concat(w_a, loop, invert(w_a)))
@@ -417,13 +435,14 @@ def core_and_tail_oracle(h: LabeledGraph):
     if h.basepoint in survivors:
         return cg, renum[h.basepoint], ()
     order = Alphabet(h.rank).signed_letters()
+    moves = h.moves()
     prev: dict[int, tuple[int, int]] = {h.basepoint: (-1, 0)}
     queue = deque([h.basepoint])
     hit = None
     while queue and hit is None:
         v = queue.popleft()
         for s in order:
-            t = h.step(v, s)
+            t = moves[v].get(s)
             if t is None or t in prev:
                 continue
             prev[t] = (v, s)
@@ -443,6 +462,7 @@ def core_and_tail_oracle(h: LabeledGraph):
 
 
 def _bfs_code_oracle(graph: LabeledGraph, start: int, order: list[int]):
+    moves = graph.moves()
     ids = {start: 0}
     seq = [start]
     rows = []
@@ -452,7 +472,7 @@ def _bfs_code_oracle(graph: LabeledGraph, start: int, order: list[int]):
         qi += 1
         row = []
         for s in order:
-            t = graph.step(v, s)
+            t = moves[v].get(s)
             if t is None:
                 row.append(-1)
             else:

@@ -97,6 +97,17 @@ def test_traced_product_builds_one_based_product(tmp_path):
     assert metrics["fiber.component_subgroup.calls"] == len(components)
 
 
+GRAPH_ATTRIBUTES = [
+    "basepoint", "component_ids", "edges", "graph", "is_connected", "is_folded", "moves",
+    "num_vertices", "rank",
+]
+
+
+def test_labeled_graph_attributes_pinned():
+    h = from_generators([(1, 1), (2,)], Alphabet(2))
+    assert sorted(name for name in dir(h) if not name.startswith("_")) == GRAPH_ATTRIBUTES
+
+
 def test_graph_alias_and_repr():
     h = from_generators([(1, 1), (2,)], Alphabet(2))
     assert h.graph is h

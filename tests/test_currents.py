@@ -415,6 +415,10 @@ INPUT_REFUSALS = {
     "basepoint-out-of-range": (
         lambda: LabeledGraph(2, 1, [(0, 0, 1)], basepoint=1), "basepoint 1 out of range"
     ),
+    "rank-1": (
+        lambda: LabeledGraph(1, 1, [(0, 0, 1)], basepoint=0), "rank must be at least 2, got 1"
+    ),
+    "rank-0": (lambda: LabeledGraph(0, 1, []), "rank must be at least 2, got 0"),
     "negative-coefficient": (
         lambda: normalize([(1, sub("a")), (-1, sub("b"))]), "must be nonnegative"
     ),

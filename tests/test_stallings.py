@@ -59,6 +59,8 @@ from helpers import (
     core_vertices_oracle,
     covering_quotient_oracle,
     fold_oracle,
+    germ_lists_oracle,
+    is_folded_oracle,
     wedge,
 )
 
@@ -617,6 +619,10 @@ FOLDED_READERS = {
     "finite_index": lambda: finite_index(
         UNFOLDED_BASED, from_generators([(1,), (2,)], Alphabet(2))
     ),
+    "random_finite_index_cover": lambda: random_finite_index_cover(
+        UNFOLDED_BASED, 2, random.Random(0)
+    ),
+    "commensurator": lambda: commensurator(UNFOLDED_BASED),
 }
 
 
@@ -626,6 +632,42 @@ def test_folded_readers_refuse_unfolded_graphs(name):
     graph that silently drops edges, so it must refuse instead."""
     with pytest.raises(ValueError, match="needs a folded graph"):
         FOLDED_READERS[name]()
+
+
+# a based tree, i.e. the trivial subgroup, and a basepoint cut off from its loops
+TREE = LabeledGraph(2, 2, [(0, 1, 1)], basepoint=0)
+CUT_OFF = LabeledGraph(2, 2, [(1, 1, 1), (1, 1, 2)], basepoint=0)
+ROSE = LabeledGraph(2, 1, [(0, 0, 1), (0, 0, 2)], basepoint=0)
+NON_SUBGROUP_CALLS = {
+    "commensurator-tree": (lambda: commensurator(TREE), TrivialSubgroupError),
+    "commensurator-cut-off": (lambda: commensurator(CUT_OFF), NotConnectedError),
+    "cover-tree": (
+        lambda: random_finite_index_cover(TREE, 2, random.Random(0)), TrivialSubgroupError
+    ),
+    "cover-cut-off": (
+        lambda: random_finite_index_cover(CUT_OFF, 2, random.Random(0)), NotConnectedError
+    ),
+    "finite-index-tree-in-rose": (lambda: finite_index(TREE, ROSE), None),
+    "finite-index-tree-in-tree": (lambda: finite_index(TREE, TREE), 1),
+    "finite-index-cut-off-in-rose": (lambda: finite_index(CUT_OFF, ROSE), NotConnectedError),
+    "finite-index-rose-in-cut-off": (lambda: finite_index(ROSE, CUT_OFF), NotConnectedError),
+    "quotient-of-nothing": (
+        lambda: minimal_covering_quotient(LabeledGraph(2, 0, [])), EmptyCoreError
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_SUBGROUP_CALLS))
+def test_graphs_without_a_nontrivial_subgroup_get_an_input_answer(name):
+    """The trivial subgroup has a value where one is defined (index 1 in
+    itself, infinite index in anything larger); otherwise these are input
+    errors (ValueError, exit 1), never an internal bug or a ZeroDivisionError."""
+    call, expected = NON_SUBGROUP_CALLS[name]
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            call()
+    else:
+        assert call() == expected
 
 
 def random_multigraphs():
@@ -653,7 +695,8 @@ def test_prune_matches_oracle():
         assert survivors == core_vertices_oracle(g, keep)
         assert left == sum(1 for o, t, _ in g.edges if o in survivors and t in survivors)
         pruned += 0 < len(survivors) < g.num_vertices
-        kept += keep is not None and keep in survivors and g.degree(keep) < 2
+        ends_at_keep = sum((o == keep) + (t == keep) for o, t, _ in g.edges)
+        kept += keep is not None and keep in survivors and ends_at_keep < 2
     assert pruned >= 200
     assert kept >= 100
 
@@ -667,6 +710,21 @@ def test_component_ids_is_a_memoized_union_find():
             uf.union(o, t)
         assert ids == tuple(uf.find(v) for v in range(g.num_vertices))
         assert g.component_ids() is ids
+
+
+def test_is_folded_and_moves_match_the_germ_list_oracle():
+    raw = random_multigraphs()
+    for g in raw + [fold(g) for g in raw]:
+        assert g.is_folded() == is_folded_oracle(g)
+        if g.is_folded():
+            first = [{s: ts[0] for s, ts in germs.items()} for germs in germ_lists_oracle(g)]
+            assert g.moves() == first
+            assert g.moves() is g.moves()
+        else:
+            with pytest.raises(ValueError, match="needs a folded graph"):
+                g.moves()
+    folded_raw = sum(g.is_folded() for g in raw)
+    assert 50 <= folded_raw <= len(raw) - 200
 
 
 def test_is_folded_memo_keeps_a_false_answer():
