@@ -2,7 +2,7 @@
 
 An endomorphism is pinned down by the images of the generators.  Whether it
 is an automorphism reduces to a folding question: the images generate the
-whole group exactly when their wedge folds to the rose, and surjective
+whole group exactly when their Stallings graph is the rose, and surjective
 endomorphisms of free groups are automatically injective.
 """
 
@@ -76,7 +76,7 @@ def apply_word(phi: Endomorphism, w: Word) -> Word:
 
 
 def is_automorphism(phi: Endomorphism) -> bool:
-    """True when the images generate everything: their wedge folds to the rose."""
+    """True when the images generate everything: their Stallings graph is the rose."""
     try:
         g = from_generators(phi.images, phi.alphabet)
     except TrivialSubgroupError:

@@ -21,7 +21,7 @@ from .errors import (
     TrivialSubgroupError,
     WordFormatError,
 )
-from .words import Alphabet, Word, concat, invert, parse_word, reduce_word
+from .words import Alphabet, Word, concat, cyclic_reduce, invert, parse_word, reduce_word
 
 Edge = tuple[int, int, int]  # (origin, terminus, positive label)
 
@@ -118,43 +118,105 @@ class LabeledGraph:
         return f"LabeledGraph(V={self.num_vertices}, E={len(self.edges)}, rank={self.rank})"
 
 
+class _Folder:
+    """A graph folded as it is read in (Stallings 1983; Kapovich-Myasnikov 2002).
+
+    A union-find over the vertices and, per class root, a dict from signed
+    label to a target.  `arc` follows existing departures before it makes
+    vertices, and makes them in the order a wedge of the same words would;
+    a merge keeps the smaller root, so `graph` numbers each class by its
+    smallest wedge vertex, exactly as folding the wedge would.
+    """
+
+    def __init__(self, n: int, edges=()):
+        self.uf = UnionFind(n)
+        self.moves: list[dict[int, int]] = [{} for _ in range(n)]
+        clashes = []
+        for o, t, lab in edges:
+            for v, s, w in ((o, lab, t), (t, -lab, o)):
+                prev = self.moves[v].setdefault(s, w)
+                if prev != w:
+                    clashes.append((prev, w))
+        self._merge(clashes)
+
+    def _merge(self, clashes: list[tuple[int, int]]) -> None:
+        """Germ-merge worklist: a clash unions two classes and merges the
+        loser's dict into the root's, queueing the clashes that creates.  A
+        union moves at most 2 * rank entries, so folding is near-linear."""
+        find, parent, moves = self.uf.find, self.uf.parent, self.moves
+        while clashes:
+            root, other = sorted(map(find, clashes.pop()))
+            if root != other:
+                parent[other] = root
+                for s, w in moves[other].items():
+                    prev = moves[root].setdefault(s, w)
+                    if prev != w:
+                        clashes.append((prev, w))
+                moves[other] = {}
+
+    def _read(self, v: int, letters) -> tuple[int, int]:
+        """Follow the letters from v while departures exist; return the
+        vertex reached and the number of letters read."""
+        find, moves = self.uf.find, self.moves
+        v, n = find(v), 0
+        for x in letters:
+            t = moves[v].get(x)
+            if t is None:
+                break
+            v, n = find(t), n + 1
+        return v, n
+
+    def _spell(self, v: int, word: Word, end: int | None = None) -> int:
+        """Hang fresh vertices spelling the word off v, the last letter
+        landing on `end` when given; return the last vertex."""
+        parent, moves = self.uf.parent, self.moves
+        fresh = len(word) - (end is not None)
+        for k, x in enumerate(word):
+            w = len(parent) if k < fresh else end
+            if k < fresh:
+                parent.append(w)
+                moves.append({})
+            moves[v][x] = w
+            moves[w][-x] = v
+            v = w
+        return v
+
+    def arc(self, start: int, end: int, word: Word) -> None:
+        """Join start to end by the reduced word: read it forward from start
+        and its unread rest backward from end, and spell only the middle,
+        as its conjugator and then a cyclically reduced loop when it closes
+        on one vertex.  A word read all the way merges its two ends."""
+        u, i = self._read(start, word)
+        w, back = self._read(end, (-x for x in reversed(word[i:])))
+        j = len(word) - back
+        if j == i:
+            self._merge([(u, w)])
+            return
+        middle = word[i:j]
+        if u == w:
+            middle, conj = cyclic_reduce(middle)
+            u = w = self._spell(u, conj)
+        self._spell(u, middle, end=w)
+
+    def graph(self, rank: int, basepoint: int | None) -> LabeledGraph:
+        """The folded graph, classes numbered by ascending root."""
+        find, parent = self.uf.find, self.uf.parent
+        renum = {r: i for i, r in enumerate(v for v, p in enumerate(parent) if p == v)}
+        edges = [(i, renum[find(t)], s) for r, i in renum.items()
+                 for s, t in self.moves[r].items() if s > 0]
+        bp = None if basepoint is None else renum[find(basepoint)]
+        return LabeledGraph(rank, len(renum), edges, basepoint=bp)
+
+
 def fold(graph: LabeledGraph) -> LabeledGraph:
     """Identify same-label departures until no vertex has two of them.
 
-    Germ-merge worklist: each vertex keeps a dict from signed label to its
-    first target, and every second departure with the same label queues a
-    clash.  A clash unions the two targets' classes and merges the loser's
-    dict into the root's, queueing the clashes that creates.  A union moves
-    at most 2 * rank entries, so the fold is near-linear in the edges.  The
-    finest folded identification is unique, so the result does not depend
-    on the order; classes are numbered by their smallest vertex and
-    duplicate parallel edges collapse.
+    The graph's edges seed a `_Folder`, whose merge worklist does the
+    identifications.  The finest folded identification is unique, so the
+    result does not depend on the order; classes are numbered by their
+    smallest vertex and duplicate parallel edges collapse.
     """
-    uf = UnionFind(graph.num_vertices)
-    germ: list[dict[int, int]] = [{} for _ in range(graph.num_vertices)]
-    clashes = []
-    for o, t, lab in graph.edges:
-        for v, s, w in ((o, lab, t), (t, -lab, o)):
-            prev = germ[v].setdefault(s, w)
-            if prev != w:
-                clashes.append((prev, w))
-    while clashes:
-        a, b = clashes.pop()
-        ra, rb = uf.find(a), uf.find(b)
-        if not uf.union(ra, rb):
-            continue
-        root, other = min(ra, rb), max(ra, rb)
-        merged = germ[root]
-        for s, w in germ[other].items():
-            prev = merged.setdefault(s, w)
-            if prev != w:
-                clashes.append((prev, w))
-        germ[other] = {}
-    roots = sorted({uf.find(v) for v in range(graph.num_vertices)})
-    renum = {r: i for i, r in enumerate(roots)}
-    new_edges = {(renum[uf.find(o)], renum[uf.find(t)], lab) for o, t, lab in graph.edges}
-    bp = None if graph.basepoint is None else renum[uf.find(graph.basepoint)]
-    return LabeledGraph(graph.rank, len(roots), new_edges, basepoint=bp)
+    return _Folder(graph.num_vertices, graph.edges).graph(graph.rank, graph.basepoint)
 
 
 def _prune(n: int, edges, keep: int | None = None) -> tuple[set[int], int]:
@@ -252,33 +314,24 @@ def check_core_graph(graph: LabeledGraph) -> LabeledGraph:
     return graph
 
 
-def _add_arc(edges: list[Edge], start: int, end: int, word: Word, next_vertex: int) -> int:
-    """Append a path spelling the word from start to end through fresh
-    vertices numbered from next_vertex; return the next unused vertex."""
-    prev = start
-    for i, x in enumerate(word):
-        if i == len(word) - 1:
-            nxt = end
-        else:
-            nxt = next_vertex
-            next_vertex += 1
-        edges.append((prev, nxt, x) if x > 0 else (nxt, prev, -x))
-        prev = nxt
-    return next_vertex
-
-
 def from_generators(gens, alphabet: Alphabet) -> LabeledGraph:
-    """Fold a wedge of generator loops into the based core graph of <gens>."""
+    """The based core graph of <gens>, folded as the generators are read.
+
+    Each reduced generator is read into the graph built so far as an `arc`
+    from the basepoint back to itself, so what it shares with earlier
+    generators costs reads and only the rest gets vertices; a conjugator
+    c of c * r * c^-1 is spelled once, before the loop r.  Folding a wedge
+    of reduced loops leaves no vertex of degree 1 but the basepoint, so
+    nothing is pruned.
+    """
     words = [reduce_word(w) for w in gens]
     words = [w for w in words if w]
     if not words:
         raise TrivialSubgroupError("all generators reduce to the identity")
-    edges: list[Edge] = []
-    next_vertex = 1
+    folder = _Folder(1)
     for w in words:
-        next_vertex = _add_arc(edges, 0, 0, w, next_vertex)
-    wedge = LabeledGraph(alphabet.rank, next_vertex, edges, basepoint=0)
-    return check_core_graph(core_based(fold(wedge)))
+        folder.arc(0, 0, w)
+    return check_core_graph(folder.graph(alphabet.rank, 0))
 
 
 def contains(h: LabeledGraph, w: Word) -> bool:
@@ -519,14 +572,13 @@ def _core_and_tail(h: LabeledGraph) -> tuple[LabeledGraph, int, Word]:
 
 
 def _attach_tail(core_graph: LabeledGraph, at: int, word: Word) -> LabeledGraph:
-    """Glue a fresh arc spelling the word from a new basepoint to the core;
-    with no word the basepoint is `at` itself."""
-    edges = list(core_graph.edges)
+    """Join a fresh basepoint to the core by an arc spelling the word,
+    folding where the arc's end runs along the core; with no word the
+    basepoint is `at` itself."""
     n = core_graph.num_vertices
-    _add_arc(edges, n, at, word, n + 1)
-    g = LabeledGraph(core_graph.rank, n + len(word), edges, basepoint=n if word else at)
-    # the last arc edge can clash with a core edge after quotienting, so fold
-    return check_core_graph(core_based(fold(g)))
+    folder = _Folder(n + 1, core_graph.edges)
+    folder.arc(n, at, word)
+    return check_core_graph(folder.graph(core_graph.rank, n))
 
 
 def commensurator(h: LabeledGraph) -> tuple[LabeledGraph, int]:

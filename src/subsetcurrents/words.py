@@ -83,12 +83,11 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
 
     Returns (core, conj).  The core of a nonempty word is nonempty.
     """
-    core = list(w)
-    conj: list[int] = []
-    while len(core) >= 2 and core[0] == -core[-1]:
-        conj.append(core[0])
-        core = core[1:-1]
-    return tuple(core), tuple(conj)
+    m = len(w)
+    k = 0  # matching pairs stripped from the two ends
+    while m - 2 * k >= 2 and w[k] == -w[m - 1 - k]:
+        k += 1
+    return tuple(w[k:m - k]), tuple(w[:k])
 
 
 def parse_word(text: str, alphabet: Alphabet) -> Word:

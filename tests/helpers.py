@@ -44,6 +44,15 @@ spanning-tree path.  `canonical_key_oracle` is the earlier `canonical_key`,
 the minimum of the complete BFS codes from every start vertex, kept as the
 oracle for the row-by-row comparison that drops a start at its first
 losing row.
+
+`from_generators_oracle` and `attach_tail_oracle` are the earlier
+`from_generators` and `_attach_tail`: glue whole arcs through fresh
+vertices (a wedge of generator loops, or a basepoint arc onto a core),
+fold, and prune with `core_based`.  They fold with `fold_oracle`, so they
+share no merge code with the builder that reads words into a partly
+folded graph.  `cyclic_reduce_oracle` is the earlier `cyclic_reduce`,
+which copied the core once per stripped pair, kept as the oracle for
+counting the matching ends once.
 """
 
 import random
@@ -57,8 +66,11 @@ from subsetcurrents import (
     MismatchBugError,
     NotConnectedError,
     RationalCurrent,
+    TrivialSubgroupError,
+    check_core_graph,
     concat,
     contains,
+    core_based,
     counting_current,
     enumerate_round_graphs,
     eval_cylinder,
@@ -68,6 +80,7 @@ from subsetcurrents import (
     neighborhood_tree,
     normalize,
     random_subgroup,
+    reduce_word,
 )
 from subsetcurrents.currents import _read_tree
 from subsetcurrents.stallings import (
@@ -195,16 +208,46 @@ def based(gens, alphabet) -> LabeledGraph:
     return from_generators(gens, alphabet)
 
 
+def _spelled(path, word):
+    """Edges spelling the word along the given vertex path."""
+    return [(o, t, x) if x > 0 else (t, o, -x) for o, t, x in zip(path, path[1:], word)]
+
+
 def wedge(words, rank: int) -> LabeledGraph:
     """Unfolded wedge of one loop per nonempty word, based at vertex 0."""
     edges = []
     n = 1
     for w in filter(None, words):
-        path = [0] + list(range(n, n + len(w) - 1)) + [0]
+        edges += _spelled([0] + list(range(n, n + len(w) - 1)) + [0], w)
         n += len(w) - 1
-        for o, t, x in zip(path, path[1:], w):
-            edges.append((o, t, x) if x > 0 else (t, o, -x))
     return LabeledGraph(rank, n, edges, basepoint=0)
+
+
+def cyclic_reduce_oracle(w):
+    """Split w as conj * core * conj^-1, stripping one end pair per copy."""
+    core = list(w)
+    conj: list[int] = []
+    while len(core) >= 2 and core[0] == -core[-1]:
+        conj.append(core[0])
+        core = core[1:-1]
+    return tuple(core), tuple(conj)
+
+
+def from_generators_oracle(gens, alphabet: Alphabet) -> LabeledGraph:
+    """Fold a wedge of the reduced generators, then prune it to its based core."""
+    words = [w for w in map(reduce_word, gens) if w]
+    if not words:
+        raise TrivialSubgroupError("all generators reduce to the identity")
+    return check_core_graph(core_based(fold_oracle(wedge(words, alphabet.rank))))
+
+
+def attach_tail_oracle(core_graph: LabeledGraph, at: int, word) -> LabeledGraph:
+    """Glue an arc spelling the word from a new basepoint to the core through
+    fresh vertices, then fold and prune; with no word the basepoint is `at`."""
+    n = core_graph.num_vertices
+    edges = list(core_graph.edges) + _spelled([n] + list(range(n + 1, n + len(word))) + [at], word)
+    g = LabeledGraph(core_graph.rank, n + len(word), edges, basepoint=n if word else at)
+    return check_core_graph(core_based(fold_oracle(g)))
 
 
 def fold_oracle(graph: LabeledGraph) -> LabeledGraph:

@@ -30,6 +30,7 @@ from subsetcurrents import (
     fiber_product,
     finite_index,
     fold,
+    format_word,
     from_generators,
     graph_from_json_dict,
     graph_to_dot,
@@ -50,15 +51,17 @@ from subsetcurrents import (
     subgroup_generators,
 )
 
-from subsetcurrents import stallings
+from subsetcurrents import cli, stallings
 from subsetcurrents.stallings import UnionFind, _core_and_tail, _prune, core_based
 
 from helpers import (
+    attach_tail_oracle,
     canonical_key_oracle,
     core_and_tail_oracle,
     core_vertices_oracle,
     covering_quotient_oracle,
     fold_oracle,
+    from_generators_oracle,
     germ_lists_oracle,
     is_folded_oracle,
     wedge,
@@ -512,6 +515,53 @@ def test_fold_long_word_is_near_linear(acceptance):
     assert len(h.graph.edges) == n + 1
 
 
+def generator_sets():
+    """2,000 seeded generator sets at ranks 2 to 4.  Later generators repeat,
+    invert or multiply earlier ones (so they read all the way into the graph
+    built so far), or are proper powers or conjugates w * r * w^-1 with |w|
+    up to 300."""
+    rng = random.Random(14)
+    for i in range(2000):
+        al = Alphabet(2 + i % 3)
+        words = []
+        for _ in range(rng.randint(1, 5)):
+            roll = rng.random()
+            if words and roll < 0.3:
+                u, v = rng.choice(words), rng.choice(words)
+                words.append(rng.choice([u, invert(u), concat(u, v), concat(u, invert(v))]))
+            elif roll < 0.4:
+                words.append(random_reduced_word(rng, al, rng.randint(1, 4)) * rng.randint(2, 4))
+            elif roll < 0.7:
+                w = random_reduced_word(rng, al, rng.randint(0, 300 if i % 200 == 0 else 12))
+                words.append(concat(w, random_reduced_word(rng, al, rng.randint(1, 6)), invert(w)))
+            else:
+                words.append(random_reduced_word(rng, al, rng.randint(1, 8)))
+        yield al, words
+
+
+def test_from_generators_matches_wedge_fold_oracle(monkeypatch):
+    rng = random.Random(15)
+    built = []
+    for al, words in generator_sets():
+        try:
+            h = from_generators(words, al)
+        except TrivialSubgroupError:
+            with pytest.raises(TrivialSubgroupError):
+                from_generators_oracle(words, al)
+            continue
+        _same_graph(h, from_generators_oracle(words, al))
+        seed = rng.random()
+        built.append((h, commensurator(h), random_finite_index_cover(h, 3, random.Random(seed)),
+                      seed))
+    assert len(built) >= 1900
+    monkeypatch.setattr(stallings, "_attach_tail", attach_tail_oracle)
+    for h, (comm, degree), cover, seed in built:
+        old_comm, old_degree = commensurator(h)
+        _same_graph(comm, old_comm)
+        assert degree == old_degree
+        _same_graph(cover, random_finite_index_cover(h, 3, random.Random(seed)))
+
+
 def based_graphs_with_tails():
     """1,000 seeded folded based graphs at ranks 2 and 3.  The generators
     share a random conjugator, so most graphs have a basepoint arc, and
@@ -762,3 +812,44 @@ def test_core_based_returns_a_graph_with_nothing_to_prune():
     hanging = LabeledGraph(2, 3, [(0, 0, 1), (0, 1, 2), (1, 2, 1)], basepoint=0)
     pruned = core_based(hanging)
     assert (pruned.num_vertices, pruned.edges) == (1, ((0, 0, 1),))
+
+
+def conjugated_relators(n=3000, count=8):
+    """`count` generators w * r_i * w^-1 with |w| = n that stay reduced."""
+    rng = random.Random(16)
+    w = random_reduced_word(rng, AL2, n)
+    words = []
+    while len(words) < count:
+        r = random_reduced_word(rng, AL2, rng.randint(3, 8))
+        if r[0] != -w[-1] and r[-1] != w[-1]:
+            words.append(w + r + invert(w))
+    return w, words
+
+
+def test_from_generators_makes_a_vertex_per_unread_letter(monkeypatch):
+    # a wedge of the eight generators has about 48,000 vertices
+    built = []
+
+    class CountingUnionFind(UnionFind):
+        def __init__(self, n):
+            super().__init__(n)
+            built.append(self)
+
+    monkeypatch.setattr(stallings, "UnionFind", CountingUnionFind)
+    w, words = conjugated_relators()
+    from_generators(words, AL2)
+    assert len(built[0].parent) <= len(w) + sum(len(g) - 2 * len(w) for g in words) + 1
+    built.clear()
+    n = 4000
+    h = from_generators([(1,) * n + (2,) + (-1,) * n], AL2)
+    assert len(built[0].parent) == h.num_vertices == n + 1
+
+
+def test_core_of_long_conjugates_within_budget(acceptance, tmp_path, capsys):
+    _, words = conjugated_relators()
+    path = tmp_path / "conjugates.txt"
+    path.write_text("".join(format_word(g, AL2) + "\n" for g in words), encoding="utf-8")
+    label = "subcur core on 8 conjugates by a 3000-letter word within 1 s"
+    with acceptance(16, label, budget=1.0):
+        assert cli.main(["core", str(path)]) == 0
+    assert capsys.readouterr().out

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,6 +19,8 @@ from subsetcurrents import (
     parse_word,
     reduce_word,
 )
+
+from helpers import cyclic_reduce_oracle
 
 AL2 = Alphabet(2)
 AL3 = Alphabet(3)
@@ -132,6 +136,24 @@ def test_cyclic_reduce_recomposes(w):
     assert concat(conj, core, invert(conj)) == w
     if core:
         assert core[0] != -core[-1]
+
+
+@given(raw_words)
+def test_cyclic_reduce_matches_oracle(w):
+    # raw words too: an unreduced word may strip down to nothing
+    assert cyclic_reduce(w) == cyclic_reduce_oracle(w)
+    assert cyclic_reduce(reduce_word(w)) == cyclic_reduce_oracle(reduce_word(w))
+
+
+def test_cyclic_reduce_is_linear():
+    # a^n b a^-n strips n pairs; copying the core once per pair is quadratic
+    # and takes well over a second at this n
+    n = 20_000
+    word = (1,) * n + (2,) + (-1,) * n
+    start = time.perf_counter()
+    core, conj = cyclic_reduce(word)
+    assert time.perf_counter() - start < 0.5
+    assert (core, conj) == ((2,), (1,) * n)
 
 
 @given(raw_words)
