@@ -130,6 +130,8 @@ def neighborhood_tree(graph: LabeledGraph, v: int, r: int) -> FiniteSubtree:
     """
     if r < 1:
         raise ValueError("neighborhood radius must be at least 1")
+    if not 0 <= v < graph.num_vertices:
+        raise ValueError(f"vertex {v} out of range 0..{graph.num_vertices - 1}")
     moves = graph.moves()
     words: set[Word] = {()}
     frontier: list[tuple[Word, int]] = [((), v)]
@@ -283,7 +285,7 @@ class RationalCurrent:
         return RationalCurrent(merged)
 
     def scale(self, q) -> "RationalCurrent":
-        q = Fraction(q)
+        q = _exact(q)
         if q < 0:
             raise ValueError("currents only admit nonnegative scaling")
         if q == 0:
@@ -309,6 +311,14 @@ class RationalCurrent:
         return f"RationalCurrent({parts})"
 
 
+def _exact(q) -> Fraction:
+    """A coefficient as a Fraction.  A float is refused: 0.1 is not 1/10,
+    and the binary fraction it stands for would pass silently."""
+    if isinstance(q, float):
+        raise ValueError(f"coefficients must be exact (int or Fraction), got float {q!r}")
+    return Fraction(q)
+
+
 def normalize(terms) -> RationalCurrent:
     """Rewrite raw (coefficient, subgroup graph) terms in normalized form.
 
@@ -317,7 +327,7 @@ def normalize(terms) -> RationalCurrent:
     """
     acc: dict[bytes, tuple[Fraction, LabeledGraph]] = {}
     for coeff, g in terms:
-        c = Fraction(coeff)
+        c = _exact(coeff)
         if c < 0:
             raise ValueError("current coefficients must be nonnegative")
         if c == 0:

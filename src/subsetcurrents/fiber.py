@@ -99,12 +99,14 @@ class FiberProduct:
         return self._reports
 
     def _basepoint_paths(self) -> tuple[dict[int, Word], dict[int, Word]]:
-        """Spanning-tree path words from the basepoint of each factor."""
+        """Spanning-tree path words from the basepoint of each factor, each
+        extending its tree parent's; kept whole, since a full report reads
+        one per factor vertex."""
         if self._paths is None:
-            self._paths = (
-                _spanning_tree(self.left, self.left.basepoint)[0],
-                _spanning_tree(self.right, self.right.basepoint)[0],
-            )
+            self._paths = ({}, {})
+            for g, paths in zip((self.left, self.right), self._paths):
+                for v, step in _spanning_tree(g, g.basepoint).items():
+                    paths[v] = paths[step[0]] + (step[1],) if step else ()
         return self._paths
 
     def _component_graph(self, comp: ComponentReport) -> LabeledGraph:

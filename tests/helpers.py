@@ -40,7 +40,13 @@ as the oracle for the two set sizes read off the edge list; the first entry
 of each of those `germ_lists_oracle` lists is what `moves()` must return.
 `core_and_tail_oracle` is the earlier `_core_and_tail`, a BFS of its own
 that stops at the first core vertex, kept as the oracle for the
-spanning-tree path.  `canonical_key_oracle` is the earlier `canonical_key`,
+spanning-tree path.  `spanning_tree_oracle` is the earlier `_spanning_tree`,
+which kept a path word for every vertex and a set of tree edges, kept as
+the oracle for the parent table and the paths `_tree_path` reads back
+from it; `component_subgroup_oracle` builds its trees with it.
+`based_morphism_oracle` is the earlier `_based_morphism`, a BFS of its own
+from the basepoint, kept as the oracle for the map `finite_index` reads
+along the spanning tree.  `canonical_key_oracle` is the earlier `canonical_key`,
 the minimum of the complete BFS codes from every start vertex, kept as the
 oracle for the row-by-row comparison that drops a start at its first
 losing row.
@@ -65,6 +71,7 @@ from subsetcurrents import (
     LabeledGraph,
     MismatchBugError,
     NotConnectedError,
+    NotSubgroupError,
     RationalCurrent,
     TrivialSubgroupError,
     check_core_graph,
@@ -86,6 +93,7 @@ from subsetcurrents.currents import _read_tree
 from subsetcurrents.stallings import (
     UnionFind,
     _spanning_tree,
+    _tree_path,
     _wl_classes,
     core_vertices,
     induced_subgraph,
@@ -400,8 +408,8 @@ def component_subgroup_oracle(fp, comp, h: LabeledGraph, k: LabeledGraph):
     if fp.left is not h or fp.right is not k:
         raise ValueError("fiber product was not built from these based graphs")
     u, v = fp.vertex_pair(comp.base_vertex)
-    path_h, _ = _spanning_tree(h, h.basepoint)
-    path_k, _ = _spanning_tree(k, k.basepoint)
+    path_h, _ = spanning_tree_oracle(h, h.basepoint)
+    path_k, _ = spanning_tree_oracle(k, k.basepoint)
     w_a = path_h[u]
     w_b = path_k[v]
     g = concat(w_a, invert(w_b))
@@ -409,7 +417,7 @@ def component_subgroup_oracle(fp, comp, h: LabeledGraph, k: LabeledGraph):
         v for v, c in enumerate(fp.graph.component_ids()) if c == comp.base_vertex
     ]
     sub, renum = induced_subgraph(fp.graph, members)
-    path_c, tree_edges = _spanning_tree(sub, renum[comp.base_vertex])
+    path_c, tree_edges = spanning_tree_oracle(sub, renum[comp.base_vertex])
     gens = []
     for o, t, lab in sub.edges:
         if (o, t, lab) in tree_edges:
@@ -423,6 +431,78 @@ def component_subgroup_oracle(fp, comp, h: LabeledGraph, k: LabeledGraph):
                 "component generator escaped H or its K-conjugate"
             )
     return g, gens
+
+
+def spanning_tree_oracle(graph: LabeledGraph, root: int):
+    """Deterministic BFS tree: path words from the root and the tree edges,
+    as triples, which name edges since a folded graph has no duplicates."""
+    order = Alphabet(graph.rank).signed_letters()
+    moves = graph.moves()
+    path = {root: ()}
+    tree_edges = set()
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        for s in order:
+            t = moves[v].get(s)
+            if t is not None and t not in path:
+                path[t] = path[v] + (s,)
+                tree_edges.add((v, t, s) if s > 0 else (t, v, -s))
+                queue.append(t)
+    return path, tree_edges
+
+
+def based_morphism_oracle(h: LabeledGraph, k: LabeledGraph) -> list[int]:
+    """The label-preserving map (h, *) -> (k, *); exists exactly when H <= K."""
+    h_moves, k_moves = h.moves(), k.moves()
+    f = [-1] * h.num_vertices
+    f[h.basepoint] = k.basepoint
+    queue = deque([h.basepoint])
+    while queue:
+        v = queue.popleft()
+        for s, t in h_moves[v].items():
+            img = k_moves[f[v]].get(s)
+            if img is None:
+                raise NotSubgroupError("subgroup graph does not map into the target")
+            if f[t] == -1:
+                f[t] = img
+                queue.append(t)
+            elif f[t] != img:
+                raise NotSubgroupError("no consistent label-preserving map exists")
+    return f
+
+
+def finite_index_oracle(h: LabeledGraph, k: LabeledGraph) -> int | None:
+    """The earlier `finite_index` on `based_morphism_oracle`: the map must
+    exist, and restricted to the cores it must be locally bijective."""
+    f = based_morphism_oracle(h, k)
+    core_h, core_k = core_vertices(h), core_vertices(k)
+    if not core_k:
+        return 1
+    if not core_h:
+        return None
+    h_moves, k_moves = h.moves(), k.moves()
+    for v in core_h:
+        here = {s for s, t in h_moves[v].items() if t in core_h}
+        if here != {s for s, t in k_moves[f[v]].items() if t in core_k}:
+            return None
+    return len(core_h) // len(core_k)
+
+
+def assert_tree_matches_oracle(graph: LabeledGraph, root: int) -> None:
+    """The parent table against `spanning_tree_oracle`: the same vertices in
+    the same BFS order, the same path word to each, the same tree edges, and
+    the parent test of `subgroup_generators` picks out exactly those edges."""
+    parent = _spanning_tree(graph, root)
+    path, tree_edges = spanning_tree_oracle(graph, root)
+    assert list(parent) == list(path)
+    assert all(_tree_path(parent, v) == path[v] for v in parent)
+    steps = [(step[0], v, step[1]) for v, step in parent.items() if step is not None]
+    assert {(u, v, s) if s > 0 else (v, u, -s) for u, v, s in steps} == tree_edges
+    assert {
+        (o, t, lab) for o, t, lab in graph.edges
+        if parent.get(t) == (o, lab) or parent.get(o) == (t, -lab)
+    } == tree_edges
 
 
 OracleComponent = namedtuple(

@@ -38,6 +38,7 @@ from subsetcurrents import (
     pushforward_I,
     random_finite_index_cover,
     random_subgroup,
+    rank,
     zero_current,
 )
 from helpers import (
@@ -421,6 +422,28 @@ INPUT_REFUSALS = {
     "rank-0": (lambda: LabeledGraph(0, 1, []), "rank must be at least 2, got 0"),
     "negative-coefficient": (
         lambda: normalize([(1, sub("a")), (-1, sub("b"))]), "must be nonnegative"
+    ),
+    "rank-float": (lambda: LabeledGraph(2.0, 1, []), "rank must be an integer"),
+    "num-vertices-negative": (
+        lambda: LabeledGraph(2, -1, []), "num_vertices must be nonnegative, got -1"
+    ),
+    "num-vertices-float": (
+        lambda: LabeledGraph(2, 2.5, []), "num_vertices must be an integer, got 2.5"
+    ),
+    "basepoint-bool": (
+        lambda: LabeledGraph(2, 2, [(0, 0, 1)], basepoint=True), "basepoint must be an integer"
+    ),
+    "label-bool": (lambda: LabeledGraph(2, 1, [(0, 0, True)]), "must have integer entries"),
+    "label-float": (lambda: LabeledGraph(2, 1, [(0, 0, 1.0)]), "must have integer entries"),
+    "origin-float": (lambda: LabeledGraph(2, 2, [(1.0, 0, 1)]), "must have integer entries"),
+    "rank-of-no-vertices": (lambda: rank(LabeledGraph(2, 0, [])), "connected graph"),
+    "float-scale": (lambda: counting_current(sub("ab")).scale(0.1), "got float 0.1"),
+    "float-coefficient": (lambda: normalize([(0.1, sub("ab"))]), "got float 0.1"),
+    "neighborhood-vertex-negative": (
+        lambda: neighborhood_tree(ucore(sub("ab")), -1, 1), "vertex -1 out of range 0..1"
+    ),
+    "neighborhood-vertex-past-end": (
+        lambda: neighborhood_tree(ucore(sub("aab")), 3, 1), "vertex 3 out of range 0..2"
     ),
 }
 

@@ -27,10 +27,12 @@ from subsetcurrents import (
 )
 from subsetcurrents.stallings import induced_subgraph
 from helpers import (
+    assert_tree_matches_oracle,
     classify_components_oracle,
     component_subgroup_oracle,
     intersection_number_euler_full_oracle,
     intersection_number_euler_oracle,
+    spanning_tree_oracle,
 )
 
 AL2 = Alphabet(2)
@@ -205,6 +207,22 @@ def test_component_subgroup_matches_oracle():
             )
         with_essential += any(not c.contractible for c in comps)
     assert with_essential >= 50
+
+
+def test_product_trees_match_oracle():
+    """The trees behind `component_subgroup`: each factor's materialised
+    basepoint paths, and the parent table of every essential component."""
+    essential = 0
+    for h, k in differential_pairs():
+        fp = fiber_product(h, k)
+        assert fp._basepoint_paths() == tuple(
+            spanning_tree_oracle(g, g.basepoint)[0] for g in (h, k)
+        )
+        for comp in fp.components():
+            if not comp.contractible:
+                assert_tree_matches_oracle(fp._component_graph(comp), 0)
+                essential += 1
+    assert essential >= 100
 
 
 def euler_pairs():
