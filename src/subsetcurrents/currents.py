@@ -18,13 +18,14 @@ from .errors import MismatchBugError, NotConnectedError, SizeLimitError
 from .fiber import fiber_product
 from .stallings import (
     LabeledGraph,
+    _int,
     canonical_key,
     check_core_graph,
     core,
     graph_to_json_dict,
     minimal_covering_quotient,
 )
-from .words import Alphabet, Word, reduce_word
+from .words import Alphabet, Word
 
 # Ceiling on how many round graphs any enumeration may produce.  Grade 2 in
 # rank 2 (4067 graphs) fits; grade 2 in rank 3 does not, by design.
@@ -45,9 +46,15 @@ class FiniteSubtree:
         if () not in ws:
             raise ValueError("a subtree must contain the identity vertex")
         for w in ws:
-            if reduce_word(w) != w:
+            # Prefix closure makes each letter, and each adjacent pair, the
+            # end of some word, so checking the ends checks every word whole.
+            if not w:
+                continue
+            if type(w[-1]) is not int or not w[-1]:
+                raise ValueError(f"vertex word {w} ends in {w[-1]!r}, not a nonzero int letter")
+            if len(w) > 1 and w[-2] == -w[-1]:
                 raise ValueError(f"vertex word {w} is not reduced")
-            if w and w[:-1] not in ws:
+            if w[:-1] not in ws:
                 raise ValueError(f"vertex set is not prefix-closed at {w}")
         self.words = ws
         self._children = None
@@ -128,9 +135,9 @@ def neighborhood_tree(graph: LabeledGraph, v: int, r: int) -> FiniteSubtree:
     The graph must be folded with all degrees >= 2 (a core graph), which
     makes the result a round graph of grade exactly r.
     """
-    if r < 1:
+    if _int(r, "neighborhood radius") < 1:
         raise ValueError("neighborhood radius must be at least 1")
-    if not 0 <= v < graph.num_vertices:
+    if not 0 <= _int(v, "vertex") < graph.num_vertices:
         raise ValueError(f"vertex {v} out of range 0..{graph.num_vertices - 1}")
     moves = graph.moves()
     words: set[Word] = {()}
@@ -229,8 +236,10 @@ def occurrence_count(tree: FiniteSubtree, graph: LabeledGraph) -> int:
     """
     if not tree.nondegenerate:
         raise ValueError("occurrences are counted for subtrees with an edge")
-    moves = graph.moves()
     ws = tree.sorted_words()
+    if max(abs(w[-1]) for w in ws[1:]) > graph.rank:
+        raise ValueError(f"subtree letters exceed the graph's rank {graph.rank}")
+    moves = graph.moves()
     interior = [w for w in ws if tree.degree(w) > 1]
     count = 0
     for v in range(graph.num_vertices):

@@ -8,8 +8,10 @@ circularity.
 `fold` (re-sort the edge set until nothing merges) and
 `minimal_covering_quotient` (greedy pair closures), kept verbatim as
 differential oracles for the worklist fold and the stable-partition
-quotient.  The greedy search uses `_wl_classes` only to skip pairs that no
-covering can identify.  `functional_V_oracle` is the earlier `functional_V`,
+quotient.  The greedy search uses `_wl_classes`, the package's earlier
+round-by-round colour refinement, only to skip pairs that no covering can
+identify; it is also the oracle for the Hopcroft splitting of
+`_stable_classes`.  `functional_V_oracle` is the earlier `functional_V`,
 the cylinder sum over every grade-1 round graph of the rank, kept as the
 oracle for the sum over observed neighborhoods.  `component_subgroup_oracle`
 is the earlier `component_subgroup`, which rebuilds both basepoint trees
@@ -94,7 +96,6 @@ from subsetcurrents.stallings import (
     UnionFind,
     _spanning_tree,
     _tree_path,
-    _wl_classes,
     core_vertices,
     induced_subgraph,
 )
@@ -301,6 +302,33 @@ def is_folded_oracle(graph: LabeledGraph) -> bool:
     return all(
         len(targets) == 1 for germs in germ_lists_oracle(graph) for targets in germs.values()
     )
+
+
+def _wl_classes(graph: LabeledGraph) -> list[int]:
+    """Coarsest stable partition of a folded graph, as vertex colors.
+
+    Colors start from the sets of signed departures and are refined by the
+    colors each label leads to until the number of classes stops growing.
+    Each round re-sorts all V signatures, so the cost is O(V * rounds), and
+    the rounds can number about V/2: on the core of <a^n b>, a cycle of
+    n + 1 vertices, the quotient took 1.2, 4.4 and 28.3 s at n = 1000,
+    2000 and 4000 on a shared 2-vCPU host.  Hopcroft refinement would
+    make it O(E log V).
+    """
+    moves = graph.moves()
+    color = [tuple(sorted(departures)) for departures in moves]
+    palette = {c: i for i, c in enumerate(sorted(set(color)))}
+    colors = [palette[c] for c in color]
+    while True:
+        sig = [
+            (colors[v], tuple(sorted((s, colors[t]) for s, t in departures.items())))
+            for v, departures in enumerate(moves)
+        ]
+        palette = {c: i for i, c in enumerate(sorted(set(sig)))}
+        new_colors = [palette[sig[v]] for v in range(graph.num_vertices)]
+        if len(set(new_colors)) == len(set(colors)):
+            return new_colors
+        colors = new_colors
 
 
 def _closure_partition(graph: LabeledGraph, v: int, w: int) -> UnionFind:

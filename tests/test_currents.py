@@ -445,6 +445,29 @@ INPUT_REFUSALS = {
     "neighborhood-vertex-past-end": (
         lambda: neighborhood_tree(ucore(sub("aab")), 3, 1), "vertex 3 out of range 0..2"
     ),
+    "neighborhood-vertex-bool": (
+        lambda: neighborhood_tree(ucore(sub("ab")), True, 1), "vertex must be an integer"
+    ),
+    "neighborhood-radius-float": (
+        lambda: neighborhood_tree(ucore(sub("ab")), 0, 1.0), "radius must be an integer"
+    ),
+    "subtree-letter-0": (
+        lambda: eval_cylinder(counting_current(sub("aa", "b")), FiniteSubtree([(), (0,)])),
+        "ends in 0, not a nonzero int letter",
+    ),
+    "subtree-letter-bool": (lambda: FiniteSubtree([(), (True,)]), "ends in True"),
+    "subtree-letter-float": (lambda: FiniteSubtree([(), (1.0,)]), "ends in 1.0"),
+    "subtree-letter-str-inside": (
+        lambda: FiniteSubtree([(), (1,), (1, "b"), (1, "b", 2)]), "ends in 'b'"
+    ),
+    "subtree-letter-above-rank": (
+        lambda: eval_cylinder(counting_current(sub("aa", "b")), FiniteSubtree([(), (3,)])),
+        "exceed the graph's rank 2",
+    ),
+    "occurrence-edge-above-rank": (
+        lambda: occurrence_count(FiniteSubtree.edge(-3), ucore(sub("aa", "b"))),
+        "exceed the graph's rank 2",
+    ),
 }
 
 
