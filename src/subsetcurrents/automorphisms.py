@@ -28,16 +28,17 @@ class Endomorphism:
     __slots__ = ("alphabet", "images")
 
     def __init__(self, images, alphabet: Alphabet):
-        imgs = tuple(reduce_word(w) for w in images)
+        imgs = tuple(map(tuple, images))
         if len(imgs) != alphabet.rank:
             raise ValueError(
                 f"need {alphabet.rank} generator images, got {len(imgs)}"
             )
+        # checked before reducing, so a float cannot cancel an int letter
         for w in imgs:
             for x in w:
                 alphabet.check_letter(x)
         self.alphabet = alphabet
-        self.images = imgs
+        self.images = tuple(map(reduce_word, imgs))
 
     @classmethod
     def identity(cls, alphabet: Alphabet) -> "Endomorphism":
@@ -67,9 +68,11 @@ class Endomorphism:
 
 
 def apply_word(phi: Endomorphism, w: Word) -> Word:
-    """Substitute generator images letter by letter, then reduce once."""
+    """Substitute generator images letter by letter, then reduce once.
+    A letter outside phi's alphabet raises `WordFormatError`."""
     out: list[int] = []
     for x in w:
+        phi.alphabet.check_letter(x)
         img = phi.images[x - 1] if x > 0 else invert(phi.images[-x - 1])
         out.extend(img)
     return reduce_word(out)

@@ -30,8 +30,6 @@ from .errors import MismatchBugError, RetryLimitError
 from .fiber import component_subgroup, fiber_product, intersection_number_euler
 from .stallings import (
     LabeledGraph,
-    check_core_graph,
-    core,
     from_generators,
     graph_to_dot,
     graph_to_json_dict,
@@ -224,7 +222,9 @@ def cmd_shnc_scan(args: argparse.Namespace) -> Result:
 
 
 def _converge_columns(grade: int, alphabet: Alphabet, graphs) -> list[FiniteSubtree]:
-    """Edge trees plus every neighborhood tree observed in the given cores."""
+    """Edge trees plus every neighborhood tree observed in the given core
+    graphs.  A covering quotient shows the same neighborhood trees as the
+    core it covers, so normalized terms serve as well as the cores."""
     columns = [FiniteSubtree.edge(i) for i in alphabet.letters()]
     observed = {t for r in range(1, grade + 1) for g in graphs for t in neighborhood_profile(g, r)}
     observed.difference_update(columns)
@@ -235,17 +235,16 @@ def cmd_converge(args: argparse.Namespace) -> Result:
     alphabet = Alphabet(args.rank)
     loop = from_generators([(1,)], alphabet)
     limit = counting_current(loop)
-    cores = [check_core_graph(core(loop))]
     family = []
     for n in range(1, args.n_max + 1):
         h_n = from_generators([(1,) * n + (2,)], alphabet)
-        cores.append(check_core_graph(core(h_n)))
         family.append((str(n), counting_current(h_n).scale(Fraction(1, n))))
-    trees = _converge_columns(args.grade, alphabet, cores)
+    family.append(("limit", limit))
+    trees = _converge_columns(args.grade, alphabet, [g for _, mu in family for _, g in mu.terms()])
     names = [t.serialize(alphabet) for t in trees]
     rows = [["n"] + names + ["N", "pushforward_terms"]]
     records = []
-    for n, mu in family + [("limit", limit)]:
+    for n, mu in family:
         terms = len(pushforward_I(mu, limit).terms())
         cylinders = {name: str(eval_cylinder(mu, t)) for name, t in zip(names, trees)}
         pairing = str(intersection_functional_N(mu, limit))

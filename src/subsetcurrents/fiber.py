@@ -20,6 +20,7 @@ from .stallings import (
     _prune,
     _require_basepoint,
     _spanning_tree,
+    _tree_path,
     contains,
     from_generators,
     reduced_rank,
@@ -74,11 +75,12 @@ class FiberProduct:
     """Pullback of two labeled graphs over the common rose.
 
     Component data is built lazily and at most once: the component ids
-    (memoized on `graph`), the reports, the basepoint paths of both
-    factors, and the product edges bucketed by component.
+    (memoized on `graph`), the reports, both factors' spanning-tree parent
+    tables from their basepoints, and the product edges bucketed by
+    component.
     """
 
-    __slots__ = ("left", "right", "graph", "_reports", "_paths", "_buckets")
+    __slots__ = ("left", "right", "graph", "_reports", "_trees", "_buckets")
 
     def __init__(self, left: LabeledGraph, right: LabeledGraph):
         self.left = left
@@ -87,7 +89,7 @@ class FiberProduct:
             left.rank, left.num_vertices * right.num_vertices, _product_edges(left, right)
         )
         self._reports = None
-        self._paths = None
+        self._trees = None
         self._buckets = None
 
     def vertex_pair(self, pv: int) -> tuple[int, int]:
@@ -97,17 +99,6 @@ class FiberProduct:
         if self._reports is None:
             self._reports = classify_components(self)
         return self._reports
-
-    def _basepoint_paths(self) -> tuple[dict[int, Word], dict[int, Word]]:
-        """Spanning-tree path words from the basepoint of each factor, each
-        extending its tree parent's; kept whole, since a full report reads
-        one per factor vertex."""
-        if self._paths is None:
-            self._paths = ({}, {})
-            for g, paths in zip((self.left, self.right), self._paths):
-                for v, step in _spanning_tree(g, g.basepoint).items():
-                    paths[v] = paths[step[0]] + (step[1],) if step else ()
-        return self._paths
 
     def _component_graph(self, comp: ComponentReport) -> LabeledGraph:
         """The component as a graph based at its base vertex, which the
@@ -151,25 +142,32 @@ def component_subgroup(fp: FiberProduct, comp: ComponentReport) -> tuple[Word, l
     """Double-coset representative g and generators of H meet gKg^-1.
 
     H and K are the based factors `fp.left` and `fp.right`.  With (u, v)
-    the component's base vertex and w_a, w_b basepoint paths to u and v,
-    the representative is g = w_a * w_b^-1 and each spanning-tree loop
-    word l of the component yields the generator w_a * l * w_a^-1.
+    the component's base vertex and w_a, w_b the spanning-tree paths from
+    the basepoints to u and v, the representative is g = w_a * w_b^-1 and
+    each spanning-tree loop word l of the component yields the generator
+    w_a * l * w_a^-1.  Tree paths in folded graphs are reduced, so g only
+    drops the common suffix of w_a and w_b.
 
-    Cost: the first call on a product builds the basepoint paths of both
-    factors, and the first call on an essential component buckets the
-    product edges by component; both are cached on `fp`.  Every other
-    call costs the size of its component, so reporting every component
-    is linear in the product.  A contractible component is a tree: it has
+    Cost: the first call on a product builds both factors' parent tables,
+    and the first call on an essential component buckets the product
+    edges by component; both are cached on `fp`.  Every other call costs
+    the size of its component plus the depths of u and v, so no path word
+    is kept per factor vertex.  A contractible component is a tree: it has
     no non-tree edge, so its generators are [] and no subgraph is built.
     """
     h, k = fp.left, fp.right
     _require_basepoint(h, "component_subgroup")
     _require_basepoint(k, "component_subgroup")
+    if fp._trees is None:
+        fp._trees = (_spanning_tree(h, h.basepoint), _spanning_tree(k, k.basepoint))
     u, v = fp.vertex_pair(comp.base_vertex)
-    path_h, path_k = fp._basepoint_paths()
-    w_a = path_h[u]
-    w_b = path_k[v]
-    g = concat(w_a, invert(w_b))
+    w_a = _tree_path(fp._trees[0], u)
+    w_b = _tree_path(fp._trees[1], v)
+    i, j = len(w_a), len(w_b)
+    while i and j and w_a[i - 1] == w_b[j - 1]:
+        i -= 1
+        j -= 1
+    g = w_a[:i] + invert(w_b[:j])
     if comp.contractible:
         return g, []
     gens = [

@@ -342,8 +342,12 @@ def from_generators(gens, alphabet: Alphabet) -> LabeledGraph:
 
 
 def contains(h: LabeledGraph, w: Word) -> bool:
-    """Does the word lie in the subgroup, i.e. read as a loop at the basepoint."""
+    """Does the word lie in the subgroup, i.e. read as a loop at the basepoint.
+    A letter outside the graph's alphabet raises `WordFormatError`."""
     _require_basepoint(h, "contains")
+    alphabet = Alphabet(h.rank)
+    for x in w:
+        alphabet.check_letter(x)
     moves = h.moves()
     v = h.basepoint
     for x in reduce_word(w):

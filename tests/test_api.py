@@ -9,6 +9,7 @@ import ast
 import importlib
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import subsetcurrents
@@ -37,7 +38,8 @@ PUBLIC = [
 ]
 
 ROOT = Path(__file__).resolve().parents[1]
-TRACER = ROOT / "perfbench" / "tracer.py"
+PERFBENCH = ROOT / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def test_public_names_pinned():
@@ -48,11 +50,17 @@ def test_public_names_pinned():
         getattr(subsetcurrents, name)
 
 
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolve a module's annotations through sys.modules
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
 def _tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer
+    return _load("perfbench_tracer", TRACER)
 
 
 def test_tracer_layers_resolve():
@@ -95,6 +103,29 @@ def test_traced_product_builds_one_based_product(tmp_path):
     assert metrics["fiber.fiber_product.calls"] == 2
     assert metrics["fiber.intersection_number_cosets.calls"] == 0
     assert metrics["fiber.component_subgroup.calls"] == len(components)
+
+
+def test_benchmark_size_accounting_reads_live_attributes(tmp_path):
+    """The benchmark stores any exception from `ops.sizes` as an `error`
+    record, so a renamed graph or product attribute would drop every size
+    record without failing a run.  One op of each kind, and the cover op
+    that `ops.validate` checks, must account cleanly."""
+    workloads = _load("perfbench_workloads", PERFBENCH / "workloads.py")
+    ops = _load("perfbench_ops", PERFBENCH / "ops.py")
+    chosen = {}
+    for name in workloads.WORKLOADS:
+        run_dir = tmp_path / name
+        run_dir.mkdir()
+        for op in workloads.build(name, 1, run_dir):
+            chosen.setdefault(op.kind, op)
+            if op.name == "current-v105-cover2-0":
+                chosen["cover"] = op
+    assert set(chosen) == {
+        "shnc-scan", "product", "intersect", "converge", "routes", "core", "current", "cover",
+    }
+    for op in chosen.values():
+        assert "error" not in ops.sizes(op, ops.run(op)), op.name
+        ops.validate(op)
 
 
 GRAPH_ATTRIBUTES = [

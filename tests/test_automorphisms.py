@@ -25,6 +25,7 @@ from subsetcurrents import (
     random_automorphism,
     reduced_rank,
     random_subgroup,
+    WordFormatError,
 )
 
 AL2 = Alphabet(2)
@@ -46,6 +47,25 @@ def test_apply_word_oracle():
     assert apply_word(phi, parse_word("aB", AL2)) == (1,)
     assert apply_word(phi, parse_word("a", AL2)) == (1, 2)
     assert apply_word(phi, ()) == ()
+
+
+LETTER_REFUSALS = {
+    # unchecked, letter 0 would read images[-1], the last image, inverted
+    "letter-0": lambda phi: apply_word(phi, (0,)),
+    "letter-0-through-call": lambda phi: phi((0, 1)),
+    "letter-above-rank": lambda phi: apply_word(phi, (3,)),
+    "letter-float": lambda phi: apply_word(phi, (1.0,)),
+    "rank-3-subgroup": lambda phi: act_on_subgroup(phi, sub("a", "b", "c", alphabet=AL3)),
+    # images are checked before they are reduced
+    "image-float-cancelling": lambda phi: Endomorphism([(1, -1.0), (2,)], AL2),
+    "image-str": lambda phi: Endomorphism([(1, "a"), (2,)], AL2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LETTER_REFUSALS))
+def test_letters_outside_the_alphabet_are_refused(name):
+    with pytest.raises(WordFormatError, match="is not valid for rank 2"):
+        LETTER_REFUSALS[name](endo("ab", "b"))
 
 
 def test_identity_endomorphism():

@@ -20,6 +20,7 @@ from subsetcurrents import (
     c_hat,
     check_core_graph,
     check_round_graph,
+    contains,
     core,
     count_round_graphs,
     counting_current,
@@ -463,6 +464,21 @@ INPUT_REFUSALS = {
     "subtree-letter-above-rank": (
         lambda: eval_cylinder(counting_current(sub("aa", "b")), FiniteSubtree([(), (3,)])),
         "exceed the graph's rank 2",
+    ),
+    "contains-letter-float": (
+        lambda: contains(sub("aa", "b"), (1.0, 1.0)), "letter 1.0 is not valid for rank 2"
+    ),
+    "contains-letter-float-inside": (
+        lambda: contains(sub("aa", "b"), (2, 1.0, -1.0)), "letter 1.0 is not valid for rank 2"
+    ),
+    "contains-letter-0": (
+        lambda: contains(sub("aa", "b"), (0,)), "letter 0 is not valid for rank 2"
+    ),
+    "contains-letter-above-rank": (
+        lambda: contains(sub("aa", "b"), (3,)), "letter 3 is not valid for rank 2"
+    ),
+    "contains-letter-str": (
+        lambda: contains(sub("aa", "b"), (1, "a")), "letter 'a' is not valid for rank 2"
     ),
     "occurrence-edge-above-rank": (
         lambda: occurrence_count(FiniteSubtree.edge(-3), ucore(sub("aa", "b"))),

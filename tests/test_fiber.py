@@ -1,6 +1,7 @@
 """Fiber products, component classification, intersection numbers."""
 
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -25,7 +26,7 @@ from subsetcurrents import (
     reduced_rank,
     concat,
 )
-from subsetcurrents.stallings import induced_subgraph
+from subsetcurrents.stallings import _tree_path, induced_subgraph
 from helpers import (
     assert_tree_matches_oracle,
     classify_components_oracle,
@@ -210,14 +211,17 @@ def test_component_subgroup_matches_oracle():
 
 
 def test_product_trees_match_oracle():
-    """The trees behind `component_subgroup`: each factor's materialised
-    basepoint paths, and the parent table of every essential component."""
+    """The trees behind `component_subgroup`: each factor's cached parent
+    table, read at every factor vertex, and the parent table of every
+    essential component."""
     essential = 0
     for h, k in differential_pairs():
         fp = fiber_product(h, k)
-        assert fp._basepoint_paths() == tuple(
-            spanning_tree_oracle(g, g.basepoint)[0] for g in (h, k)
-        )
+        component_subgroup(fp, fp.components()[0])  # caches both parent tables
+        for g, parent in zip((h, k), fp._trees):
+            assert {
+                v: _tree_path(parent, v) for v in range(g.num_vertices)
+            } == spanning_tree_oracle(g, g.basepoint)[0]
         for comp in fp.components():
             if not comp.contractible:
                 assert_tree_matches_oracle(fp._component_graph(comp), 0)
@@ -389,3 +393,24 @@ def test_classify_components_keeps_no_vertex_lists():
         tracemalloc.stop()
     assert len(reports) == 20384
     assert retained < 2.5 * 2**20
+
+
+def test_cosets_route_budget(acceptance):
+    # With a path word per factor vertex these took 3.7 s and 2.2 s on a
+    # shared 2-vCPU host, peaking near 1 GiB.
+    n = 16000
+    h = from_generators([(1,) * n + (2,) + (-1,) * n, (2, 1, 2)], AL2)
+    k = from_generators([(2, 2), (1, 2, -1), (1, 1)], AL2)
+    label = "cosets route and component_subgroup on <a^16000 b a^-16000, bab> within 1 s each"
+    with acceptance(18, label):
+        start = time.perf_counter()
+        value = intersection_number_cosets(h, k)
+        elapsed = time.perf_counter() - start
+        assert value == 1
+        assert elapsed < 1.0, f"cosets route: {elapsed:.2f} s"
+        start = time.perf_counter()
+        fp = fiber_product(h, k)
+        subgroups = [component_subgroup(fp, c) for c in fp.components() if not c.contractible]
+        elapsed = time.perf_counter() - start
+        assert [len(gens) for _, gens in subgroups] == [1, 2]
+        assert elapsed < 1.0, f"component_subgroup: {elapsed:.2f} s"

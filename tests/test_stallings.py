@@ -692,20 +692,29 @@ def test_finite_index_map_matches_oracle():
     assert infinite >= 5
 
 
+def _essential_component_subgroups(h, k):
+    fp = fiber_product(h, k)
+    return [component_subgroup(fp, c) for c in fp.components() if not c.contractible]
+
+
 def test_tree_walks_stay_linear_in_memory():
     """Keeping a path word per vertex costs memory quadratic in the length
     of a basepoint arc or a cycle: at n = 4000 these calls peaked at 61.7,
-    61.6 and 31.2 MiB that way, and at 2.5, 2.4 and 0.4 MiB reading paths
-    off the parent table."""
+    61.6, 31.2, 65.6 and 64.7 MiB that way, and at 2.5, 2.4, 0.4, 4.5 and
+    3.6 MiB reading paths off the parent table."""
     n = 4000
     conjugate = from_generators([(1,) * n + (2,) + (-1,) * n], AL2)
     long_cycle = from_generators([(1,) * n + (2,), (2, 1, 2)], AL2)
+    h = from_generators([(1,) * n + (2,) + (-1,) * n, (2, 1, 2)], AL2)
+    k = from_generators([(2, 2), (1, 2, -1), (1, 1)], AL2)
     calls = {
         "commensurator": lambda: commensurator(conjugate),
         "random_finite_index_cover": lambda: random_finite_index_cover(
             conjugate, 2, random.Random(1)
         ),
         "subgroup_generators": lambda: subgroup_generators(long_cycle),
+        "intersection_number_cosets": lambda: intersection_number_cosets(h, k),
+        "component_subgroup": lambda: _essential_component_subgroups(h, k),
     }
     for name, call in calls.items():
         tracemalloc.start()
