@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from .errors import NotAutomorphismError, TrivialSubgroupError, WordFormatError
+from .errors import TrivialSubgroupError, WordFormatError
 from .currents import RationalCurrent, normalize
 from .stallings import (
     LabeledGraph,
@@ -35,8 +35,7 @@ class Endomorphism:
             )
         # checked before reducing, so a float cannot cancel an int letter
         for w in imgs:
-            for x in w:
-                alphabet.check_letter(x)
+            alphabet.check_word(w)
         self.alphabet = alphabet
         self.images = tuple(map(reduce_word, imgs))
 
@@ -70,9 +69,9 @@ class Endomorphism:
 def apply_word(phi: Endomorphism, w: Word) -> Word:
     """Substitute generator images letter by letter, then reduce once.
     A letter outside phi's alphabet raises `WordFormatError`."""
+    phi.alphabet.check_word(w)
     out: list[int] = []
     for x in w:
-        phi.alphabet.check_letter(x)
         img = phi.images[x - 1] if x > 0 else invert(phi.images[-x - 1])
         out.extend(img)
     return reduce_word(out)
@@ -123,22 +122,14 @@ def random_automorphism(
     return phi
 
 
-def act_on_subgroup(
-    phi: Endomorphism, h: LabeledGraph, require_automorphism: bool = False
-) -> LabeledGraph:
-    """Core graph of the image subgroup phi(H)."""
-    if require_automorphism and not is_automorphism(phi):
-        raise NotAutomorphismError("invariance checks need an automorphism")
+def act_on_subgroup(phi: Endomorphism, h: LabeledGraph) -> LabeledGraph:
+    """Core graph of the image subgroup phi(H); phi may be any endomorphism."""
     gens = subgroup_generators(h)
     return from_generators([apply_word(phi, g) for g in gens], phi.alphabet)
 
 
-def act_on_current(
-    phi: Endomorphism, mu: RationalCurrent, require_automorphism: bool = False
-) -> RationalCurrent:
+def act_on_current(phi: Endomorphism, mu: RationalCurrent) -> RationalCurrent:
     """Push a current through phi term by term, then re-normalize."""
-    if require_automorphism and not is_automorphism(phi):
-        raise NotAutomorphismError("invariance checks need an automorphism")
     raw = []
     for coeff, g in mu.terms():
         based = check_core_graph(LabeledGraph(g.rank, g.num_vertices, g.edges, basepoint=0))

@@ -175,15 +175,13 @@ def count_round_graphs(r: int, alphabet: Alphabet) -> int:
     return (1 + g) ** m - 1 - m * g
 
 
-def enumerate_round_graphs(
-    r: int, alphabet: Alphabet, cap: int = ROUND_GRAPH_CAP
-) -> list[FiniteSubtree]:
+def enumerate_round_graphs(r: int, alphabet: Alphabet) -> list[FiniteSubtree]:
     """All round graphs of grade r, in a deterministic order."""
     total = count_round_graphs(r, alphabet)
-    if total > cap:
+    if total > ROUND_GRAPH_CAP:
         raise SizeLimitError(
             f"{total} round graphs of grade {r} at rank {alphabet.rank} "
-            f"exceed the cap of {cap}"
+            f"exceed the cap of {ROUND_GRAPH_CAP}"
         )
     signed = alphabet.signed_letters()
 

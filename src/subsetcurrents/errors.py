@@ -2,8 +2,9 @@
 
 Each names a failure a caller may catch on its own; malformed graphs, unbased
 or unfolded graphs and currents of different ranks raise a bare ValueError.
-The CLI maps exit codes by base class: ValueError and RetryLimitError exit 1,
-MismatchBugError exits 2.
+The CLI maps exit codes by base class: every ValueError (and OSError) exits
+1, and MismatchBugError, which also carries the CLI's failed cross-checks
+with their replay dump, exits 2.
 """
 
 

@@ -24,6 +24,9 @@ from .words import Alphabet, Word, concat, cyclic_reduce, invert, parse_word, re
 
 Edge = tuple[int, int, int]  # (origin, terminus, positive label)
 
+# Draws `random_finite_index_cover` makes before it gives up on connectivity.
+COVER_TRIES = 500
+
 
 class UnionFind:
     def __init__(self, n: int):
@@ -329,10 +332,14 @@ def from_generators(gens, alphabet: Alphabet) -> LabeledGraph:
     generators costs reads and only the rest gets vertices; a conjugator
     c of c * r * c^-1 is spelled once, before the loop r.  Folding a wedge
     of reduced loops leaves no vertex of degree 1 but the basepoint, so
-    nothing is pruned.
+    nothing is pruned.  Every letter is checked before any is reduced, so
+    a float `-1.0` cannot cancel a `1` (`WordFormatError`).
     """
-    words = [reduce_word(w) for w in gens]
-    words = [w for w in words if w]
+    words = []
+    for w in map(tuple, gens):
+        alphabet.check_word(w)
+        if w := reduce_word(w):
+            words.append(w)
     if not words:
         raise TrivialSubgroupError("all generators reduce to the identity")
     folder = _Folder(1)
@@ -345,9 +352,7 @@ def contains(h: LabeledGraph, w: Word) -> bool:
     """Does the word lie in the subgroup, i.e. read as a loop at the basepoint.
     A letter outside the graph's alphabet raises `WordFormatError`."""
     _require_basepoint(h, "contains")
-    alphabet = Alphabet(h.rank)
-    for x in w:
-        alphabet.check_letter(x)
+    Alphabet(h.rank).check_word(w)
     moves = h.moves()
     v = h.basepoint
     for x in reduce_word(w):
@@ -641,9 +646,7 @@ def random_subgroup(
     return from_generators(gens, alphabet)
 
 
-def random_finite_index_cover(
-    h: LabeledGraph, degree: int, rng: random.Random, max_tries: int = 500
-) -> LabeledGraph:
+def random_finite_index_cover(h: LabeledGraph, degree: int, rng: random.Random) -> LabeledGraph:
     """Random index-`degree` subgroup of H via sheet permutations of its core.
 
     Each core edge gets a permutation of the sheets; disconnected draws are
@@ -653,7 +656,7 @@ def random_finite_index_cover(
     if degree < 1:
         raise ValueError("degree must be positive")
     cg, attach, tail = _core_and_tail(h)
-    for _ in range(max_tries):
+    for _ in range(COVER_TRIES):
         edges = []
         for o, t, lab in cg.edges:
             perm = list(range(degree))
@@ -664,9 +667,7 @@ def random_finite_index_cover(
         if not cover.is_connected():
             continue
         return _attach_tail(cover, attach * degree, tail)
-    raise RetryLimitError(
-        f"no connected degree-{degree} cover found in {max_tries} tries"
-    )
+    raise RetryLimitError(f"no connected degree-{degree} cover found in {COVER_TRIES} tries")
 
 
 def graph_to_json_dict(graph: LabeledGraph) -> dict:

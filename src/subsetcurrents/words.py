@@ -27,6 +27,8 @@ class Alphabet:
     rank: int
 
     def __post_init__(self):
+        if type(self.rank) is not int:  # bool is a subclass of int, and is refused too
+            raise ValueError(f"rank must be an integer, got {self.rank!r}")
         if self.rank < 2:
             raise ValueError(f"rank must be at least 2, got {self.rank}")
 
@@ -52,8 +54,17 @@ class Alphabet:
         return {x: f"x{x}" if x > 0 else f"X{-x}" for x in self.signed_letters()}
 
     def check_letter(self, x: int) -> None:
-        if not isinstance(x, int) or x == 0 or abs(x) > self.rank:
-            raise WordFormatError(f"letter {x!r} is not valid for rank {self.rank}")
+        self.check_word((x,))
+
+    def check_word(self, w: Word) -> None:
+        """Refuse the first letter that is not a plain nonzero int within
+        the rank (a bool, float or int subclass would compare equal to one).
+        One inline test a letter: no call per letter, and no set built for
+        a short word, which is where most words are checked."""
+        rank = self.rank
+        for x in w:
+            if type(x) is not int or x == 0 or abs(x) > rank:
+                raise WordFormatError(f"letter {x!r} is not valid for rank {rank}")
 
 
 def reduce_word(letters) -> Word:
@@ -143,15 +154,5 @@ def format_word(w: Word, alphabet: Alphabet) -> str:
     """Render a word; inverse of parse_word on reduced words."""
     if not w:
         return "1"
-    names = alphabet._names
-    # Plain ints render in one lookup pass, which refuses any letter out of
-    # range; anything else (bools, floats, int subclasses) goes letter by
-    # letter through check_letter, which names the first letter it refuses.
-    if set(map(type, w)) == {int}:
-        try:
-            return "".join(map(names.__getitem__, w))
-        except KeyError:
-            pass
-    for x in w:
-        alphabet.check_letter(x)
-    return "".join(map(names.__getitem__, w))
+    alphabet.check_word(w)
+    return "".join(map(alphabet._names.__getitem__, w))

@@ -22,6 +22,10 @@ kept an ascending vertex list per component, kept as the oracle for the
 counts read from `component_ids()` and for the members that
 `FiberProduct._component_graph` takes from its edge bucket.
 
+`truncated_cyclic_cover(h, n)` builds the subgroups of acceptance 15: n
+sheets of a based core, chained through one edge outside the spanning tree,
+so that (1/n) times its counting current tends to that of the core.
+
 `c_hat_via_round_graphs` is the package's earlier cross-check of the
 contractible correction, which counts the components of one tree shape by
 two routes, component isomorphism and vertex-pair neighborhood
@@ -733,3 +737,26 @@ def c_hat_via_round_graphs(
             f"for tree {sorted(tree.words)}"
         )
     return direct
+
+
+def truncated_cyclic_cover(h: LabeledGraph, n: int) -> LabeledGraph:
+    """n sheets of the based core h, based in sheet 0.  The first edge of h
+    that its spanning tree does not name runs from sheet i to sheet i + 1
+    for i < n - 1 and is dropped in the last sheet; every other edge stays
+    in its sheet.  For n = 1 that is h less one edge."""
+    tree = set()
+    for v, step in _spanning_tree(h, h.basepoint).items():
+        if step is not None:
+            p, x = step
+            tree.add((p, v, x) if x > 0 else (v, p, -x))
+    cut = next(e for e in h.edges if e not in tree)
+    size = h.num_vertices
+    edges = []
+    for i in range(n):
+        shift = i * size
+        for o, t, lab in h.edges:
+            if (o, t, lab) != cut:
+                edges.append((o + shift, t + shift, lab))
+            elif i < n - 1:
+                edges.append((o + shift, t + shift + size, lab))
+    return check_core_graph(LabeledGraph(h.rank, n * size, edges, basepoint=h.basepoint))

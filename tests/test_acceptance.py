@@ -28,6 +28,7 @@ from subsetcurrents import (
     intersection_functional_N,
     intersection_number_cosets,
     intersection_number_euler,
+    is_automorphism,
     neighborhood_profile,
     occurrence_count,
     parse_word,
@@ -47,6 +48,7 @@ from helpers import (
     current_pair_corpus,
     random_tree_words,
     special_corpus,
+    truncated_cyclic_cover,
 )
 
 AL2 = Alphabet(2)
@@ -271,8 +273,8 @@ def test_criterion_9_automorphism_invariance(acceptance):
                 phi = random_automorphism(rng, alphabet, 6)
                 h = random_subgroup(rng, alphabet)
                 k = random_subgroup(rng, alphabet)
-                hp = act_on_subgroup(phi, h, require_automorphism=True)
-                kp = act_on_subgroup(phi, k, require_automorphism=True)
+                assert is_automorphism(phi)
+                hp, kp = act_on_subgroup(phi, h), act_on_subgroup(phi, k)
                 assert intersection_number_euler(
                     ucore(hp), ucore(kp)
                 ) == intersection_number_euler(ucore(h), ucore(k))
@@ -392,3 +394,34 @@ def test_criterion_13_product_reports_every_component(acceptance, tmp_path):
         components = json.loads(out.read_text())["components"]
         assert len(components) == 20384
         assert sum(c["vertices"] for c in components) == 208 * 210
+
+
+def test_criterion_15_continuity_at_nonzero_values(acceptance):
+    with acceptance(15, "N(mu_n, eta_K) tends to N(eta_G, eta_K) != 0 at rate 1/n"):
+        for alphabet in (AL2, AL3, Alphabet(4)):
+            rng = random.Random(alphabet.rank)
+            rose = from_generators([(i,) for i in alphabet.letters()], alphabet)
+            gamma = random_finite_index_cover(rose, 3, rng)
+            k = random_finite_index_cover(rose, 4, rng)
+            eta_k = counting_current(k)
+            # a degree-12 cover of the rose: 12 * (N - 1) edges minus vertices
+            limit = intersection_functional_N(counting_current(gamma), eta_k)
+            assert limit == 12 * (alphabet.rank - 1)
+            both = []  # n^2 * N(mu_n, nu_n), both sides truncated
+            for n in range(1, 13):
+                h_n = truncated_cyclic_cover(gamma, n)
+                mu_n = counting_current(h_n).scale(Fraction(1, n))
+                value = intersection_functional_N(mu_n, eta_k)
+                # dropping the cut edge in the last sheet drops its 4 lifts to the product
+                assert n * value == n * limit - 4
+                assert Fraction(intersection_number_euler(h_n, k), n) == value
+                assert Fraction(intersection_number_cosets(h_n, k), n) == value
+                assert functional_rk(pushforward_I(mu_n, eta_k)) == value
+                assert value <= functional_rk(mu_n) * functional_rk(eta_k)
+                nu_n = counting_current(truncated_cyclic_cover(k, n)).scale(Fraction(1, n))
+                both.append(n * n * intersection_functional_N(mu_n, nu_n))
+            # N(H_n, K_n) is quadratic in n with leading coefficient the limit
+            steps = [b - a for a, b in zip(both, both[1:])]
+            assert {b - a for a, b in zip(steps, steps[1:])} == {2 * limit}
+            if alphabet.rank == 2:
+                assert both == [12 * n * n - 7 * n for n in range(1, 13)]

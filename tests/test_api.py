@@ -8,6 +8,7 @@ import argparse
 import ast
 import importlib
 import importlib.util
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -48,6 +49,92 @@ def test_public_names_pinned():
     assert sorted(names) == PUBLIC
     for name in names:
         getattr(subsetcurrents, name)
+
+
+# Parameters of every public function and class, in order: `name=` has a
+# default, `*name` collects positionals.  A new option fails here first.
+SIGNATURES = {
+    "Alphabet": "rank",
+    "ComponentReport": "base_vertex num_vertices num_edges",
+    "Endomorphism": "images alphabet",
+    "FiberProduct": "left right",
+    "FiniteSubtree": "words",
+    "LabeledGraph": "rank num_vertices edges basepoint=",
+    "RationalCurrent": "terms",
+    "act_on_current": "phi mu",
+    "act_on_subgroup": "phi h",
+    "apply_word": "phi w",
+    "c_hat": "mu nu",
+    "canonical_key": "graph",
+    "canonical_key_based": "h",
+    "check_core_graph": "graph",
+    "check_round_graph": "tree grade",
+    "classify_components": "fp",
+    "commensurator": "h",
+    "component_subgroup": "fp comp",
+    "concat": "*words",
+    "contains": "h w",
+    "core": "graph",
+    "core_based": "graph",
+    "count_round_graphs": "r alphabet",
+    "counting_current": "g",
+    "current_to_json_dict": "mu",
+    "cyclic_reduce": "w",
+    "enumerate_round_graphs": "r alphabet",
+    "eval_cylinder": "mu tree",
+    "fiber_product": "g1 g2",
+    "finite_index": "h k",
+    "fold": "graph",
+    "format_word": "w alphabet",
+    "from_generators": "gens alphabet",
+    "functional_E": "mu",
+    "functional_V": "mu",
+    "functional_rk": "mu",
+    "graph_from_json_dict": "data",
+    "graph_to_dot": "graph component_colors=",
+    "graph_to_json_dict": "graph",
+    "intersection_functional_N": "mu nu",
+    "intersection_number_cosets": "h k",
+    "intersection_number_euler": "h k",
+    "invert": "w",
+    "is_automorphism": "phi",
+    "minimal_covering_quotient": "graph",
+    "neighborhood_profile": "graph r",
+    "neighborhood_tree": "graph v r",
+    "nielsen_generators": "alphabet",
+    "normalize": "terms",
+    "occurrence_count": "tree graph",
+    "parse_automorphism_file": "text alphabet",
+    "parse_subgroup_file": "text alphabet",
+    "parse_word": "text alphabet",
+    "pushforward_I": "mu nu",
+    "random_automorphism": "rng alphabet length",
+    "random_finite_index_cover": "h degree rng",
+    "random_reduced_word": "rng alphabet length",
+    "random_subgroup": "rng alphabet max_gens= max_len=",
+    "rank": "graph",
+    "reduced_rank": "g",
+    "subgroup_generators": "h",
+    "zero_current": "",
+}
+
+
+def _spelled(param: inspect.Parameter) -> str:
+    star = "*" if param.kind is param.VAR_POSITIONAL else ""
+    default = "" if param.default is param.empty else "="
+    return star + param.name + default
+
+
+def test_public_signatures_pinned():
+    found = {}
+    for name in subsetcurrents.__all__:
+        obj = getattr(subsetcurrents, name)
+        if inspect.isclass(obj) and issubclass(obj, Exception):
+            continue
+        if inspect.isclass(obj) or inspect.isfunction(obj):
+            params = inspect.signature(obj).parameters.values()
+            found[name] = " ".join(map(_spelled, params))
+    assert found == SIGNATURES
 
 
 def _load(name, path):
@@ -103,6 +190,24 @@ def test_traced_product_builds_one_based_product(tmp_path):
     assert metrics["fiber.fiber_product.calls"] == 2
     assert metrics["fiber.intersection_number_cosets.calls"] == 0
     assert metrics["fiber.component_subgroup.calls"] == len(components)
+
+
+def test_traced_product_checks_the_automorphism_once(tmp_path):
+    # phi = (a -> ab, b -> b) is checked once for both factors, then acts twice
+    h, k, phi = tmp_path / "h.txt", tmp_path / "k.txt", tmp_path / "phi.txt"
+    h.write_text("aa\nb\n", encoding="utf-8")
+    k.write_text("a\nbb\n", encoding="utf-8")
+    phi.write_text("ab\nb\n", encoding="utf-8")
+    tracer = _tracer().Tracer()
+    tracer.install()
+    try:
+        argv = ["product", str(h), str(k), "--automorphism", str(phi)]
+        assert cli.main(argv + ["--out", str(tmp_path / "p.json")]) == 0
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics(1)
+    assert metrics["automorphisms.is_automorphism.calls"] == 1
+    assert metrics["automorphisms.act_on_subgroup.calls"] == 2
 
 
 def test_benchmark_size_accounting_reads_live_attributes(tmp_path):

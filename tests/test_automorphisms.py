@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from subsetcurrents import (
     Alphabet,
     Endomorphism,
-    NotAutomorphismError,
     act_on_current,
     act_on_subgroup,
     apply_word,
@@ -55,10 +54,12 @@ LETTER_REFUSALS = {
     "letter-0-through-call": lambda phi: phi((0, 1)),
     "letter-above-rank": lambda phi: apply_word(phi, (3,)),
     "letter-float": lambda phi: apply_word(phi, (1.0,)),
+    "letter-bool": lambda phi: apply_word(phi, (True, 2)),
     "rank-3-subgroup": lambda phi: act_on_subgroup(phi, sub("a", "b", "c", alphabet=AL3)),
     # images are checked before they are reduced
     "image-float-cancelling": lambda phi: Endomorphism([(1, -1.0), (2,)], AL2),
     "image-str": lambda phi: Endomorphism([(1, "a"), (2,)], AL2),
+    "image-bool": lambda phi: Endomorphism([(True,), (2,)], AL2),
 }
 
 
@@ -114,11 +115,12 @@ def test_act_on_subgroup_golden():
     assert reduced_rank(act_on_subgroup(phi, h)) == reduced_rank(h)
 
 
-def test_act_requires_automorphism_when_asked():
+def test_act_applies_a_plain_endomorphism():
+    # the CLI refuses a non-automorphism itself; the action does not ask
     squash = endo("a", "a")
-    act_on_subgroup(squash, sub("b"))  # allowed as a plain endomorphism
-    with pytest.raises(NotAutomorphismError):
-        act_on_subgroup(squash, sub("b"), require_automorphism=True)
+    assert not is_automorphism(squash)
+    image = act_on_subgroup(squash, sub("b", "aba"))
+    assert canonical_key_based(image) == canonical_key_based(sub("a"))
 
 
 def test_act_on_current_preserves_functionals():

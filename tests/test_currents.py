@@ -480,6 +480,26 @@ INPUT_REFUSALS = {
     "contains-letter-str": (
         lambda: contains(sub("aa", "b"), (1, "a")), "letter 'a' is not valid for rank 2"
     ),
+    "contains-letter-bool": (
+        lambda: contains(sub("aa", "b"), (True, True)), "letter True is not valid for rank 2"
+    ),
+    # from_generators checks before it reduces or folds
+    "from-generators-float-cancelling": (
+        lambda: from_generators([(2, 1, -1.0)], AL2), "letter -1.0 is not valid for rank 2"
+    ),
+    "from-generators-letter-0": (
+        lambda: from_generators([(1,), (0,)], AL2), "letter 0 is not valid for rank 2"
+    ),
+    "from-generators-letter-0-inside": (
+        lambda: from_generators([(1, 0, 2)], AL2), "letter 0 is not valid for rank 2"
+    ),
+    "from-generators-letter-above-rank": (
+        lambda: from_generators([(3,)], AL2), "letter 3 is not valid for rank 2"
+    ),
+    "from-generators-letter-bool": (
+        lambda: from_generators([(2,), (True,)], AL2), "letter True is not valid for rank 2"
+    ),
+    "alphabet-rank-float": (lambda: Alphabet(2.0), "rank must be an integer, got 2.0"),
     "occurrence-edge-above-rank": (
         lambda: occurrence_count(FiniteSubtree.edge(-3), ucore(sub("aa", "b"))),
         "exceed the graph's rank 2",

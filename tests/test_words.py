@@ -84,8 +84,14 @@ def test_format_refuses_what_check_letter_refuses(word):
 
 
 def test_format_accepts_what_check_letter_accepts():
-    # bool is an int subclass, so check_letter has always let True through
-    assert format_word((True, -2), AL2) == "aB"
+    # bool is an int subclass equal to 1; check_letter refuses it, and so
+    # does format_word, while the plain int letters render
+    assert format_word((1, -2), AL2) == "aB"
+    for refused in (True, False):
+        with pytest.raises(WordFormatError, match=f"letter {refused}"):
+            AL2.check_letter(refused)
+        with pytest.raises(WordFormatError, match=f"letter {refused}"):
+            format_word((refused, -2), AL2)
 
 
 def test_reduce_oracle():
