@@ -14,6 +14,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .automorphisms import act_on_subgroup, is_automorphism, parse_automorphism_file
 from .currents import (
@@ -92,11 +93,65 @@ def _cell(value) -> str:
     return ";".join(value) if isinstance(value, list) else str(value)
 
 
+def _json_pieces(value, newline: str, put) -> None:
+    """Pass the pieces of `json.dumps(value, indent=2, sort_keys=True)` to
+    `put`, in order, for the values a report holds: dicts with str keys,
+    lists, str, int, bool and None.  Anything else raises TypeError, so no
+    float reaches a report.  `newline` is a newline and the current indent.
+
+    `json.dumps` with an indent runs the pure-Python encoder, a chain of
+    generators; this is one recursive function feeding one list.  It
+    dispatches on the exact type, so a bool is never read as an int.
+    """
+    kind = type(value)
+    if kind is str:
+        put(encode_basestring_ascii(value))
+    elif kind is int:
+        put(int.__repr__(value))
+    elif kind is bool:
+        put("true" if value else "false")
+    elif value is None:
+        put("null")
+    elif kind is list:
+        if not value:
+            put("[]")
+            return
+        inner = newline + "  "
+        comma, sep = "," + inner, "[" + inner
+        for item in value:
+            put(sep)
+            _json_pieces(item, inner, put)
+            sep = comma
+        put(newline + "]")
+    elif kind is dict:
+        if not value:
+            put("{}")
+            return
+        inner = newline + "  "
+        comma, sep = "," + inner, "{" + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
+            put(sep + encode_basestring_ascii(key) + ": ")
+            _json_pieces(value[key], inner, put)
+            sep = comma
+        put(newline + "}")
+    else:
+        raise TypeError(f"a report cannot hold a {kind.__name__}")
+
+
+def _json_text(value) -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)`, byte for byte."""
+    pieces: list[str] = []
+    _json_pieces(value, "\n", pieces.append)
+    return "".join(pieces)
+
+
 def _render(fmt: str, report, rows: list[list]) -> str:
     """The one text form of every report: sorted-key JSON, or TSV rows whose
     cells are the values as str, flags as yes/no and word lists ;-joined."""
     if fmt == "json":
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+        return _json_text(report) + "\n"
     return "".join("\t".join(map(_cell, row)) + "\n" for row in rows)
 
 

@@ -238,13 +238,11 @@ def occurrence_count(tree: FiniteSubtree, graph: LabeledGraph) -> int:
     if max(abs(w[-1]) for w in ws[1:]) > graph.rank:
         raise ValueError(f"subtree letters exceed the graph's rank {graph.rank}")
     moves = graph.moves()
-    interior = [w for w in ws if tree.degree(w) > 1]
+    interior = [(w, d) for w in ws if (d := tree.degree(w)) > 1]
     count = 0
     for v in range(graph.num_vertices):
         image = _read_tree(graph, v, ws)
-        if image is not None and all(
-            len(moves[image[w]]) == tree.degree(w) for w in interior
-        ):
+        if image is not None and all(len(moves[image[w]]) == d for w, d in interior):
             count += 1
     return count
 
@@ -382,18 +380,22 @@ def functional_E(mu: RationalCurrent) -> Fraction:
 def functional_V(mu: RationalCurrent) -> Fraction:
     """Sum of the grade-1 round-graph cylinder values.
 
-    The sum runs only over the grade-1 trees that some term of mu shows,
-    the union of the grade-1 neighborhood profiles of its core graphs.
-    Every other round graph has occurrence count 0 in every term: an
-    occurrence of a grade-1 round graph at v needs its letters to be
-    exactly the departures at v, which makes it the neighborhood tree of v.
-    Leaving those terms out changes no exact value, and the cost follows
-    the vertices of mu rather than the 2^(2N) - 1 - 2N round graphs of the
-    rank.  Each term is still a cylinder count from occurrence_count.
+    The sum runs only over the grade-1 trees that some term of mu shows.
+    At a core vertex the grade-1 neighborhood is the star on its
+    departures, so these are one star per distinct departure set of the
+    terms' `moves()` rows, each checked as a round graph (a vertex of
+    degree 1 raises).  Every other round graph has occurrence count 0 in
+    every term: an occurrence of a grade-1 round graph at v needs its
+    letters to be exactly the departures at v.  Leaving those terms out
+    changes no exact value, and the cost follows the distinct departure
+    sets of mu rather than the 2^(2N) - 1 - 2N round graphs of the rank.
+    Each term is still a cylinder count from occurrence_count.
     """
-    observed: set[FiniteSubtree] = set()
-    for _, g in mu.terms():
-        observed.update(neighborhood_profile(g, 1))
+    departures = {frozenset(row) for _, g in mu.terms() for row in g.moves()}
+    observed = [
+        check_round_graph(FiniteSubtree([(), *((s,) for s in letters)]), 1)
+        for letters in departures
+    ]
     return sum((eval_cylinder(mu, t) for t in observed), Fraction(0))
 
 

@@ -9,6 +9,7 @@ every rebuild so downstream code can treat vertex ids as dense indices.
 
 from __future__ import annotations
 
+import functools
 import random
 
 from .errors import (
@@ -29,6 +30,10 @@ COVER_TRIES = 500
 
 
 class UnionFind:
+    """Disjoint sets over 0..n-1 whose every root is its class's smallest
+    member: `union` keeps the smaller root and `find` compresses paths to
+    it, so every parent pointer points to a vertex no larger than itself."""
+
     def __init__(self, n: int):
         self.parent = list(range(n))
 
@@ -49,6 +54,20 @@ class UnionFind:
             ra, rb = rb, ra
         self.parent[rb] = ra
         return rb
+
+    def roots(self) -> list[int]:
+        """Per element, its root, in place.  Parents point downward, so in
+        one ascending pass each parent's entry is already its root."""
+        parent = self.parent
+        for v, p in enumerate(parent):
+            parent[v] = parent[p]
+        return parent
+
+
+@functools.cache
+def _alphabet(rank: int) -> Alphabet:
+    """One `Alphabet` per rank, for the functions that only hold a graph."""
+    return Alphabet(rank)
 
 
 def _int(value, what: str) -> int:
@@ -116,7 +135,7 @@ class LabeledGraph:
             uf = UnionFind(self.num_vertices)
             for o, t, _ in self.edges:
                 uf.union(o, t)
-            self._components = tuple(uf.find(v) for v in range(self.num_vertices))
+            self._components = tuple(uf.roots())
         return self._components
 
     def is_connected(self) -> bool:
@@ -352,7 +371,7 @@ def contains(h: LabeledGraph, w: Word) -> bool:
     """Does the word lie in the subgroup, i.e. read as a loop at the basepoint.
     A letter outside the graph's alphabet raises `WordFormatError`."""
     _require_basepoint(h, "contains")
-    Alphabet(h.rank).check_word(w)
+    _alphabet(h.rank).check_word(w)
     moves = h.moves()
     v = h.basepoint
     for x in reduce_word(w):
@@ -366,7 +385,7 @@ def _spanning_tree(graph: LabeledGraph, root: int) -> dict[int, tuple[int, int] 
     """Deterministic BFS tree of the root's component as a parent table:
     each vertex reached maps to (parent, signed letter read from the
     parent), the root to None, and the keys come in BFS order.  O(V + E)."""
-    order = Alphabet(graph.rank).signed_letters()
+    order = _alphabet(graph.rank).signed_letters()
     moves = graph.moves()
     parent: dict[int, tuple[int, int] | None] = {root: None}
     queue = [root]
@@ -415,7 +434,7 @@ def reduced_rank(g: LabeledGraph) -> int:
 
 def _step_table(graph: LabeledGraph) -> list[list[int | None]]:
     """`step[v][j]` is the target of the j-th signed letter at v, or None."""
-    order = Alphabet(graph.rank).signed_letters()
+    order = _alphabet(graph.rank).signed_letters()
     return [[departures.get(s) for s in order] for departures in graph.moves()]
 
 

@@ -44,14 +44,16 @@ class Alphabet:
         return out
 
     @cached_property
-    def _names(self) -> dict[int, str]:
-        """Text of each signed letter: a/A.. up to rank 26, else x<i>/X<i>."""
-        if self.rank <= 26:
-            return {
-                x: chr(ord("a") + x - 1) if x > 0 else chr(ord("A") - x - 1)
-                for x in self.signed_letters()
-            }
-        return {x: f"x{x}" if x > 0 else f"X{-x}" for x in self.signed_letters()}
+    def _names(self) -> tuple[str, ...]:
+        """Text of each signed letter: a/A.. up to rank 26, else x<i>/X<i>.
+
+        Indexed by the letter itself: +i at position i and, by negative
+        indexing, -i at position 2N + 1 - i (position 0 is never read).  A
+        tuple, because hash(-1) == hash(-2) would make a dict keyed by
+        signed letters probe past one of them on every lookup."""
+        compact = self.rank <= 26
+        up = [chr(ord("a") + i - 1) if compact else f"x{i}" for i in self.letters()]
+        return ("", *up, *(name.upper() for name in reversed(up)))
 
     def check_letter(self, x: int) -> None:
         self.check_word((x,))

@@ -21,6 +21,9 @@ the cached paths and the per-component edge buckets.
 kept an ascending vertex list per component, kept as the oracle for the
 counts read from `component_ids()` and for the members that
 `FiberProduct._component_graph` takes from its edge bucket.
+`component_ids_oracle` labels components by BFS over an adjacency list,
+with no union-find, as the oracle for `component_ids()` and the one
+ascending pass of `UnionFind.roots`.
 
 `truncated_cyclic_cover(h, n)` builds the subgroups of acceptance 15: n
 sheets of a based core, chained through one edge outside the spanning tree,
@@ -570,6 +573,27 @@ def classify_components_oracle(fp) -> list[OracleComponent]:
             )
         )
     return reports
+
+
+def component_ids_oracle(num_vertices: int, edges) -> tuple[int, ...]:
+    """Per vertex, the smallest vertex of its component, by BFS from each
+    unlabelled vertex in ascending order; edges are (origin, terminus, ...)."""
+    adjacent: list[list[int]] = [[] for _ in range(num_vertices)]
+    for o, t, *_ in edges:
+        adjacent[o].append(t)
+        adjacent[t].append(o)
+    label: list[int | None] = [None] * num_vertices
+    for start in range(num_vertices):
+        if label[start] is not None:
+            continue
+        label[start] = start
+        queue = deque([start])
+        while queue:
+            for u in adjacent[queue.popleft()]:
+                if label[u] is None:
+                    label[u] = start
+                    queue.append(u)
+    return tuple(label)
 
 
 def intersection_number_euler_oracle(h: LabeledGraph, k: LabeledGraph) -> int:

@@ -391,7 +391,10 @@ def test_criterion_13_product_reports_every_component(acceptance, tmp_path):
         out = tmp_path / "report.json"
         argv = ["product", *paths, "--format", "json", "--out", str(out)]
         assert cli.main(argv) == 0
-        components = json.loads(out.read_text())["components"]
+        text = out.read_text()
+        # the report renderer writes what json.dumps would, byte for byte
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+        components = json.loads(text)["components"]
         assert len(components) == 20384
         assert sum(c["vertices"] for c in components) == 208 * 210
 

@@ -11,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import subsetcurrents
 from subsetcurrents import cli, fiber
@@ -156,16 +158,20 @@ def run(argv, out=None):
     return cli.main(argv)
 
 
-def report_digests(files, key):
-    """Digests of the report (stdout and --out agree) and of the DOT file."""
+def golden_argv(files, key):
+    """The argv of a REPORT_DIGESTS key, with each @name made a path."""
     paths = dict(
         files,
         h3=files["write"]("h3.txt", "ab\ncA\nbb\n"),
         k3=files["write"]("k3.txt", "ab\nc\nbab\n"),
         dot=str(files["dir"] / "golden.dot"),
     )
-    tokens = key.split()
-    argv = [paths[t[1:]] if t.startswith("@") else t for t in tokens]
+    return [paths[t[1:]] if t.startswith("@") else t for t in key.split()]
+
+
+def report_digests(files, key):
+    """Digests of the report (stdout and --out agree) and of the DOT file."""
+    argv = golden_argv(files, key)
     out = str(files["dir"] / "golden.out")
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
@@ -175,8 +181,8 @@ def report_digests(files, key):
         report = fh.read()
     assert stdout.getvalue().encode() == report
     dot = None
-    if "@dot" in tokens:
-        with open(paths["dot"], "rb") as fh:
+    if "@dot" in key.split():
+        with open(files["dir"] / "golden.dot", "rb") as fh:
             dot = hashlib.sha256(fh.read()).hexdigest()
     return hashlib.sha256(report).hexdigest(), dot
 
@@ -184,6 +190,35 @@ def report_digests(files, key):
 @pytest.mark.parametrize("key", sorted(REPORT_DIGESTS))
 def test_report_bytes_golden(files, key):
     assert report_digests(files, key) == REPORT_DIGESTS[key]
+
+
+# Report-shaped values: nested dicts and lists of strings with non-ASCII,
+# quote, backslash and control characters, wide ints, bools and None.
+_report_text = st.text(st.sampled_from('ab"\\\n\t\x00\x1f\x7fé€\U0001d11e '), max_size=8)
+_report_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | _report_text,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_report_text, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@given(_report_values)
+def test_json_renderer_matches_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("key", sorted(REPORT_DIGESTS))
+def test_json_renderer_matches_json_dumps_on_golden_reports(files, key):
+    args = cli._parser().parse_args(golden_argv(files, key) + ["--format", "json"])
+    code, report, _ = cli._handler(args.command)(args)
+    assert code == cli.EXIT_OK
+    assert cli._json_text(report) == json.dumps(report, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [1.5, {"N": 0.5}, [(1, 2)], {"gens": (1,)}, {1: "a"}])
+def test_json_renderer_refuses_what_a_report_cannot_hold(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)
 
 
 def test_patched_command_runs_after_the_parser_is_built(files, monkeypatch, capsys):

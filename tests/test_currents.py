@@ -11,11 +11,13 @@ from fractions import Fraction
 
 import pytest
 
+from subsetcurrents import currents
 from subsetcurrents import (
     Alphabet,
     FiniteSubtree,
     LabeledGraph,
     MismatchBugError,
+    RationalCurrent,
     SizeLimitError,
     c_hat,
     check_core_graph,
@@ -260,6 +262,54 @@ def test_functional_V_matches_full_round_graph_sum():
     assert checked == 300
     assert mixed_profiles >= 200
     assert functional_V(zero_current()) == functional_V_oracle(zero_current()) == 0
+
+
+def _mixed_currents():
+    """The 300 seeded currents of the test above, in the same order."""
+    for alphabet in (AL2, AL3):
+        rng = random.Random(31 + alphabet.rank)
+        for _ in range(50):
+            mu = random_current(rng, alphabet)
+            nu = counting_current(random_subgroup(rng, alphabet)).scale(
+                Fraction(rng.randint(1, 7), rng.randint(1, 5))
+            )
+            h = random_subgroup(rng, alphabet)
+            cover = counting_current(
+                random_finite_index_cover(h, rng.randint(2, 4), rng)
+            )
+            yield from (mu, mu + nu, cover + nu.scale(Fraction(1, 3)))
+
+
+def test_functional_V_sums_the_stars_of_the_departure_sets(monkeypatch):
+    # functional_V builds its grade-1 trees as stars on the departure sets
+    # of the terms' moves() rows; they must be the observed neighborhoods
+    seen = []
+
+    def recording_eval(mu, tree):
+        seen.append(tree)
+        return eval_cylinder(mu, tree)
+
+    monkeypatch.setattr(currents, "eval_cylinder", recording_eval)
+    checked = 0
+    for rho in _mixed_currents():
+        seen.clear()
+        functional_V(rho)
+        observed = set()
+        for _, g in rho.terms():
+            observed.update(neighborhood_profile(g, 1))
+        assert len(seen) == len(set(seen))
+        assert set(seen) == observed
+        checked += 1
+    assert checked == 300
+
+
+def test_functional_V_refuses_a_term_with_a_degree_1_vertex():
+    # the based graph of <b^-1 a b> hangs its basepoint off the a-loop
+    tail = sub("Bab")
+    assert sorted(map(len, tail.moves())) == [1, 3]
+    mu = RationalCurrent({b"tail": (Fraction(1), tail)})
+    with pytest.raises(ValueError, match="the root of a round graph has degree at least 2"):
+        functional_V(mu)
 
 
 def test_functionals_on_core_graphs():

@@ -1,5 +1,6 @@
 """Fiber products, component classification, intersection numbers."""
 
+import itertools
 import random
 import time
 import tracemalloc
@@ -26,10 +27,11 @@ from subsetcurrents import (
     reduced_rank,
     concat,
 )
-from subsetcurrents.stallings import _tree_path, induced_subgraph
+from subsetcurrents.stallings import UnionFind, _tree_path, induced_subgraph
 from helpers import (
     assert_tree_matches_oracle,
     classify_components_oracle,
+    component_ids_oracle,
     component_subgroup_oracle,
     intersection_number_euler_full_oracle,
     intersection_number_euler_oracle,
@@ -373,6 +375,56 @@ def test_classify_components_matches_oracle():
     assert isolated >= 1000
     assert loop_only >= 5
     assert essential >= 75
+
+
+def _shuffled_multigraphs():
+    """Seeded multigraphs with loops and parallel edges, edges in shuffled
+    order, over vertices 0..n-1 with isolated ones left in."""
+    rng = random.Random(83)
+    for _ in range(200):
+        n = rng.randint(1, 30)
+        edges = [
+            (rng.randrange(n), rng.randrange(n), rng.randint(1, 3))
+            for _ in range(rng.randint(0, 2 * n))
+        ]
+        rng.shuffle(edges)
+        yield n, edges
+
+
+def test_union_find_roots_match_bfs_labels_in_every_union_order():
+    # every order of every edge orientation on small graphs, then the
+    # shuffled seeded multigraphs, with finds interleaved in some of them
+    small = [
+        (4, [(0, 1), (1, 2), (2, 3)]),
+        (5, [(3, 0), (3, 1), (3, 4)]),
+        (6, [(5, 2), (2, 4), (4, 5), (1, 3)]),
+    ]
+    cases = [
+        (n, [(t, o) if flip >> i & 1 else (o, t) for i, (o, t) in enumerate(order)])
+        for n, edges in small
+        for order in itertools.permutations(edges)
+        for flip in range(2 ** len(edges))
+    ]
+    cases += [(n, [(o, t) for o, t, _ in edges]) for n, edges in _shuffled_multigraphs()]
+    for i, (n, edges) in enumerate(cases):
+        uf = UnionFind(n)
+        for o, t in edges:
+            uf.union(o, t)
+            if i % 2:
+                uf.find(t)
+        assert all(p <= v for v, p in enumerate(uf.parent))
+        assert tuple(uf.roots()) == component_ids_oracle(n, edges)
+
+
+def test_component_ids_match_bfs_labels():
+    for n, edges in _shuffled_multigraphs():
+        g = LabeledGraph(3, n, edges)
+        assert g.component_ids() == component_ids_oracle(n, edges)
+        assert g.is_connected() == (set(component_ids_oracle(n, edges)) == {0})
+    for h, k in classify_pairs():
+        product = fiber_product(h, k).graph
+        want = component_ids_oracle(product.num_vertices, product.edges)
+        assert product.component_ids() == want
 
 
 def test_classify_components_keeps_no_vertex_lists():
