@@ -212,38 +212,36 @@ def enumerate_round_graphs(r: int, alphabet: Alphabet) -> list[FiniteSubtree]:
     return trees
 
 
-def _read_tree(graph: LabeledGraph, v: int, words: list[Word]) -> dict[Word, int] | None:
-    """Image of every tree word read from v, or None when a label cannot be
-    read.  The words must list each prefix before its extensions."""
-    moves = graph.moves()
-    image: dict[Word, int] = {(): v}
-    for w in words[1:]:
-        tgt = moves[image[w[:-1]]].get(w[-1])
-        if tgt is None:
-            return None
-        image[w] = tgt
-    return image
-
-
 def occurrence_count(tree: FiniteSubtree, graph: LabeledGraph) -> int:
     """Number of vertices of the graph at which the subtree occurs.
 
     An occurrence maps vertex words to graph vertices by reading labels,
     and must match degrees exactly at every interior vertex of the tree
     (degree above 1), so the tree is cut out locally, not just immersed.
+    The tree is read by position in `sorted_words()`: each word after the
+    root is one (parent position, letter) step, and its image at a vertex
+    is one list entry.
     """
     if not tree.nondegenerate:
         raise ValueError("occurrences are counted for subtrees with an edge")
     ws = tree.sorted_words()
     if max(abs(w[-1]) for w in ws[1:]) > graph.rank:
         raise ValueError(f"subtree letters exceed the graph's rank {graph.rank}")
+    position = {w: i for i, w in enumerate(ws)}
+    steps = [(position[w[:-1]], w[-1]) for w in ws[1:]]
+    interior = [(i, d) for i, w in enumerate(ws) if (d := tree.degree(w)) > 1]
     moves = graph.moves()
-    interior = [(w, d) for w in ws if (d := tree.degree(w)) > 1]
     count = 0
     for v in range(graph.num_vertices):
-        image = _read_tree(graph, v, ws)
-        if image is not None and all(len(moves[image[w]]) == d for w, d in interior):
-            count += 1
+        image = [v]
+        for p, s in steps:
+            t = moves[image[p]].get(s)
+            if t is None:
+                break
+            image.append(t)
+        else:
+            if all(len(moves[image[i]]) == d for i, d in interior):
+                count += 1
     return count
 
 
@@ -259,7 +257,7 @@ class RationalCurrent:
         for coeff, _ in terms.values():
             if coeff <= 0:
                 raise ValueError("normalized terms carry positive coefficients")
-        self._terms = dict(terms)
+        self._terms = dict(sorted(terms.items()))
 
     @property
     def is_zero(self) -> bool:
@@ -272,7 +270,7 @@ class RationalCurrent:
         return None
 
     def terms(self) -> list[tuple[Fraction, LabeledGraph]]:
-        return [self._terms[k] for k in sorted(self._terms)]
+        return list(self._terms.values())
 
     def __add__(self, other: "RationalCurrent") -> "RationalCurrent":
         if self.is_zero:
@@ -337,10 +335,9 @@ def normalize(terms) -> RationalCurrent:
             raise ValueError("current coefficients must be nonnegative")
         if c == 0:
             continue
-        cg = core(g)
-        if not cg.is_connected():
+        if not g.is_connected():
             raise NotConnectedError("each term must be a single subgroup class")
-        quotient, degree, _ = minimal_covering_quotient(cg)
+        quotient, degree, _ = minimal_covering_quotient(core(g))
         key = canonical_key(quotient)
         if key in acc:
             acc[key] = (acc[key][0] + c * degree, acc[key][1])
@@ -369,7 +366,7 @@ def _edge_cylinders(mu: RationalCurrent) -> list[Fraction]:
     """The single-edge cylinder values, one per generator; none for zero."""
     if mu.is_zero:
         return []
-    return [eval_cylinder(mu, FiniteSubtree.edge(i)) for i in Alphabet(mu.rank).letters()]
+    return [eval_cylinder(mu, FiniteSubtree.edge(i)) for i in range(1, mu.rank + 1)]
 
 
 def functional_E(mu: RationalCurrent) -> Fraction:

@@ -17,6 +17,7 @@ from .errors import MismatchBugError
 from .stallings import (
     Edge,
     LabeledGraph,
+    _alphabet,
     _prune,
     _require_basepoint,
     _spanning_tree,
@@ -26,7 +27,7 @@ from .stallings import (
     reduced_rank,
     subgroup_generators,
 )
-from .words import Alphabet, Word, concat, invert
+from .words import Word, concat, invert
 
 
 @dataclass(slots=True)
@@ -156,9 +157,9 @@ def component_subgroup(fp: FiberProduct, comp: ComponentReport) -> tuple[Word, l
     no non-tree edge, so its generators are [] and no subgraph is built.
     """
     h, k = fp.left, fp.right
-    _require_basepoint(h, "component_subgroup")
-    _require_basepoint(k, "component_subgroup")
     if fp._trees is None:
+        _require_basepoint(h, "component_subgroup")
+        _require_basepoint(k, "component_subgroup")
         fp._trees = (_spanning_tree(h, h.basepoint), _spanning_tree(k, k.basepoint))
     u, v = fp.vertex_pair(comp.base_vertex)
     w_a = _tree_path(fp._trees[0], u)
@@ -214,7 +215,7 @@ def intersection_number_cosets(h: LabeledGraph, k: LabeledGraph) -> int:
     _require_basepoint(h, "intersection_number_cosets")
     _require_basepoint(k, "intersection_number_cosets")
     fp = fiber_product(h, k)
-    alphabet = Alphabet(h.rank)
+    alphabet = _alphabet(h.rank)
     return sum(
         reduced_rank(from_generators(component_subgroup(fp, comp)[1], alphabet))
         for comp in fp.components()

@@ -79,9 +79,7 @@ def _int(value, what: str) -> int:
 class LabeledGraph:
     """Finite multigraph over the rank-N rose.  Treated as immutable."""
 
-    __slots__ = (
-        "rank", "num_vertices", "edges", "basepoint", "_moves", "_folded", "_components"
-    )
+    __slots__ = ("rank", "num_vertices", "edges", "basepoint", "_moves", "_components")
 
     def __init__(self, rank: int, num_vertices: int, edges, basepoint: int | None = None):
         if _int(rank, "rank") < 2:
@@ -103,27 +101,27 @@ class LabeledGraph:
         self.edges: tuple[Edge, ...] = tuple(sorted(edges))
         self.basepoint = basepoint
         self._moves = None
-        self._folded = None
         self._components = None
 
     def is_folded(self) -> bool:
-        """No two edges share (origin, label) or (terminus, label); computed once."""
-        if self._folded is None:
-            n = len(self.edges)
-            self._folded = (
-                len({(o, lab) for o, _, lab in self.edges}) == n
-                and len({(t, lab) for _, t, lab in self.edges}) == n
-            )
-        return self._folded
+        """No two edges share (origin, label) or (terminus, label), which is
+        exactly when `moves()` can build its table."""
+        try:
+            self.moves()
+        except ValueError:
+            return False
+        return True
 
     def moves(self) -> list[dict[int, int]]:
         """Per vertex, signed label -> target; computed once.  Every departure
-        reader goes through here, so here is where unfolded graphs are refused."""
+        reader goes through here, so here is where unfolded graphs are
+        refused: an edge whose (origin, label) or (terminus, label) an
+        earlier edge already took."""
         if self._moves is None:
-            if not self.is_folded():
-                raise ValueError("following departures needs a folded graph; fold it first")
             table: list[dict[int, int]] = [{} for _ in range(self.num_vertices)]
             for o, t, lab in self.edges:
+                if lab in table[o] or -lab in table[t]:
+                    raise ValueError("following departures needs a folded graph; fold it first")
                 table[o][lab] = t
                 table[t][-lab] = o
             self._moves = table

@@ -23,7 +23,10 @@ counts read from `component_ids()` and for the members that
 `FiberProduct._component_graph` takes from its edge bucket.
 `component_ids_oracle` labels components by BFS over an adjacency list,
 with no union-find, as the oracle for `component_ids()` and the one
-ascending pass of `UnionFind.roots`.
+ascending pass of `UnionFind.roots`.  `occurrence_count_oracle` is the
+earlier `occurrence_count`, which read a tree into a dict keyed by its
+words at every vertex (`_read_tree`, which `_component_matches_tree`
+also uses), kept as the oracle for reading the tree by position.
 
 `truncated_cyclic_cover(h, n)` builds the subgroups of acceptance 15: n
 sheets of a based core, chained through one edge outside the spanning tree,
@@ -98,7 +101,6 @@ from subsetcurrents import (
     random_subgroup,
     reduce_word,
 )
-from subsetcurrents.currents import _read_tree
 from subsetcurrents.stallings import (
     UnionFind,
     _spanning_tree,
@@ -158,6 +160,36 @@ def brute_force_occurrences(tree, graph) -> int:
     count = 0
     for v in range(graph.num_vertices):
         if extend({(): v}, words[1:]):
+            count += 1
+    return count
+
+
+def _read_tree(graph: LabeledGraph, v: int, words: list) -> dict | None:
+    """Image of every tree word read from v, or None when a label cannot be
+    read.  The words must list each prefix before its extensions."""
+    moves = graph.moves()
+    image = {(): v}
+    for w in words[1:]:
+        tgt = moves[image[w[:-1]]].get(w[-1])
+        if tgt is None:
+            return None
+        image[w] = tgt
+    return image
+
+
+def occurrence_count_oracle(tree: FiniteSubtree, graph: LabeledGraph) -> int:
+    """The earlier `occurrence_count`: a dict keyed by tree words per vertex."""
+    if not tree.nondegenerate:
+        raise ValueError("occurrences are counted for subtrees with an edge")
+    ws = tree.sorted_words()
+    if max(abs(w[-1]) for w in ws[1:]) > graph.rank:
+        raise ValueError(f"subtree letters exceed the graph's rank {graph.rank}")
+    moves = graph.moves()
+    interior = [(w, d) for w in ws if (d := tree.degree(w)) > 1]
+    count = 0
+    for v in range(graph.num_vertices):
+        image = _read_tree(graph, v, ws)
+        if image is not None and all(len(moves[image[w]]) == d for w, d in interior):
             count += 1
     return count
 

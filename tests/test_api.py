@@ -256,3 +256,34 @@ def test_sources_parse_as_python_3_10():
     assert len(sources) > 10
     for path in sources:
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_private_helpers_have_a_user_in_src():
+    """Every module-level private function or class in the package is named
+    somewhere in `src` outside its own definition, so a replaced helper
+    cannot stay behind only for `tests/helpers.py` to import."""
+    trees = {
+        path: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted((ROOT / "src" / "subsetcurrents").glob("*.py"))
+    }
+    private = {
+        (path, node.name): node
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+    }
+    assert private
+    users: dict[str, set[int]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                users.setdefault(node.id, set()).add(id(node))
+            elif isinstance(node, ast.Attribute):
+                users.setdefault(node.attr, set()).add(id(node))
+    unused = []
+    for (path, name), definition in private.items():
+        own = {id(node) for node in ast.walk(definition)}
+        if not users.get(name, set()) - own:
+            unused.append(f"{path.name}:{name}")
+    assert unused == []

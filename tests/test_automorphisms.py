@@ -97,6 +97,7 @@ def test_is_automorphism_rejects():
     assert not is_automorphism(endo("aa", "b"))
     assert not is_automorphism(endo("ab", "ba"))
     assert not is_automorphism(endo("1", "b"))
+    assert not is_automorphism(Endomorphism([(), ()], AL2))
 
 
 def test_random_automorphism_deterministic():

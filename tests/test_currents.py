@@ -14,6 +14,7 @@ import pytest
 from subsetcurrents import currents
 from subsetcurrents import (
     Alphabet,
+    Endomorphism,
     FiniteSubtree,
     LabeledGraph,
     MismatchBugError,
@@ -28,11 +29,14 @@ from subsetcurrents import (
     counting_current,
     enumerate_round_graphs,
     eval_cylinder,
+    finite_index,
     from_generators,
     functional_E,
     functional_rk,
     functional_V,
+    graph_from_json_dict,
     intersection_functional_N,
+    invert,
     neighborhood_profile,
     neighborhood_tree,
     normalize,
@@ -40,6 +44,7 @@ from subsetcurrents import (
     parse_word,
     pushforward_I,
     random_finite_index_cover,
+    random_reduced_word,
     random_subgroup,
     rank,
     zero_current,
@@ -48,6 +53,7 @@ from helpers import (
     brute_force_occurrences,
     c_hat_via_round_graphs,
     functional_V_oracle,
+    occurrence_count_oracle,
     random_current,
     random_tree_words,
 )
@@ -177,6 +183,38 @@ def test_occurrence_matches_brute_force_sample():
             continue
         g = ucore(h)
         assert occurrence_count(t, g) == brute_force_occurrences(t, g.graph)
+
+
+def test_occurrence_count_matches_the_word_keyed_oracle():
+    """Reading the tree by position counts what the earlier dict-per-vertex
+    reader counted: on edge trees, grade-1 and grade-2 neighborhood trees
+    and random subtrees, over seeded cores, covers and based graphs whose
+    basepoint has degree 1 (so a vertex of degree 1 is met)."""
+    rng = random.Random(2024)
+    graphs, trees = [], {FiniteSubtree.edge(s) for s in AL2.signed_letters()}
+    for _ in range(12):
+        h = random_subgroup(rng, AL2)
+        g = ucore(h)
+        cover = random_finite_index_cover(h, rng.randint(2, 3), rng)
+        conj = random_reduced_word(rng, AL2, rng.randint(1, 4))
+        loop = random_reduced_word(rng, AL2, 3)
+        while loop[0] == -conj[-1] or loop[-1] == conj[-1]:
+            loop = random_reduced_word(rng, AL2, 3)
+        tailed = from_generators([conj + loop + invert(conj)], AL2)
+        assert len(tailed.moves()[tailed.basepoint]) == 1
+        graphs += [g, cover, tailed]
+        for r in (1, 2):
+            trees.update(neighborhood_tree(g, v, r) for v in range(g.num_vertices))
+        words = random_tree_words(rng, AL2, depth=3, grows=8)
+        if len(words) > 1:
+            trees.add(FiniteSubtree(words))
+    counts = [
+        (occurrence_count(t, g), occurrence_count_oracle(t, g)) for t in trees for g in graphs
+    ]
+    assert all(new == old for new, old in counts)
+    # trees that occur nowhere and trees that occur somewhere are both met
+    assert any(new == 0 for new, _ in counts) and any(new > 0 for new, _ in counts)
+    assert any(all(occurrence_count(t, g) == 0 for g in graphs) for t in trees)
 
 
 def test_counting_current_merges_conjugates():
@@ -553,6 +591,67 @@ INPUT_REFUSALS = {
     "occurrence-edge-above-rank": (
         lambda: occurrence_count(FiniteSubtree.edge(-3), ucore(sub("aa", "b"))),
         "exceed the graph's rank 2",
+    ),
+    # normalize checks connectivity before coring, so a tree component
+    # cannot be pruned away and leave one looped component standing
+    "normalize-tree-beside-a-loop": (
+        lambda: counting_current(LabeledGraph(2, 3, [(0, 0, 1), (0, 0, 2), (1, 2, 1)])),
+        "single subgroup class",
+    ),
+    "current-mixed-ranks": (
+        lambda: RationalCurrent({
+            b"2": (Fraction(1), ucore(sub("a", "b"))),
+            b"3": (Fraction(1), ucore(sub("a", "b", "c", alphabet=AL3))),
+        }),
+        "share one ambient rank",
+    ),
+    "current-coefficient-0": (
+        lambda: RationalCurrent({b"2": (Fraction(0), ucore(sub("a", "b")))}),
+        "positive coefficients",
+    ),
+    "round-graph-grade-0": (
+        lambda: check_round_graph(FiniteSubtree([(), (1,), (2,)]), 0), "grade at least 1"
+    ),
+    "round-graph-star-at-grade-2": (
+        lambda: check_round_graph(FiniteSubtree([(), (1,), (-1,), (2,), (-2,)]), 2),
+        "depth 1 does not match grade 2",
+    ),
+    "cylinder-of-the-root-alone": (
+        lambda: eval_cylinder(counting_current(sub("aa", "b")), FiniteSubtree([()])),
+        "needs a subtree with an edge",
+    ),
+    "neighborhood-radius-0": (
+        lambda: neighborhood_tree(ucore(sub("ab")), 0, 0), "radius must be at least 1"
+    ),
+    "round-graph-count-grade-0": (
+        lambda: count_round_graphs(0, AL2), "grade must be at least 1"
+    ),
+    "json-vertices-with-a-gap": (
+        lambda: graph_from_json_dict(
+            {"rank": 2, "vertices": [0, 2], "edges": [[0, 0, 1]], "basepoint": 0}
+        ),
+        "vertices must be the integers 0..n-1",
+    ),
+    "cover-degree-0": (
+        lambda: random_finite_index_cover(sub("aa", "b"), 0, random.Random(0)),
+        "degree must be positive",
+    ),
+    "finite-index-across-ranks": (
+        lambda: finite_index(sub("a", "b"), sub("a", "b", "c", alphabet=AL3)),
+        "different ambient ranks",
+    ),
+    "endomorphism-too-few-images": (
+        lambda: Endomorphism([(1,)], AL2), "need 2 generator images, got 1"
+    ),
+    "compose-across-alphabets": (
+        lambda: Endomorphism.identity(AL2).compose(Endomorphism.identity(AL3)),
+        "endomorphisms of different alphabets",
+    ),
+    "compact-word-at-rank-27": (
+        lambda: parse_word("ab", Alphabet(27)), "compact format covers ranks up to 26"
+    ),
+    "indexed-word-with-a-stray-letter": (
+        lambda: parse_word("x1x2y", AL2), "unknown token at 'y'"
     ),
 }
 

@@ -834,6 +834,7 @@ NON_SUBGROUP_CALLS = {
     "quotient-of-nothing": (
         lambda: minimal_covering_quotient(LabeledGraph(2, 0, [])), EmptyCoreError
     ),
+    "core-based-tree": (lambda: core_based(TREE), EmptyCoreError),
 }
 
 
