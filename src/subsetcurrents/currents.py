@@ -19,11 +19,10 @@ from .fiber import fiber_product
 from .stallings import (
     LabeledGraph,
     _int,
-    canonical_key,
+    _keyed_quotient,
     check_core_graph,
     core,
     graph_to_json_dict,
-    minimal_covering_quotient,
 )
 from .words import Alphabet, Word
 
@@ -337,8 +336,7 @@ def normalize(terms) -> RationalCurrent:
             continue
         if not g.is_connected():
             raise NotConnectedError("each term must be a single subgroup class")
-        quotient, degree, _ = minimal_covering_quotient(core(g))
-        key = canonical_key(quotient)
+        quotient, degree, _, key = _keyed_quotient(core(g))
         if key in acc:
             acc[key] = (acc[key][0] + c * degree, acc[key][1])
         else:

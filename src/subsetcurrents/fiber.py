@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import MismatchBugError
+from .errors import MismatchBugError, NotConnectedError
 from .stallings import (
     Edge,
     LabeledGraph,
@@ -149,6 +149,9 @@ def component_subgroup(fp: FiberProduct, comp: ComponentReport) -> tuple[Word, l
     w_a * l * w_a^-1.  Tree paths in folded graphs are reduced, so g only
     drops the common suffix of w_a and w_b.
 
+    Both factors must be connected (`NotConnectedError`): a parent table
+    that misses a factor vertex names no path to it.
+
     Cost: the first call on a product builds both factors' parent tables,
     and the first call on an essential component buckets the product
     edges by component; both are cached on `fp`.  Every other call costs
@@ -160,7 +163,10 @@ def component_subgroup(fp: FiberProduct, comp: ComponentReport) -> tuple[Word, l
     if fp._trees is None:
         _require_basepoint(h, "component_subgroup")
         _require_basepoint(k, "component_subgroup")
-        fp._trees = (_spanning_tree(h, h.basepoint), _spanning_tree(k, k.basepoint))
+        trees = (_spanning_tree(h, h.basepoint), _spanning_tree(k, k.basepoint))
+        if len(trees[0]) != h.num_vertices or len(trees[1]) != k.num_vertices:
+            raise NotConnectedError("component_subgroup needs connected based factors")
+        fp._trees = trees
     u, v = fp.vertex_pair(comp.base_vertex)
     w_a = _tree_path(fp._trees[0], u)
     w_b = _tree_path(fp._trees[1], v)

@@ -436,18 +436,12 @@ def _step_table(graph: LabeledGraph) -> list[list[int | None]]:
     return [[departures.get(s) for s in order] for departures in graph.moves()]
 
 
-def _bfs_code(step: list[list[int | None]], start: int, best=None):
+def _bfs_code(step: list[list[int | None]], start: int) -> tuple:
     """BFS adjacency code from `start`: row i lists, per signed letter, the
-    BFS number of the target at the i-th vertex visited, or -1.
-
-    With `best`, each row is compared with best's row as soon as it is
-    complete: the code is abandoned (None) at its first larger row, and
-    also when every row ties; once a row is smaller it is finished.
-    """
+    BFS number of the target at the i-th vertex visited, or -1."""
     ids: dict[int | None, int] = {None: -1, start: 0}
     seq = [start]
     rows = []
-    ahead = best is None
     for v in seq:
         row = []
         for t in step[v]:
@@ -456,36 +450,34 @@ def _bfs_code(step: list[list[int | None]], start: int, best=None):
                 i = ids[t] = len(seq)
                 seq.append(t)
             row.append(i)
-        row = tuple(row)
-        if not ahead:
-            rival = best[len(rows)]
-            if row > rival:
-                return None
-            ahead = row < rival
-        rows.append(row)
+        rows.append(tuple(row))
     if len(seq) != len(step):
         raise NotConnectedError("canonical form needs a connected graph")
-    return tuple(rows) if ahead else None
+    return tuple(rows)
+
+
+def _key(graph: LabeledGraph, starts) -> bytes:
+    """The rank and the least BFS code over the given start vertices."""
+    step = _step_table(graph)
+    return f"{graph.rank}:{min(_bfs_code(step, v) for v in starts)}".encode()
 
 
 def canonical_key(graph: LabeledGraph) -> bytes:
     """Canonical byte string: equal iff the unbased labeled graphs are isomorphic.
 
-    Minimum over all start vertices of a deterministic BFS adjacency code;
-    any isomorphism matches start vertices, so the minimum is invariant.
-    Each start's code grows row by row against the best code so far and is
-    dropped at its first larger row, so a start usually costs a few rows.
-    In a graph with many automorphisms, such as a regular cover or a Cayley
-    graph of a finite group, the starts stay tied to the end and the cost
-    is O(V*E) again.
+    The least BFS adjacency code over the members of class 0 of
+    `_stable_classes`.  Its class ids are canonical, so an isomorphism maps
+    class 0 onto class 0 and the least code is invariant; a BFS code
+    rebuilds the graph it was read from, so equal keys mean isomorphic
+    graphs.  On a connected graph class 0 is one fiber of the minimal
+    covering quotient, so for a degree-d cover the cost is one refinement,
+    O(E log V), plus d codes of O(E) each: linear on a graph that is its own
+    minimal covering quotient, and O(V*E) on a Cayley graph of a finite
+    group, where d = V.
     """
     if graph.num_vertices == 0:
         raise EmptyCoreError("canonical_key needs a graph with at least one vertex")
-    step = _step_table(graph)
-    best = _bfs_code(step, 0)
-    for start in range(1, graph.num_vertices):
-        best = _bfs_code(step, start, best) or best
-    return f"{graph.rank}:{best}".encode()
+    return _key(graph, [v for v, c in enumerate(_stable_classes(graph)) if c == 0])
 
 
 def canonical_key_based(h: LabeledGraph) -> bytes:
@@ -539,7 +531,8 @@ def finite_index(h: LabeledGraph, k: LabeledGraph) -> int | None:
 
 
 def _stable_classes(graph: LabeledGraph) -> list[int]:
-    """Coarsest stable partition of a folded graph, as a class id per vertex.
+    """Coarsest stable partition of a folded graph, as a canonical class id
+    per vertex.
 
     Hopcroft refinement (Hopcroft 1971), in the partial-transition form of
     Valmari and Lehtinen (STACS 2008), from one class: splitting by the
@@ -549,29 +542,62 @@ def _stable_classes(graph: LabeledGraph) -> list[int]:
     A split moves only the marked vertices out of their class; the new
     class is queued when its parent still is, else the smaller half is, so
     a vertex lies in O(log V) processed splitters and the cost is O(E log V).
+
+    Every choice reads only class ids, class sizes and letters: the last
+    class queued is processed first, its preimages are taken one signed
+    letter at a time in `signed_letters()` order, touched classes split in
+    ascending id order, and the split-off part takes the next id.  So by
+    induction on the splits an isomorphism maps class i onto class i.
     """
     moves = graph.moves()
+    order = _alphabet(graph.rank).signed_letters()
     cls = [0] * graph.num_vertices
     classes = [set(range(graph.num_vertices))]
-    pending = {0}
+    pending = {0: None}  # a stack of class ids, without repeats
     while pending:
         into: dict[int, list[int]] = {}
-        for c in classes[pending.pop()]:
+        for c in classes[pending.popitem()[0]]:
             for s, x in moves[c].items():
                 into.setdefault(s, []).append(x)
-        for sources in into.values():
+        for s in order:
             touched: dict[int, set[int]] = {}
-            for x in sources:
+            for x in into.get(s, ()):
                 touched.setdefault(cls[x], set()).add(x)
-            for k, marked in touched.items():
-                if len(marked) == len(classes[k]):
+            for k in sorted(touched):
+                marked, rest = touched[k], classes[k]
+                if len(marked) == len(rest):
                     continue
-                classes[k] -= marked
+                rest -= marked
                 for x in marked:
                     cls[x] = len(classes)
-                pending.add(len(classes) if k in pending or len(marked) <= len(classes[k]) else k)
+                pending[len(classes) if k in pending or len(marked) <= len(rest) else k] = None
                 classes.append(marked)
     return cls
+
+
+def _keyed_quotient(graph: LabeledGraph) -> tuple[LabeledGraph, int, list[int], bytes]:
+    """`minimal_covering_quotient` and the quotient's `canonical_key`, from
+    one refinement.
+
+    Every class of every partition the refinement passes through is a union
+    of fibers of the covering, so refining the quotient repeats refining
+    the graph with every class size divided by the degree: the quotient's
+    class 0 is the image of the graph's class 0.  The quotient's partition
+    is discrete, so its key is its BFS code from that one vertex.
+    """
+    if graph.num_vertices == 0:
+        raise EmptyCoreError("minimal_covering_quotient needs a graph with at least one vertex")
+    if not graph.is_connected():
+        raise NotConnectedError("covering quotients need a connected graph")
+    first: dict[int, int] = {}
+    vmap = [first.setdefault(c, len(first)) for c in _stable_classes(graph)]
+    edges = {(vmap[o], vmap[t], lab) for o, t, lab in graph.edges}
+    quotient = LabeledGraph(graph.rank, len(first), edges)
+    if not quotient.is_folded():
+        raise MismatchBugError("stable partition produced an unfolded quotient")
+    if graph.num_vertices % quotient.num_vertices:
+        raise MismatchBugError("covering degree is not integral")
+    return quotient, graph.num_vertices // quotient.num_vertices, vmap, _key(quotient, [first[0]])
 
 
 def minimal_covering_quotient(graph: LabeledGraph) -> tuple[LabeledGraph, int, list[int]]:
@@ -586,19 +612,7 @@ def minimal_covering_quotient(graph: LabeledGraph) -> tuple[LabeledGraph, int, l
     covering quotient: it is the minimal one.  Classes are numbered by
     their smallest member.
     """
-    if graph.num_vertices == 0:
-        raise EmptyCoreError("minimal_covering_quotient needs a graph with at least one vertex")
-    if not graph.is_connected():
-        raise NotConnectedError("covering quotients need a connected graph")
-    first: dict[int, int] = {}
-    vmap = [first.setdefault(c, len(first)) for c in _stable_classes(graph)]
-    edges = {(vmap[o], vmap[t], lab) for o, t, lab in graph.edges}
-    quotient = LabeledGraph(graph.rank, len(first), edges)
-    if not quotient.is_folded():
-        raise MismatchBugError("stable partition produced an unfolded quotient")
-    if graph.num_vertices % quotient.num_vertices:
-        raise MismatchBugError("covering degree is not integral")
-    return quotient, graph.num_vertices // quotient.num_vertices, vmap
+    return _keyed_quotient(graph)[:3]
 
 
 def _core_and_tail(h: LabeledGraph) -> tuple[LabeledGraph, int, Word]:

@@ -58,10 +58,10 @@ the oracle for the parent table and the paths `_tree_path` reads back
 from it; `component_subgroup_oracle` builds its trees with it.
 `based_morphism_oracle` is the earlier `_based_morphism`, a BFS of its own
 from the basepoint, kept as the oracle for the map `finite_index` reads
-along the spanning tree.  `canonical_key_oracle` is the earlier `canonical_key`,
+along the spanning tree.  `canonical_key_oracle` is an earlier `canonical_key`,
 the minimum of the complete BFS codes from every start vertex, kept as the
-oracle for the row-by-row comparison that drops a start at its first
-losing row.
+oracle for the codes from class 0 of the canonical refinement; the two
+differ in bytes, so the test compares the graphs each key puts together.
 
 `from_generators_oracle` and `attach_tail_oracle` are the earlier
 `from_generators` and `_attach_tail`: glue whole arcs through fresh

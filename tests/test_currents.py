@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from subsetcurrents import currents
+from subsetcurrents import currents, stallings
 from subsetcurrents import (
     Alphabet,
     Endomorphism,
@@ -21,6 +21,7 @@ from subsetcurrents import (
     RationalCurrent,
     SizeLimitError,
     c_hat,
+    canonical_key,
     check_core_graph,
     check_round_graph,
     contains,
@@ -235,6 +236,24 @@ def test_normalize_merges_commensurable_terms():
     # 1 * [A:a^2] + 1/2 * [A:a^3] over the common commensurator <a>
     assert coeff == Fraction(7, 2)
     assert g.graph.num_vertices == 1
+
+
+def test_normalize_refines_each_term_once(monkeypatch):
+    """The key of a term comes from the refinement that finds its quotient:
+    one `_stable_classes` run per term, and the key is the quotient's
+    `canonical_key`."""
+    stable_classes = stallings._stable_classes
+    runs = []
+
+    def counted(graph):
+        runs.append(graph)
+        return stable_classes(graph)
+
+    monkeypatch.setattr(stallings, "_stable_classes", counted)
+    terms = [(1, sub("aa")), (1, sub("ab", "bA")), (2, sub("abab", "baba")), (1, sub("aaab"))]
+    mu = normalize(terms)
+    assert len(runs) == len(terms)
+    assert list(mu._terms) == [canonical_key(g) for _, g in mu.terms()]
 
 
 def test_normalize_idempotent():

@@ -4,6 +4,8 @@ Expected vertex/edge counts were folded by hand before the assertions
 were written; the comments sketch the foldings.
 """
 
+import itertools
+import math
 import random
 import time
 import tracemalloc
@@ -58,6 +60,7 @@ from subsetcurrents import cli, stallings
 from subsetcurrents.stallings import (
     UnionFind,
     _core_and_tail,
+    _keyed_quotient,
     _prune,
     _stable_classes,
     core_based,
@@ -179,12 +182,17 @@ def test_canonical_key_error_cases():
         canonical_key(LabeledGraph(2, 0, []))
 
 
-def relabelled(graph, rng):
-    perm = list(range(graph.num_vertices))
-    rng.shuffle(perm)
+def renamed(graph, perm):
+    """The graph with vertex v renamed perm[v]."""
     return LabeledGraph(
         graph.rank, graph.num_vertices, [(perm[o], perm[t], lab) for o, t, lab in graph.edges]
     )
+
+
+def relabelled(graph, rng):
+    perm = list(range(graph.num_vertices))
+    rng.shuffle(perm)
+    return renamed(graph, perm)
 
 
 def cayley_cyclic(n, steps):
@@ -205,7 +213,8 @@ def power_cycle(n):
 def canonical_key_corpus():
     """Seeded cores at ranks 2-4 with a cover, the minimal covering
     quotients of both and relabelled copies of each; cyclic Cayley graphs,
-    where every start ties; a^n b cycles, where starts tie for n rows."""
+    where every vertex is in class 0; a^n b cycles, which are their own
+    minimal covering quotients."""
     rng = random.Random(88)
     graphs = []
     cores = 0
@@ -228,8 +237,33 @@ def canonical_key_corpus():
 
 
 def test_canonical_key_matches_oracle():
+    """The key and the all-starts oracle differ in bytes, so compare the
+    equality relations they induce: a graph's pair of keys is determined by
+    either key alone exactly when both relations are the same."""
+    rng = random.Random(21)
+    graphs = []
     for g in canonical_key_corpus():
-        assert canonical_key(g) == canonical_key_oracle(g)
+        graphs += [g, relabelled(g, rng), relabelled(g, rng)]
+    keys = [canonical_key(g) for g in graphs]
+    oracle = [canonical_key_oracle(g) for g in graphs]
+    assert len(set(keys)) == len(set(oracle)) == len(set(zip(keys, oracle))) == 669
+
+
+def test_normalize_key_is_the_canonical_key_of_the_quotient():
+    for g in canonical_key_corpus():
+        assert _keyed_quotient(g)[3] == canonical_key(minimal_covering_quotient(g)[0])
+
+
+def test_stable_classes_are_canonical():
+    """An isomorphism maps class i onto class i: renaming the vertices
+    renames the class array and changes no id."""
+    rng = random.Random(22)
+    for g in canonical_key_corpus():
+        perm = list(range(g.num_vertices))
+        rng.shuffle(perm)
+        classes = _stable_classes(g)
+        again = _stable_classes(renamed(g, perm))
+        assert [again[perm[v]] for v in range(g.num_vertices)] == classes
 
 
 def _by_first_occurrence(classes):
@@ -263,11 +297,27 @@ def test_covering_quotient_budget(acceptance):
         assert elapsed < 1.0, f"counting current: {elapsed:.2f} s"
 
 
+def test_counting_current_of_long_runs_budget(acceptance):
+    # Starting a BFS code at every vertex, and dropping a start at its first
+    # losing row, took 12.5 s on <a^4000 b^4000>: most starts tie for
+    # thousands of rows along a run of one letter.
+    n = 4000
+    words = [(1,) * n + (2,) * n, (1, 1, 2, 2) * (n // 2) + (1, 2)]
+    label = "counting_current of <a^4000 b^4000> and <(a^2 b^2)^2000 a b> within 1 s each"
+    with acceptance(19, label):
+        for w in words:
+            start = time.perf_counter()
+            ((coeff, g),) = counting_current(from_generators([w], AL2)).terms()
+            elapsed = time.perf_counter() - start
+            assert (coeff, g.num_vertices) == (1, len(w))
+            assert elapsed < 1.0, f"|w| = {len(w)}: {elapsed:.2f} s"
+
+
 def test_canonical_key_budget(acceptance):
     rng = random.Random(38)
     big = core(from_generators([random_reduced_word(rng, AL2, 120) for _ in range(8)], AL2))
     assert big.num_vertices == 921
-    # Z/400 is vertex-transitive: every start ties to the last row
+    # Z/400 covers the rose 400 times, so all of its vertices are class 0
     ladder = [(big, 1.0), (cayley_cyclic(400, (1, 7)), 1.0)]
     with acceptance(14, "canonical keys of a V=921 core and of Z/400 within 1 s each"):
         for graph, budget in ladder:
@@ -275,6 +325,39 @@ def test_canonical_key_budget(acceptance):
             canonical_key(graph)
             elapsed = time.perf_counter() - start
             assert elapsed < budget, f"V={graph.num_vertices}: {elapsed:.2f} s"
+
+
+def test_keys_count_subgroups_of_finite_index():
+    """Index-n subgroups of F_2 are the transitive pairs of permutations of
+    n points based at 0, up to renaming the other points, and Hall (1949)
+    counts them: a_n = n * n! - sum_{k<n} (n-k)! * a_k.  Their conjugacy
+    classes are the same pairs unbased, and rebasing walks a class's
+    subgroups, so each `canonical_key` class holds one rebasing orbit of
+    `canonical_key_based` values; the classes number 1, 3, 7, 26, 97
+    (OEIS A057005)."""
+    hall = [0]
+    for n in range(1, 6):
+        smaller = sum(math.factorial(n - k) * hall[k] for k in range(1, n))
+        hall.append(n * math.factorial(n) - smaller)
+        based = {}
+        for a, b in itertools.product(itertools.permutations(range(n)), repeat=2):
+            reached = {0}
+            for _ in range(n):
+                reached |= {a[v] for v in reached} | {b[v] for v in reached}
+            if len(reached) == n:
+                edges = [(v, a[v], 1) for v in range(n)] + [(v, b[v], 2) for v in range(n)]
+                g = LabeledGraph(2, n, edges, basepoint=0)
+                based.setdefault(canonical_key_based(g), g)
+        assert len(based) == hall[n]
+        classes = {}
+        for key, g in based.items():
+            classes.setdefault(canonical_key(g), set()).add(key)
+        for members in classes.values():
+            g = based[min(members)]
+            rebased = [LabeledGraph(2, n, g.edges, basepoint=v) for v in range(n)]
+            assert {canonical_key_based(r) for r in rebased} == members
+        assert len(classes) == [1, 3, 7, 26, 97][n - 1]
+    assert hall[1:] == [1, 3, 13, 71, 461]
 
 
 def test_finite_index_oracles():
@@ -697,6 +780,11 @@ def _essential_component_subgroups(h, k):
     return [component_subgroup(fp, c) for c in fp.components() if not c.contractible]
 
 
+def _every_component_subgroup(h, k):
+    fp = fiber_product(h, k)
+    return [component_subgroup(fp, c) for c in fp.components()]
+
+
 def test_tree_walks_stay_linear_in_memory():
     """Keeping a path word per vertex costs memory quadratic in the length
     of a basepoint arc or a cycle: at n = 4000 these calls peaked at 61.7,
@@ -814,6 +902,8 @@ CUT_OFF = LabeledGraph(2, 2, [(1, 1, 1), (1, 1, 2)], basepoint=0)
 SPLIT = LabeledGraph(2, 2, [(0, 0, 1), (1, 1, 2)], basepoint=0)
 IDENTITY = Endomorphism([(1,), (2,)], AL2)
 ROSE = LabeledGraph(2, 1, [(0, 0, 1), (0, 0, 2)], basepoint=0)
+# the based rose beside an isolated vertex
+BESIDE = LabeledGraph(2, 2, [(0, 0, 1), (0, 0, 2)], basepoint=0)
 NON_SUBGROUP_CALLS = {
     "commensurator-tree": (lambda: commensurator(TREE), TrivialSubgroupError),
     "commensurator-cut-off": (lambda: commensurator(CUT_OFF), NotConnectedError),
@@ -835,6 +925,13 @@ NON_SUBGROUP_CALLS = {
         lambda: minimal_covering_quotient(LabeledGraph(2, 0, [])), EmptyCoreError
     ),
     "core-based-tree": (lambda: core_based(TREE), EmptyCoreError),
+    "component-subgroup-beside-a-vertex": (
+        lambda: _every_component_subgroup(BESIDE, ROSE), NotConnectedError
+    ),
+    "cosets-beside-a-vertex": (
+        lambda: intersection_number_cosets(BESIDE, ROSE), NotConnectedError
+    ),
+    "cosets-split": (lambda: intersection_number_cosets(SPLIT, ROSE), NotConnectedError),
 }
 
 
