@@ -21,7 +21,8 @@ class EmptyCoreError(ValueError):
 
 
 class NotConnectedError(ValueError):
-    """Operation needs a connected graph (rank, canonical form, membership)."""
+    """Operation needs a connected graph: a walk from a basepoint, a
+    canonical code, `rank`, or a covering quotient."""
 
 
 class NotSubgroupError(ValueError):

@@ -13,14 +13,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import MismatchBugError, NotConnectedError
+from .errors import MismatchBugError
 from .stallings import (
     Edge,
     LabeledGraph,
     _alphabet,
+    _based_tree,
     _prune,
-    _require_basepoint,
-    _spanning_tree,
     _tree_path,
     contains,
     from_generators,
@@ -149,8 +148,8 @@ def component_subgroup(fp: FiberProduct, comp: ComponentReport) -> tuple[Word, l
     w_a * l * w_a^-1.  Tree paths in folded graphs are reduced, so g only
     drops the common suffix of w_a and w_b.
 
-    Both factors must be connected (`NotConnectedError`): a parent table
-    that misses a factor vertex names no path to it.
+    Both factors must be based and connected: `_based_tree` refuses
+    either in this function's name.
 
     Cost: the first call on a product builds both factors' parent tables,
     and the first call on an essential component buckets the product
@@ -161,12 +160,7 @@ def component_subgroup(fp: FiberProduct, comp: ComponentReport) -> tuple[Word, l
     """
     h, k = fp.left, fp.right
     if fp._trees is None:
-        _require_basepoint(h, "component_subgroup")
-        _require_basepoint(k, "component_subgroup")
-        trees = (_spanning_tree(h, h.basepoint), _spanning_tree(k, k.basepoint))
-        if len(trees[0]) != h.num_vertices or len(trees[1]) != k.num_vertices:
-            raise NotConnectedError("component_subgroup needs connected based factors")
-        fp._trees = trees
+        fp._trees = (_based_tree(h, "component_subgroup"), _based_tree(k, "component_subgroup"))
     u, v = fp.vertex_pair(comp.base_vertex)
     w_a = _tree_path(fp._trees[0], u)
     w_b = _tree_path(fp._trees[1], v)
@@ -216,11 +210,14 @@ def intersection_number_cosets(h: LabeledGraph, k: LabeledGraph) -> int:
 
     Each non-contractible component is converted back into an honest
     subgroup via its generators, so this route does not reuse the Euler
-    arithmetic of the component itself.
+    arithmetic of the component itself.  Both factors must be based and
+    connected even when no component is essential, so their trees are
+    built first and left on the product for `component_subgroup`.
     """
-    _require_basepoint(h, "intersection_number_cosets")
-    _require_basepoint(k, "intersection_number_cosets")
+    trees = (_based_tree(h, "intersection_number_cosets"),
+             _based_tree(k, "intersection_number_cosets"))
     fp = fiber_product(h, k)
+    fp._trees = trees
     alphabet = _alphabet(h.rank)
     return sum(
         reduced_rank(from_generators(component_subgroup(fp, comp)[1], alphabet))

@@ -379,25 +379,33 @@ def contains(h: LabeledGraph, w: Word) -> bool:
     return v == h.basepoint
 
 
-def _spanning_tree(graph: LabeledGraph, root: int) -> dict[int, tuple[int, int] | None]:
-    """Deterministic BFS tree of the root's component as a parent table:
-    each vertex reached maps to (parent, signed letter read from the
-    parent), the root to None, and the keys come in BFS order.  O(V + E)."""
-    order = _alphabet(graph.rank).signed_letters()
-    moves = graph.moves()
-    parent: dict[int, tuple[int, int] | None] = {root: None}
-    queue = [root]
+def _based_tree(h: LabeledGraph, fn: str) -> dict[int, tuple[int, int] | None]:
+    """Deterministic BFS tree from the basepoint as a parent table: each
+    vertex maps to (parent, signed letter read from the parent), the
+    basepoint to None, and the keys come in BFS order.  O(V + E).
+
+    Every walk from a basepoint starts here, so this is where an unbased
+    graph (a conjugacy class, not a subgroup) or a disconnected one (no
+    path to some vertex) is refused, in the caller `fn`'s name; a table it
+    returns holds every vertex."""
+    _require_basepoint(h, fn)
+    order = _alphabet(h.rank).signed_letters()
+    moves = h.moves()
+    parent: dict[int, tuple[int, int] | None] = {h.basepoint: None}
+    queue = [h.basepoint]
     for v in queue:
         for s in order:
             t = moves[v].get(s)
             if t is not None and t not in parent:
                 parent[t] = (v, s)
                 queue.append(t)
+    if len(parent) != h.num_vertices:
+        raise NotConnectedError(f"{fn} needs a connected based graph")
     return parent
 
 
 def _tree_path(parent: dict, v: int) -> Word:
-    """The word read along the tree from the root to v, in O(depth)."""
+    """The word read along the tree from the basepoint to v, in O(depth)."""
     letters = []
     while parent[v] is not None:
         v, s = parent[v]
@@ -408,10 +416,7 @@ def _tree_path(parent: dict, v: int) -> Word:
 def subgroup_generators(h: LabeledGraph) -> list[Word]:
     """Free basis: one word per edge off the spanning tree (in a folded
     graph a parent entry names one edge); only those edges' paths are read."""
-    _require_basepoint(h, "subgroup_generators")
-    parent = _spanning_tree(h, h.basepoint)
-    if len(parent) != h.num_vertices:
-        raise NotConnectedError("subgroup_generators needs a connected based graph")
+    parent = _based_tree(h, "subgroup_generators")
     return [
         concat(_tree_path(parent, o), (lab,), invert(_tree_path(parent, t)))
         for o, t, lab in h.edges
@@ -500,13 +505,11 @@ def finite_index(h: LabeledGraph, k: LabeledGraph) -> int | None:
     """
     if h.rank != k.rank:
         raise ValueError("subgroups of different ambient ranks")
-    for g in (h, k):
-        _require_basepoint(g, "finite_index")
-        if not g.is_connected():
-            raise NotConnectedError("finite_index needs connected based graphs")
+    tree = _based_tree(h, "finite_index")
+    _based_tree(k, "finite_index")  # K's table is built for its refusals only
     h_moves, k_moves = h.moves(), k.moves()
     f = {h.basepoint: k.basepoint}
-    steps = [(*step, v) for v, step in _spanning_tree(h, h.basepoint).items() if step]
+    steps = [(*step, v) for v, step in tree.items() if step]
     for o, s, t in steps + [(o, lab, t) for o, t, lab in h.edges]:
         img = k_moves[f[o]].get(s)
         if img is None:
@@ -584,11 +587,11 @@ def _keyed_quotient(graph: LabeledGraph) -> tuple[LabeledGraph, int, list[int], 
     the graph with every class size divided by the degree: the quotient's
     class 0 is the image of the graph's class 0.  The quotient's partition
     is discrete, so its key is its BFS code from that one vertex.
+
+    It trusts its caller: the graph must be nonempty and connected, which
+    `minimal_covering_quotient` checks and `normalize` has checked before
+    coring the term.
     """
-    if graph.num_vertices == 0:
-        raise EmptyCoreError("minimal_covering_quotient needs a graph with at least one vertex")
-    if not graph.is_connected():
-        raise NotConnectedError("covering quotients need a connected graph")
     first: dict[int, int] = {}
     vmap = [first.setdefault(c, len(first)) for c in _stable_classes(graph)]
     edges = {(vmap[o], vmap[t], lab) for o, t, lab in graph.edges}
@@ -612,17 +615,20 @@ def minimal_covering_quotient(graph: LabeledGraph) -> tuple[LabeledGraph, int, l
     covering quotient: it is the minimal one.  Classes are numbered by
     their smallest member.
     """
+    if graph.num_vertices == 0:
+        raise EmptyCoreError("minimal_covering_quotient needs a graph with at least one vertex")
+    if not graph.is_connected():
+        raise NotConnectedError("covering quotients need a connected graph")
     return _keyed_quotient(graph)[:3]
 
 
-def _core_and_tail(h: LabeledGraph) -> tuple[LabeledGraph, int, Word]:
+def _core_and_tail(h: LabeledGraph, fn: str) -> tuple[LabeledGraph, int, Word]:
     """Split a based graph into its unbased core, the attachment vertex
     (as a core-graph index) and the word read along the basepoint arc:
     the spanning-tree path to the first core vertex the BFS discovers.
-    A disconnected graph or an empty core names no nontrivial subgroup."""
-    parent = _spanning_tree(h, h.basepoint)
-    if len(parent) != h.num_vertices:
-        raise NotConnectedError("a based graph must be connected to name a subgroup")
+    An empty core names no nontrivial subgroup; the caller `fn` is named
+    when `_based_tree` refuses the graph."""
+    parent = _based_tree(h, fn)
     survivors = core_vertices(h)
     if not survivors:
         raise TrivialSubgroupError("a based tree is the trivial subgroup, which has no core")
@@ -647,8 +653,7 @@ def commensurator(h: LabeledGraph) -> tuple[LabeledGraph, int]:
     Computed as the minimal covering quotient of the core, conjugated back
     along the basepoint arc.
     """
-    _require_basepoint(h, "commensurator")
-    cg, attach, tail = _core_and_tail(h)
+    cg, attach, tail = _core_and_tail(h, "commensurator")
     quotient, degree, vmap = minimal_covering_quotient(cg)
     return _attach_tail(quotient, vmap[attach], tail), degree
 
@@ -683,10 +688,9 @@ def random_finite_index_cover(h: LabeledGraph, degree: int, rng: random.Random) 
     Each core edge gets a permutation of the sheets; disconnected draws are
     rejected and retried.
     """
-    _require_basepoint(h, "random_finite_index_cover")
     if degree < 1:
         raise ValueError("degree must be positive")
-    cg, attach, tail = _core_and_tail(h)
+    cg, attach, tail = _core_and_tail(h, "random_finite_index_cover")
     for _ in range(COVER_TRIES):
         edges = []
         for o, t, lab in cg.edges:

@@ -52,10 +52,11 @@ as the oracle for the two set sizes read off the edge list; the first entry
 of each of those `germ_lists_oracle` lists is what `moves()` must return.
 `core_and_tail_oracle` is the earlier `_core_and_tail`, a BFS of its own
 that stops at the first core vertex, kept as the oracle for the
-spanning-tree path.  `spanning_tree_oracle` is the earlier `_spanning_tree`,
+spanning-tree path.  `spanning_tree_oracle` is an earlier spanning tree,
 which kept a path word for every vertex and a set of tree edges, kept as
-the oracle for the parent table and the paths `_tree_path` reads back
-from it; `component_subgroup_oracle` builds its trees with it.
+the oracle for the parent table of `_based_tree` and the paths
+`_tree_path` reads back from it; `component_subgroup_oracle` builds its
+trees with it.
 `based_morphism_oracle` is the earlier `_based_morphism`, a BFS of its own
 from the basepoint, kept as the oracle for the map `finite_index` reads
 along the spanning tree.  `canonical_key_oracle` is an earlier `canonical_key`,
@@ -103,7 +104,7 @@ from subsetcurrents import (
 )
 from subsetcurrents.stallings import (
     UnionFind,
-    _spanning_tree,
+    _based_tree,
     _tree_path,
     core_vertices,
     induced_subgraph,
@@ -559,8 +560,11 @@ def finite_index_oracle(h: LabeledGraph, k: LabeledGraph) -> int | None:
 def assert_tree_matches_oracle(graph: LabeledGraph, root: int) -> None:
     """The parent table against `spanning_tree_oracle`: the same vertices in
     the same BFS order, the same path word to each, the same tree edges, and
-    the parent test of `subgroup_generators` picks out exactly those edges."""
-    parent = _spanning_tree(graph, root)
+    the parent test of `subgroup_generators` picks out exactly those edges.
+    The graph is rebased at `root`, since `_based_tree` walks from the
+    basepoint."""
+    rebased = LabeledGraph(graph.rank, graph.num_vertices, graph.edges, basepoint=root)
+    parent = _based_tree(rebased, "assert_tree_matches_oracle")
     path, tree_edges = spanning_tree_oracle(graph, root)
     assert list(parent) == list(path)
     assert all(_tree_path(parent, v) == path[v] for v in parent)
@@ -801,7 +805,7 @@ def truncated_cyclic_cover(h: LabeledGraph, n: int) -> LabeledGraph:
     for i < n - 1 and is dropped in the last sheet; every other edge stays
     in its sheet.  For n = 1 that is h less one edge."""
     tree = set()
-    for v, step in _spanning_tree(h, h.basepoint).items():
+    for v, step in _based_tree(h, "truncated_cyclic_cover").items():
         if step is not None:
             p, x = step
             tree.add((p, v, x) if x > 0 else (v, p, -x))

@@ -6,16 +6,30 @@ test, not as a crash of `perfbench/run.py --trace 1`.
 
 import argparse
 import ast
+import functools
 import importlib
 import importlib.util
 import inspect
 import json
+import random
 import sys
 from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import subsetcurrents
 from subsetcurrents import cli
-from subsetcurrents import Alphabet, counting_current, from_generators
+from subsetcurrents import (
+    Alphabet,
+    Endomorphism,
+    LabeledGraph,
+    component_subgroup,
+    counting_current,
+    fiber_product,
+    from_generators,
+    neighborhood_tree,
+)
 
 PUBLIC = [
     "Alphabet", "ComponentReport", "EmptyCoreError", "Endomorphism", "FiberProduct",
@@ -117,6 +131,93 @@ SIGNATURES = {
     "subgroup_generators": "h",
     "zero_current": "",
 }
+
+
+GRAPH_PARAMETERS = {"graph", "h", "k", "g", "g1", "g2"}
+# (function, the graph parameter the fuzzed graph fills, its required
+# parameters) for every public function above that takes a graph
+GRAPH_CALLS = [
+    (name, slot, required)
+    for name, spelled in SIGNATURES.items()
+    for required in [[p for p in spelled.split() if not p.endswith("=")]]
+    for slot in required
+    if slot in GRAPH_PARAMETERS
+]
+
+
+@functools.cache
+def _companions(rank: int) -> dict:
+    """Fixed values for the other parameters of a graph-taking function: the
+    rose of the rank fills every other graph parameter.  A parameter name
+    missing here fails the fuzz test, so a new function gets a value."""
+    alphabet = Alphabet(rank)
+    letters = [(x,) for x in range(1, rank + 1)]
+    rose = from_generators(letters, alphabet)
+    return {
+        "rose": rose, "w": (1,), "degree": 2, "r": 1, "v": 0,
+        "phi": Endomorphism(letters, alphabet),
+        "tree": neighborhood_tree(rose, 0, 1),
+    }
+
+
+def _arguments(slot: str, required: list[str], g: LabeledGraph) -> dict:
+    fixed = _companions(g.rank)
+    args = {}
+    for p in required:
+        if p == slot:
+            args[p] = g
+        elif p in GRAPH_PARAMETERS:
+            args[p] = fixed["rose"]
+        elif p == "rng":
+            args[p] = random.Random(0)
+        else:
+            args[p] = fixed[p]
+    return args
+
+
+@st.composite
+def small_graphs(draw) -> LabeledGraph:
+    """Rank 2-3, at most 5 vertices and 2V random edges: folded or not,
+    connected or not, with a random basepoint or none."""
+    rank = draw(st.integers(2, 3))
+    n = draw(st.integers(0, 5))
+    vertex = st.integers(0, max(n - 1, 0))
+    edges = draw(st.lists(st.tuples(vertex, vertex, st.integers(1, rank)), max_size=2 * n))
+    basepoint = draw(st.none() | vertex) if n else None
+    return LabeledGraph(rank, n, edges, basepoint=basepoint)
+
+
+def _every_component_subgroup(g: LabeledGraph) -> None:
+    fp = fiber_product(g, _companions(g.rank)["rose"])
+    for comp in fp.components():
+        component_subgroup(fp, comp)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(small_graphs())
+def test_graph_taking_functions_answer_or_refuse_any_small_graph(g):
+    """Every public function that takes a graph, and `component_subgroup`
+    over the product with the rose, returns or raises a `ValueError`
+    subclass on any small graph: never a `KeyError`, `IndexError`,
+    `TypeError`, `AttributeError` or `MismatchBugError`."""
+    calls = [
+        (f"{name}({slot}=g)", functools.partial(
+            getattr(subsetcurrents, name), **_arguments(slot, required, g)
+        ))
+        for name, slot, required in GRAPH_CALLS
+    ]
+    calls.append(("component_subgroup(fiber_product(g, rose))",
+                  functools.partial(_every_component_subgroup, g)))
+    for label, call in calls:
+        try:
+            call()
+        except ValueError:
+            pass
+        except Exception as exc:
+            raise AssertionError(
+                f"{label} raised {type(exc).__name__}: {exc} on "
+                f"LabeledGraph({g.rank}, {g.num_vertices}, {g.edges}, basepoint={g.basepoint})"
+            ) from exc
 
 
 def _spelled(param: inspect.Parameter) -> str:

@@ -256,6 +256,27 @@ def test_normalize_refines_each_term_once(monkeypatch):
     assert list(mu._terms) == [canonical_key(g) for _, g in mu.terms()]
 
 
+def test_normalize_decides_connectivity_once_per_term(monkeypatch):
+    """`normalize` checks that the term graph is connected before coring
+    it, and `_keyed_quotient` trusts that: one `component_ids()`
+    computation for the term graph, none for its core."""
+    component_ids = LabeledGraph.component_ids
+    computed = []
+
+    def counted(graph):
+        if graph._components is None:
+            computed.append(graph)
+        return component_ids(graph)
+
+    monkeypatch.setattr(LabeledGraph, "component_ids", counted)
+    # the last one hangs its basepoint off the core by a b-arc
+    for h in (sub("aa", "b"), sub("ab", "bA"), sub("baB")):
+        g = LabeledGraph(h.rank, h.num_vertices, h.edges, basepoint=h.basepoint)
+        computed.clear()
+        counting_current(g)
+        assert len(computed) == 1 and computed[0] is g
+
+
 def test_normalize_idempotent():
     rng = random.Random(4)
     for _ in range(10):

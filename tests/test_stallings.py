@@ -9,6 +9,7 @@ import math
 import random
 import time
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -327,6 +328,27 @@ def test_canonical_key_budget(acceptance):
             assert elapsed < budget, f"V={graph.num_vertices}: {elapsed:.2f} s"
 
 
+def _centralizer_order(g: LabeledGraph) -> int:
+    """|Aut| of a transitive cover of the rose, read off its edge list as
+    the centralizer of its permutations in S_n: the vertices v for which
+    0 -> v extends along the labels to a label-preserving bijection."""
+    perms = {}
+    for o, t, lab in g.edges:
+        perms.setdefault(lab, {})[o] = t
+    count = 0
+    for v in range(g.num_vertices):
+        sigma, queue, consistent = {0: v}, [0], True
+        for x in queue:
+            for p in perms.values():
+                y, image = p[x], p[sigma[x]]
+                if y not in sigma:
+                    sigma[y] = image
+                    queue.append(y)
+                consistent &= sigma[y] == image
+        count += consistent and sorted(sigma.values()) == list(range(g.num_vertices))
+    return count
+
+
 def test_keys_count_subgroups_of_finite_index():
     """Index-n subgroups of F_2 are the transitive pairs of permutations of
     n points based at 0, up to renaming the other points, and Hall (1949)
@@ -334,7 +356,8 @@ def test_keys_count_subgroups_of_finite_index():
     classes are the same pairs unbased, and rebasing walks a class's
     subgroups, so each `canonical_key` class holds one rebasing orbit of
     `canonical_key_based` values; the classes number 1, 3, 7, 26, 97
-    (OEIS A057005)."""
+    (OEIS A057005).  A class of index n has n / |Aut| subgroups, with
+    |Aut| counted from its permutations alone, so those add up to a_n."""
     hall = [0]
     for n in range(1, 6):
         smaller = sum(math.factorial(n - k) * hall[k] for k in range(1, n))
@@ -352,11 +375,14 @@ def test_keys_count_subgroups_of_finite_index():
         classes = {}
         for key, g in based.items():
             classes.setdefault(canonical_key(g), set()).add(key)
+        subgroups = 0
         for members in classes.values():
             g = based[min(members)]
             rebased = [LabeledGraph(2, n, g.edges, basepoint=v) for v in range(n)]
             assert {canonical_key_based(r) for r in rebased} == members
+            subgroups += Fraction(n, _centralizer_order(g))
         assert len(classes) == [1, 3, 7, 26, 97][n - 1]
+        assert subgroups == hall[n]
     assert hall[1:] == [1, 3, 13, 71, 461]
 
 
@@ -720,7 +746,7 @@ def based_graphs_with_tails():
 def test_core_and_tail_matches_oracle():
     with_tail = with_hanging = 0
     for h in based_graphs_with_tails():
-        cg, attach, tail = _core_and_tail(h)
+        cg, attach, tail = _core_and_tail(h, "test")
         old_cg, old_attach, old_tail = core_and_tail_oracle(h)
         _same_graph(cg, old_cg)
         assert (attach, tail) == (old_attach, old_tail)
@@ -904,6 +930,11 @@ IDENTITY = Endomorphism([(1,), (2,)], AL2)
 ROSE = LabeledGraph(2, 1, [(0, 0, 1), (0, 0, 2)], basepoint=0)
 # the based rose beside an isolated vertex
 BESIDE = LabeledGraph(2, 2, [(0, 0, 1), (0, 0, 2)], basepoint=0)
+# an a-loop beside an isolated vertex, and a b-loop: their product has no edge
+LOOP_BESIDE = LabeledGraph(2, 2, [(0, 0, 1)], basepoint=0)
+B_LOOP = LabeledGraph(2, 1, [(0, 0, 2)], basepoint=0)
+# two roses, which one rose would cover twice if they were one graph
+TWO_ROSES = LabeledGraph(2, 2, [(0, 0, 1), (0, 0, 2), (1, 1, 1), (1, 1, 2)])
 NON_SUBGROUP_CALLS = {
     "commensurator-tree": (lambda: commensurator(TREE), TrivialSubgroupError),
     "commensurator-cut-off": (lambda: commensurator(CUT_OFF), NotConnectedError),
@@ -932,6 +963,10 @@ NON_SUBGROUP_CALLS = {
         lambda: intersection_number_cosets(BESIDE, ROSE), NotConnectedError
     ),
     "cosets-split": (lambda: intersection_number_cosets(SPLIT, ROSE), NotConnectedError),
+    "cosets-no-essential-component": (
+        lambda: intersection_number_cosets(LOOP_BESIDE, B_LOOP), NotConnectedError
+    ),
+    "quotient-of-two-roses": (lambda: minimal_covering_quotient(TWO_ROSES), NotConnectedError),
 }
 
 
@@ -946,6 +981,34 @@ def test_graphs_without_a_nontrivial_subgroup_get_an_input_answer(name):
             call()
     else:
         assert call() == expected
+
+
+DISCONNECTED = {"beside": BESIDE, "split": SPLIT}
+# every walk from a basepoint, with the disconnected graph in each based slot
+BASED_WALKS = {
+    "subgroup_generators": [subgroup_generators],
+    "commensurator": [commensurator],
+    "random_finite_index_cover": [lambda g: random_finite_index_cover(g, 2, random.Random(0))],
+    "finite_index": [lambda g: finite_index(g, ROSE), lambda g: finite_index(ROSE, g)],
+    "component_subgroup": [
+        lambda g: _every_component_subgroup(g, ROSE),
+        lambda g: _every_component_subgroup(ROSE, g),
+    ],
+    "intersection_number_cosets": [
+        lambda g: intersection_number_cosets(g, ROSE),
+        lambda g: intersection_number_cosets(ROSE, g),
+    ],
+}
+
+
+@pytest.mark.parametrize("graph", sorted(DISCONNECTED))
+@pytest.mark.parametrize("name", sorted(BASED_WALKS))
+def test_based_walks_refuse_disconnected_graphs(name, graph):
+    """Each walk from a basepoint is refused by `_based_tree`, in the name
+    of the public function that walks."""
+    for call in BASED_WALKS[name]:
+        with pytest.raises(NotConnectedError, match=f"{name} needs a connected based graph"):
+            call(DISCONNECTED[graph])
 
 
 def random_multigraphs():
