@@ -24,7 +24,7 @@ from .stallings import (
     core,
     graph_to_json_dict,
 )
-from .words import Alphabet, Word
+from .words import Alphabet, Word, format_word
 
 # Ceiling on how many round graphs any enumeration may produce.  Grade 2 in
 # rank 2 (4067 graphs) fits; grade 2 in rank 3 does not, by design.
@@ -34,14 +34,20 @@ ROUND_GRAPH_CAP = 10000
 class FiniteSubtree:
     """Finite subtree of the Cayley tree rooted at the identity.
 
-    Stored as a prefix-closed set of reduced words; the words are the
+    Given as a prefix-closed set of reduced words; the words are the
     vertices and each nonempty word hangs off its longest proper prefix.
+    It is built once into the form its readers use: the distinct words in
+    (length, word) order, each word after the root as a (parent position,
+    letter) step, and the degree at each position.
     """
 
-    __slots__ = ("words", "_children", "_sorted")
+    __slots__ = ("words", "_sorted", "_steps", "_degrees")
 
     def __init__(self, words):
-        ws = frozenset(tuple(w) for w in words)
+        try:
+            ws = frozenset(tuple(w) for w in words)
+        except TypeError as exc:
+            raise ValueError(f"vertex words must be tuples of int letters: {exc}") from None
         if () not in ws:
             raise ValueError("a subtree must contain the identity vertex")
         for w in ws:
@@ -56,8 +62,13 @@ class FiniteSubtree:
             if w[:-1] not in ws:
                 raise ValueError(f"vertex set is not prefix-closed at {w}")
         self.words = ws
-        self._children = None
-        self._sorted = None
+        self._sorted = sorted(ws, key=lambda w: (len(w), w))
+        position = {w: i for i, w in enumerate(self._sorted)}
+        self._steps = [(position[w[:-1]], w[-1]) for w in self._sorted[1:]]
+        # every word after the root meets its parent and each of its children
+        self._degrees = [0] + [1] * len(self._steps)
+        for p, _ in self._steps:
+            self._degrees[p] += 1
 
     @classmethod
     def edge(cls, letter: int) -> "FiniteSubtree":
@@ -77,26 +88,13 @@ class FiniteSubtree:
 
     @property
     def depth(self) -> int:
-        return max(len(w) for w in self.words)
+        return len(self._sorted[-1])
 
     def sorted_words(self) -> list[Word]:
-        if self._sorted is None:
-            self._sorted = sorted(self.words, key=lambda w: (len(w), w))
         return self._sorted
 
-    def children(self, w: Word) -> list[int]:
-        if self._children is None:
-            table: dict[Word, list[int]] = {v: [] for v in self.words}
-            for v in self.words:
-                if v:
-                    table[v[:-1]].append(v[-1])
-            for letters in table.values():
-                letters.sort()
-            self._children = table
-        return self._children[w]
-
     def degree(self, w: Word) -> int:
-        return len(self.children(w)) + (1 if w else 0)
+        return self._degrees[self._sorted.index(w)]
 
     def __eq__(self, other):
         return isinstance(other, FiniteSubtree) and self.words == other.words
@@ -105,9 +103,7 @@ class FiniteSubtree:
         return hash(self.words)
 
     def serialize(self, alphabet: Alphabet) -> str:
-        from .words import format_word
-
-        return ",".join(format_word(w, alphabet) for w in self.sorted_words())
+        return ",".join(format_word(w, alphabet) for w in self._sorted)
 
     def __repr__(self):
         return f"FiniteSubtree({len(self.words)} vertices, depth {self.depth})"
@@ -118,12 +114,12 @@ def check_round_graph(tree: FiniteSubtree, grade: int) -> FiniteSubtree:
     a root of degree >= 2 and every leaf at distance exactly `grade`."""
     if grade < 1:
         raise ValueError("round graphs have grade at least 1")
-    if tree.degree(()) < 2:
+    if tree._degrees[0] < 2:
         raise ValueError("the root of a round graph has degree at least 2")
     if tree.depth != grade:
         raise ValueError(f"depth {tree.depth} does not match grade {grade}")
-    for w in tree.words:
-        if tree.degree(w) == 1 and len(w) != grade:
+    for w, d in zip(tree._sorted, tree._degrees):
+        if d == 1 and len(w) != grade:
             raise ValueError(f"leaf {w} at distance {len(w)} != grade {grade}")
     return tree
 
@@ -184,26 +180,21 @@ def enumerate_round_graphs(r: int, alphabet: Alphabet) -> list[FiniteSubtree]:
         )
     signed = alphabet.signed_letters()
 
-    def grow(w: Word, remaining: int) -> list[frozenset[Word]]:
+    def grow(w: Word, remaining: int, fewest: int) -> list[frozenset[Word]]:
+        """Every way to hang at least `fewest` branches of depth `remaining`
+        off w, each a word set holding w."""
         if remaining == 0:
             return [frozenset({w})]
-        options = [s for s in signed if s != -w[-1]]
+        options = [s for s in signed if not w or s != -w[-1]]
         out = []
-        for size in range(1, len(options) + 1):
+        for size in range(fewest, len(options) + 1):
             for subset in combinations(options, size):
-                branches = [grow(w + (s,), remaining - 1) for s in subset]
+                branches = [grow(w + (s,), remaining - 1, 1) for s in subset]
                 for combo in product(*branches):
                     out.append(frozenset({w}).union(*combo))
         return out
 
-    trees: list[FiniteSubtree] = []
-    for size in range(2, len(signed) + 1):
-        for subset in combinations(signed, size):
-            branches = [grow((s,), r - 1) for s in subset]
-            for combo in product(*branches):
-                trees.append(
-                    check_round_graph(FiniteSubtree(frozenset({()}).union(*combo)), r)
-                )
+    trees = [check_round_graph(FiniteSubtree(ws), r) for ws in grow((), r, 2)]
     if len(trees) != total:
         raise MismatchBugError(
             f"enumerated {len(trees)} round graphs but the formula says {total}"
@@ -217,18 +208,16 @@ def occurrence_count(tree: FiniteSubtree, graph: LabeledGraph) -> int:
     An occurrence maps vertex words to graph vertices by reading labels,
     and must match degrees exactly at every interior vertex of the tree
     (degree above 1), so the tree is cut out locally, not just immersed.
-    The tree is read by position in `sorted_words()`: each word after the
-    root is one (parent position, letter) step, and its image at a vertex
-    is one list entry.
+    The tree is read in its stored form: each word after the root is one
+    (parent position, letter) step, and its image at a vertex is one list
+    entry; the stored degrees name the interior positions.
     """
     if not tree.nondegenerate:
         raise ValueError("occurrences are counted for subtrees with an edge")
-    ws = tree.sorted_words()
-    if max(abs(w[-1]) for w in ws[1:]) > graph.rank:
+    steps = tree._steps
+    if max(abs(s) for _, s in steps) > graph.rank:
         raise ValueError(f"subtree letters exceed the graph's rank {graph.rank}")
-    position = {w: i for i, w in enumerate(ws)}
-    steps = [(position[w[:-1]], w[-1]) for w in ws[1:]]
-    interior = [(i, d) for i, w in enumerate(ws) if (d := tree.degree(w)) > 1]
+    interior = [(i, d) for i, d in enumerate(tree._degrees) if d > 1]
     moves = graph.moves()
     count = 0
     for v in range(graph.num_vertices):
@@ -314,11 +303,12 @@ class RationalCurrent:
 
 
 def _exact(q) -> Fraction:
-    """A coefficient as a Fraction.  A float is refused: 0.1 is not 1/10,
-    and the binary fraction it stands for would pass silently."""
-    if isinstance(q, float):
-        raise ValueError(f"coefficients must be exact (int or Fraction), got float {q!r}")
-    return Fraction(q)
+    """A coefficient as a Fraction: an int that is not a bool, or a Fraction.
+    Anything else is refused rather than converted: a float 0.1 is not 1/10,
+    and neither a bool, a string nor a Decimal is a coefficient."""
+    if isinstance(q, Fraction) or (isinstance(q, int) and not isinstance(q, bool)):
+        return Fraction(q)
+    raise ValueError(f"coefficients must be exact (int or Fraction), got {type(q).__name__} {q!r}")
 
 
 def normalize(terms) -> RationalCurrent:

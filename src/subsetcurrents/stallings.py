@@ -76,6 +76,14 @@ def _int(value, what: str) -> int:
     return value
 
 
+def _edge_tuple(e) -> tuple:
+    """An edge given as a list or a tuple subclass, as a plain tuple; any
+    other value is not an edge.  Plain tuples skip this call."""
+    if not isinstance(e, (list, tuple)):
+        raise ValueError(f"edge {e!r} is not [origin, terminus, label]")
+    return tuple(e)
+
+
 class LabeledGraph:
     """Finite multigraph over the rank-N rose.  Treated as immutable."""
 
@@ -86,8 +94,12 @@ class LabeledGraph:
             raise ValueError(f"rank must be at least 2, got {rank}")
         if _int(num_vertices, "num_vertices") < 0:
             raise ValueError(f"num_vertices must be nonnegative, got {num_vertices}")
-        edges = list(map(tuple, edges))
-        for o, t, lab in edges:
+        edges = [e if type(e) is tuple else _edge_tuple(e) for e in edges]
+        for e in edges:
+            try:
+                o, t, lab = e
+            except ValueError:
+                raise ValueError(f"edge {e!r} is not [origin, terminus, label]") from None
             if not type(o) is type(t) is type(lab) is int:
                 raise ValueError(f"edge {(o, t, lab)!r} must have integer entries")
             if not (0 <= o < num_vertices and 0 <= t < num_vertices):
@@ -718,18 +730,15 @@ def graph_to_json_dict(graph: LabeledGraph) -> dict:
 
 def graph_from_json_dict(data: dict) -> LabeledGraph:
     """Read `graph_to_json_dict` output back, or refuse it with ValueError:
-    the vertices must be the integers 0..n-1 and every edge exactly
-    [origin, terminus, label]; the `LabeledGraph` constructor refuses
-    non-integer entries, a rank below 2 and out-of-range values."""
+    the vertices must be the integers 0..n-1; the `LabeledGraph` constructor
+    refuses an edge that is not [origin, terminus, label], non-integer
+    entries, a rank below 2 and out-of-range values."""
     if not (isinstance(data, dict) and "rank" in data and isinstance(data.get("vertices"), list)
             and isinstance(data.get("edges"), list)):
         raise ValueError("a graph is a JSON object with a rank and vertex and edge arrays")
     vertices = [_int(v, "vertex") for v in data["vertices"]]
     if sorted(vertices) != list(range(len(vertices))):
         raise ValueError("vertices must be the integers 0..n-1")
-    for e in data["edges"]:
-        if not isinstance(e, (list, tuple)) or len(e) != 3:
-            raise ValueError(f"edge {e!r} is not [origin, terminus, label]")
     return LabeledGraph(data["rank"], len(vertices), data["edges"], data.get("basepoint"))
 
 

@@ -72,8 +72,14 @@ share no merge code with the builder that reads words into a partly
 folded graph.  `cyclic_reduce_oracle` is the earlier `cyclic_reduce`,
 which copied the core once per stripped pair, kept as the oracle for
 counting the matching ends once.
+
+`all_cores(rank, max_vertices)` is the exhaustive census of small
+subgroup classes: every folded graph on at most that many vertices (one
+partial injection of the vertices per label), kept when it is a connected
+core and deduplicated by a canonical key.
 """
 
+import itertools
 import random
 from collections import deque, namedtuple
 from fractions import Fraction
@@ -87,6 +93,7 @@ from subsetcurrents import (
     NotSubgroupError,
     RationalCurrent,
     TrivialSubgroupError,
+    canonical_key,
     check_core_graph,
     concat,
     contains,
@@ -109,6 +116,9 @@ from subsetcurrents.stallings import (
     core_vertices,
     induced_subgraph,
 )
+
+# a based graph as `graph_to_json_dict` writes it, for the JSON refusal tests
+GOOD_JSON = {"rank": 2, "vertices": [0, 1], "edges": [[0, 1, 1], [1, 0, 2]], "basepoint": 0}
 
 
 def brute_force_occurrences(tree, graph) -> int:
@@ -820,3 +830,29 @@ def truncated_cyclic_cover(h: LabeledGraph, n: int) -> LabeledGraph:
             elif i < n - 1:
                 edges.append((o + shift, t + shift + size, lab))
     return check_core_graph(LabeledGraph(h.rank, n * size, edges, basepoint=h.basepoint))
+
+
+def _partial_injections(n: int) -> list[list[tuple[int, int]]]:
+    """Every partial injection of n points, as (origin, terminus) pairs:
+    sum over k of C(n, k)^2 * k! of them."""
+    return [
+        list(zip(domain, image))
+        for k in range(n + 1)
+        for domain in itertools.combinations(range(n), k)
+        for image in itertools.permutations(range(n), k)
+    ]
+
+
+def all_cores(rank: int, max_vertices: int, key=canonical_key) -> list[LabeledGraph]:
+    """One unbased core graph per class of `key`, over every folded graph of
+    the rank on 1..max_vertices vertices that is connected with every
+    degree at least 2, in order of first appearance."""
+    classes: dict[bytes, LabeledGraph] = {}
+    for n in range(1, max_vertices + 1):
+        for choice in itertools.product(_partial_injections(n), repeat=rank):
+            edges = [(o, t, lab) for lab, pairs in enumerate(choice, 1) for o, t in pairs]
+            g = LabeledGraph(rank, n, edges)
+            # partial injections fold, so a vertex's degree is its departures
+            if min(map(len, g.moves())) >= 2 and g.is_connected():
+                classes.setdefault(key(g), g)
+    return list(classes.values())

@@ -1,4 +1,6 @@
-"""The public API, and the package functions the benchmark tracer wraps.
+"""The public API, the package functions the benchmark tracer wraps, and
+derandomized fuzzes of every public door: each input is answered or
+refused with a `ValueError`.
 
 A rename or removal here is an API change: it must show up as a failing
 test, not as a crash of `perfbench/run.py --trace 1`.
@@ -6,6 +8,7 @@ test, not as a crash of `perfbench/run.py --trace 1`.
 
 import argparse
 import ast
+import copy
 import functools
 import importlib
 import importlib.util
@@ -23,13 +26,26 @@ from subsetcurrents import cli
 from subsetcurrents import (
     Alphabet,
     Endomorphism,
+    FiniteSubtree,
     LabeledGraph,
+    canonical_key,
+    check_round_graph,
     component_subgroup,
+    core,
     counting_current,
+    eval_cylinder,
     fiber_product,
     from_generators,
+    graph_from_json_dict,
     neighborhood_tree,
+    normalize,
+    parse_automorphism_file,
+    parse_subgroup_file,
+    parse_word,
+    subgroup_generators,
 )
+
+from helpers import GOOD_JSON
 
 PUBLIC = [
     "Alphabet", "ComponentReport", "EmptyCoreError", "Endomorphism", "FiberProduct",
@@ -208,16 +224,153 @@ def test_graph_taking_functions_answer_or_refuse_any_small_graph(g):
     ]
     calls.append(("component_subgroup(fiber_product(g, rose))",
                   functools.partial(_every_component_subgroup, g)))
+    spelled = f"LabeledGraph({g.rank}, {g.num_vertices}, {g.edges}, basepoint={g.basepoint})"
     for label, call in calls:
-        try:
-            call()
-        except ValueError:
-            pass
-        except Exception as exc:
-            raise AssertionError(
-                f"{label} raised {type(exc).__name__}: {exc} on "
-                f"LabeledGraph({g.rank}, {g.num_vertices}, {g.edges}, basepoint={g.basepoint})"
-            ) from exc
+        _answers_or_refuses(f"{label} on {spelled}", call)
+
+
+def _answers_or_refuses(label: str, call):
+    """The call's value, or None when it raised a `ValueError` subclass; any
+    other exception fails the test, naming the call."""
+    try:
+        return call()
+    except ValueError:
+        return None
+    except Exception as exc:
+        raise AssertionError(f"{label} raised {type(exc).__name__}: {exc}") from exc
+
+
+# Values one field of an input can be replaced with: the right type and
+# range, out of range, and every wrong JSON type.
+ODD_VALUES = st.one_of(
+    st.integers(-2, 4), st.floats(allow_nan=False), st.booleans(), st.text(max_size=3),
+    st.none(), st.lists(st.integers(-1, 3), max_size=4),
+)
+
+
+@st.composite
+def near_miss_json(draw):
+    """`GOOD_JSON` with one field, vertex or edge entry replaced by an odd
+    value, or dropped."""
+    data = copy.deepcopy(GOOD_JSON)
+    places = [(data, key) for key in data]
+    places += [(data["vertices"], i) for i in range(2)] + [(data["edges"], i) for i in range(2)]
+    places += [(edge, i) for edge in data["edges"] for i in range(3)]
+    container, key = draw(st.sampled_from(places))
+    if draw(st.booleans()):
+        del container[key]
+    else:
+        container[key] = draw(ODD_VALUES)
+    return data
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(near_miss_json())
+def test_near_miss_json_is_read_or_refused(data):
+    g = _answers_or_refuses(f"graph_from_json_dict({data!r})", lambda: graph_from_json_dict(data))
+    if g is None:
+        return
+    for fn in (core, counting_current, subgroup_generators, canonical_key):
+        _answers_or_refuses(f"{fn.__name__} of {data!r}", functools.partial(fn, g))
+
+
+# Pieces of word text: both formats, identities, comments, blanks, letters
+# beyond rank 2, unknown tokens, a backslash and a tab.
+WORD_TOKENS = ["a", "aA", "B", "1", "", " ", "x1X2", "X3", "x0", "x", "c", "#c", "\\", "é", "\t"]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(st.lists(st.lists(st.sampled_from(WORD_TOKENS), max_size=4), max_size=4),
+       st.integers(2, 3))
+def test_near_miss_word_text_is_parsed_or_refused(lines, rank):
+    alphabet = Alphabet(rank)
+    text = "\n".join("".join(line) for line in lines)
+    for fn in (parse_word, parse_subgroup_file, parse_automorphism_file):
+        _answers_or_refuses(f"{fn.__name__}({text!r}, rank {rank})",
+                            functools.partial(fn, text, alphabet))
+
+
+@st.composite
+def near_miss_subtrees(draw):
+    """A prefix-closed set of reduced words of length <= 3 at rank 2 or 3,
+    with one letter replaced by an odd value or one odd word added, or left
+    as it is."""
+    rank = draw(st.integers(2, 3))
+    signed = Alphabet(rank).signed_letters()
+    words = [()]
+    for _ in range(draw(st.integers(0, 8))):
+        base = draw(st.sampled_from(words))
+        s = draw(st.sampled_from(signed))
+        if len(base) < 3 and not (base and s == -base[-1]) and base + (s,) not in words:
+            words.append(base + (s,))
+    change = draw(st.sampled_from(["none", "letter", "word"]))
+    if change == "letter" and len(words) > 1:
+        i = draw(st.integers(1, len(words) - 1))
+        j = draw(st.integers(0, len(words[i]) - 1))
+        words[i] = words[i][:j] + (draw(ODD_VALUES),) + words[i][j + 1:]
+    elif change == "word":
+        words.append(draw(st.lists(ODD_VALUES, max_size=3)))
+    return rank, words
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(near_miss_subtrees(), ODD_VALUES | st.fractions(max_denominator=5))
+def test_near_miss_subtrees_and_coefficients_are_read_or_refused(drawn, coefficient):
+    rank, words = drawn
+    rose = _companions(rank)["rose"]
+    eta = counting_current(rose)
+    tree = _answers_or_refuses(f"FiniteSubtree({words!r})", lambda: FiniteSubtree(words))
+    if tree is not None:
+        for grade in (1, 2, 3):
+            _answers_or_refuses(f"check_round_graph({words!r}, {grade})",
+                                functools.partial(check_round_graph, tree, grade))
+        _answers_or_refuses(f"eval_cylinder(eta, {words!r})",
+                            functools.partial(eval_cylinder, eta, tree))
+    _answers_or_refuses(f"normalize([({coefficient!r}, rose)])",
+                        lambda: normalize([(coefficient, rose)]))
+    _answers_or_refuses(f"eta.scale({coefficient!r})", functools.partial(eta.scale, coefficient))
+
+
+# Lines of a generator file: rank-2 words, so that some files name a
+# subgroup, then words of both formats, the identity, blanks, comments, a
+# letter beyond rank 2, and tokens run together, which can mix the two
+# formats on one line.
+FILE_TOKENS = ["a", "b", "aA", "1", "", "x1X2", "c", "#c", "abA", "aBAb", "x2x3", "X1x1"]
+FILE_LINES = (
+    st.sampled_from(["a", "b", "aab", "bAB", "abab", "x1x1x2"])
+    | st.sampled_from(FILE_TOKENS)
+    | st.lists(st.sampled_from(FILE_TOKENS), min_size=2, max_size=3).map("".join)
+)
+GENERATOR_FILES = st.lists(FILE_LINES, max_size=4)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(h=GENERATOR_FILES, k=GENERATOR_FILES, rank=st.integers(2, 3),
+       fmt=st.sampled_from(["tsv", "json"]), count=st.integers(1, 3))
+def test_every_subcommand_exits_0_or_1_on_random_generator_files(
+    tmp_path_factory, h, k, rank, fmt, count
+):
+    """The CLI twin of the fuzz above: every subcommand, on generator files
+    built from word tokens (the second file also serves as an automorphism
+    file), exits 0 or 1 and raises nothing."""
+    folder = tmp_path_factory.getbasetemp() / "cli-fuzz"
+    folder.mkdir(exist_ok=True)
+    files = {}
+    for name, lines in (("h", h), ("k", k)):
+        files[name] = folder / f"{name}.txt"
+        files[name].write_text("\n".join(lines), encoding="utf-8")
+    common = ["--rank", str(rank), "--format", fmt, "--out", str(folder / "report")]
+    runs = [
+        ["core", str(files["h"]), "--dot", str(folder / "core.dot")],
+        ["product", str(files["h"]), str(files["k"])],
+        ["product", str(files["h"]), str(files["h"]), "--automorphism", str(files["k"])],
+        ["intersect", str(files["h"]), str(files["k"])],
+        ["shnc-scan", "--seed", str(count), "--samples", str(count), "--max-gen-len", "3"],
+        ["converge", "--n-max", str(count), "--grade", "1"],
+    ]
+    for argv in runs:
+        code = _answers_or_refuses(" ".join(argv), lambda: cli.main(argv + common))
+        assert code in (0, 1), (argv, code)
 
 
 def _spelled(param: inspect.Parameter) -> str:

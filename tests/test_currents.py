@@ -6,10 +6,15 @@ letters of size >= 2 (11 of them), and grade 2 gives 8^4 - 1 - 4*7 = 4067;
 at rank 3, 2^6 - 1 - 6 = 57.
 """
 
+import functools
+import hashlib
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subsetcurrents import currents, stallings
 from subsetcurrents import (
@@ -216,6 +221,61 @@ def test_occurrence_count_matches_the_word_keyed_oracle():
         totals.append(sum(counts))
     # trees that occur nowhere and trees that occur somewhere are both met
     assert 0 in totals and max(totals) > 0
+
+
+@functools.cache
+def _graphs_to_count_in(rank: int) -> list[LabeledGraph]:
+    """Seeded cores, double covers and based graphs of the rank."""
+    alphabet = Alphabet(rank)
+    rng = random.Random(rank)
+    graphs = []
+    for _ in range(4):
+        h = random_subgroup(rng, alphabet)
+        graphs += [ucore(h), random_finite_index_cover(h, 2, rng), h]
+    return graphs
+
+
+@st.composite
+def subtree_words(draw):
+    """Rank 2 or 3 and a prefix-closed set of reduced words of length <= 3."""
+    rank = draw(st.integers(2, 3))
+    signed = Alphabet(rank).signed_letters()
+    words = [()]
+    for _ in range(draw(st.integers(0, 10))):
+        base = draw(st.sampled_from(words))
+        s = draw(st.sampled_from(signed))
+        if len(base) < 3 and not (base and s == -base[-1]) and base + (s,) not in words:
+            words.append(base + (s,))
+    return rank, words
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(subtree_words())
+def test_stored_subtree_form_matches_its_words(drawn):
+    """The steps rebuild the word set in (length, word) order, each stored
+    degree is the number of neighbours read off the words, and counting
+    occurrences from the stored form agrees with the word-keyed oracle."""
+    rank, words = drawn
+    t = FiniteSubtree(words)
+    rebuilt = [()]
+    for p, s in t._steps:
+        rebuilt.append(rebuilt[p] + (s,))
+    assert rebuilt == t.sorted_words() == sorted(words, key=lambda w: (len(w), w))
+    assert frozenset(rebuilt) == t.words
+    for w, d in zip(rebuilt, t._degrees):
+        children = sum(1 for v in words if v and v[:-1] == w)
+        assert d == children + (1 if w else 0) == t.degree(w)
+    assert t.depth == max(map(len, words))
+    if t.nondegenerate:
+        for g in _graphs_to_count_in(rank):
+            assert occurrence_count(t, g) == occurrence_count_oracle(t, g)
+
+
+def test_grade_2_enumeration_order_pinned():
+    """The one recursion yields the round graphs of grade 2 at rank 2 in the
+    order the separate root loop did."""
+    text = "\n".join(t.serialize(AL2) for t in enumerate_round_graphs(2, AL2))
+    assert hashlib.sha256(text.encode()).hexdigest().startswith("2d4e950d9bcb9c37")
 
 
 def test_counting_current_merges_conjugates():
@@ -692,6 +752,34 @@ INPUT_REFUSALS = {
     ),
     "indexed-word-with-a-stray-letter": (
         lambda: parse_word("x1x2y", AL2), "unknown token at 'y'"
+    ),
+    # a word that cannot be hashed is refused, not left to raise TypeError
+    "subtree-word-holding-a-list": (
+        lambda: FiniteSubtree([(), ([],)]), "vertex words must be tuples of int letters"
+    ),
+    "subtree-list-letter-inside": (
+        lambda: FiniteSubtree([(), (1,), (1, [2])]), "vertex words must be tuples of int letters"
+    ),
+    # a coefficient is an int that is not a bool, or a Fraction; nothing is parsed
+    "bool-scale": (lambda: counting_current(sub("ab")).scale(True), "got bool True"),
+    "bool-coefficient": (lambda: normalize([(True, sub("ab"))]), "got bool True"),
+    "str-scale": (lambda: counting_current(sub("ab")).scale("1/3"), "got str '1/3'"),
+    "str-coefficient": (lambda: normalize([("2", sub("ab"))]), "got str '2'"),
+    "decimal-scale": (
+        lambda: counting_current(sub("ab")).scale(Decimal("0.1")), r"got Decimal Decimal\('0.1'\)"
+    ),
+    "decimal-coefficient": (
+        lambda: normalize([(Decimal("0.1"), sub("ab"))]), r"got Decimal Decimal\('0.1'\)"
+    ),
+    "none-scale": (lambda: counting_current(sub("ab")).scale(None), "got NoneType None"),
+    "complex-coefficient": (lambda: normalize([(1j, sub("ab"))]), "got complex 1j"),
+    # the constructor is the one door for the shape of an edge
+    "edge-int": (lambda: LabeledGraph(2, 2, [1]), r"edge 1 is not \[origin, terminus, label\]"),
+    "edge-none": (
+        lambda: LabeledGraph(2, 2, [None]), r"edge None is not \[origin, terminus, label\]"
+    ),
+    "edge-two-entries": (
+        lambda: LabeledGraph(2, 2, [(0, 1)]), r"edge \(0, 1\) is not \[origin, terminus, label\]"
     ),
 }
 

@@ -68,7 +68,9 @@ from subsetcurrents.stallings import (
 )
 
 from helpers import (
+    GOOD_JSON,
     _wl_classes,
+    all_cores,
     assert_tree_matches_oracle,
     attach_tail_oracle,
     canonical_key_oracle,
@@ -386,6 +388,20 @@ def test_keys_count_subgroups_of_finite_index():
     assert hall[1:] == [1, 3, 13, 71, 461]
 
 
+def test_small_cores_census():
+    """At rank 2 the connected cores on at most 3 vertices fall into 92
+    classes, 12, 44, 29 and 7 of reduced rank 0 to 3, and the key of the
+    canonical refinement splits them exactly as the minimum over all start
+    vertices of the complete BFS code does."""
+    cores = all_cores(2, 3)
+    assert len(cores) == 92
+    ranks = [reduced_rank(g) for g in cores]
+    assert [ranks.count(r) for r in range(4)] == [12, 44, 29, 7]
+    by_oracle = all_cores(2, 3, key=canonical_key_oracle)
+    assert len(by_oracle) == 92
+    assert {canonical_key(g) for g in by_oracle} == {canonical_key(g) for g in cores}
+
+
 def test_finite_index_oracles():
     a = sub("a")
     a2 = sub("aa")
@@ -540,9 +556,6 @@ def test_json_roundtrip():
     assert canonical_key_based(
         check_core_graph(back)
     ) == canonical_key_based(h)
-
-
-GOOD_JSON = {"rank": 2, "vertices": [0, 1], "edges": [[0, 1, 1], [1, 0, 2]], "basepoint": 0}
 
 
 def _json_without(key):
