@@ -13,6 +13,7 @@ import functools
 import json
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -40,7 +41,7 @@ from .stallings import (
     reduced_rank,
     subgroup_generators,
 )
-from .words import Alphabet, format_word
+from .words import Alphabet, Word
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -162,8 +163,30 @@ def _dump(message: str, h, k, **routes) -> MismatchBugError:
     return MismatchBugError(f"{message} {json.dumps(data, sort_keys=True, default=str)}")
 
 
+def _word_text(w: Word, alphabet: Alphabet) -> str:
+    """`format_word` without its letter check, for words the engine built:
+    their letters are within the rank by construction."""
+    return "".join(map(alphabet._names.__getitem__, w)) or "1"
+
+
 def _gens_text(h: LabeledGraph, alphabet: Alphabet) -> str:
-    return ";".join(format_word(w, alphabet) for w in subgroup_generators(h))
+    return ";".join(_word_text(w, alphabet) for w in subgroup_generators(h))
+
+
+def _check_coverage(h: LabeledGraph, k: LabeledGraph, reports) -> None:
+    """The component reports must cover all V1 * V2 vertex pairs and all
+    product edges, whose number is the sum over labels of e1 * e2, read
+    from the factors' label counts; a lost report moves no N route."""
+    labels_k = Counter(lab for _, _, lab in k.edges)
+    edges = sum(n * labels_k[lab] for lab, n in Counter(lab for _, _, lab in h.edges).items())
+    pairs = h.num_vertices * k.num_vertices
+    covered = (sum(c.num_vertices for c in reports), sum(c.num_edges for c in reports))
+    if covered != (pairs, edges):
+        raise _dump(
+            "component reports do not cover the fiber product:", h, k,
+            pairs=pairs, product_edges=edges,
+            covered_pairs=covered[0], covered_edges=covered[1],
+        )
 
 
 def cmd_core(args: argparse.Namespace) -> Result:
@@ -186,6 +209,7 @@ def cmd_product(args: argparse.Namespace) -> Result:
             raise NotAutomorphismError("invariance checks need an automorphism")
         h, k = act_on_subgroup(phi, h), act_on_subgroup(phi, k)
     fp = fiber_product(h, k)
+    _check_coverage(h, k, fp.components())
     components = []
     for comp in fp.components():
         g, gens = component_subgroup(fp, comp)
@@ -195,8 +219,8 @@ def cmd_product(args: argparse.Namespace) -> Result:
                 "edges": comp.num_edges,
                 "euler": comp.euler,
                 "contractible": comp.contractible,
-                "representative": format_word(g, alphabet),
-                "generators": [format_word(w, alphabet) for w in gens],
+                "representative": _word_text(g, alphabet),
+                "generators": [_word_text(w, alphabet) for w in gens],
                 "reduced_rank": (
                     reduced_rank(from_generators(gens, alphabet)) if gens else 0
                 ),

@@ -15,9 +15,10 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .errors import MismatchBugError, NotConnectedError, SizeLimitError
-from .fiber import fiber_product
+from .fiber import _product_edges, fiber_product
 from .stallings import (
     LabeledGraph,
+    UnionFind,
     _int,
     _keyed_quotient,
     check_core_graph,
@@ -317,8 +318,17 @@ def normalize(terms) -> RationalCurrent:
     Each subgroup contributes index-times the counting measure of its
     commensurator, so conjugate and commensurable inputs merge.  Idempotent.
     """
+    try:
+        terms = iter(terms)
+    except TypeError:
+        raise ValueError(f"terms must be (coefficient, graph) pairs, got {terms!r}") from None
     acc: dict[bytes, tuple[Fraction, LabeledGraph]] = {}
-    for coeff, g in terms:
+    for term in terms:
+        if not (isinstance(term, (tuple, list)) and len(term) == 2):
+            raise ValueError(f"a term is a (coefficient, graph) pair, got {term!r}")
+        coeff, g = term
+        if not isinstance(g, LabeledGraph):
+            raise ValueError(f"a term's graph must be a LabeledGraph, got {g!r}")
         c = _exact(coeff)
         if c < 0:
             raise ValueError("current coefficients must be nonnegative")
@@ -400,10 +410,26 @@ def _term_pairs(mu: RationalCurrent, nu: RationalCurrent) -> list[tuple]:
 
 
 def c_hat(mu: RationalCurrent, nu: RationalCurrent) -> Fraction:
-    """Bilinear count of contractible fiber-product components."""
+    """Bilinear count of contractible fiber-product components.
+
+    For each pair of terms it merges the endpoints of the product edges
+    over all V1 * V2 vertex pairs in one union pass, then counts the roots
+    whose component has V - E = 1, the trees; an isolated pair is such a
+    root.  No product graph or component report is built, so this route
+    shares no component classification with the cosets route.
+    """
     total = Fraction(0)
     for c, g1, g2 in _term_pairs(mu, nu):
-        total += c * sum(comp.contractible for comp in fiber_product(g1, g2).components())
+        edges = _product_edges(g1, g2)
+        uf = UnionFind(g1.num_vertices * g2.num_vertices)
+        uf.union_edges(edges)
+        roots = uf.roots()
+        euler = [0] * len(roots)
+        for r in roots:
+            euler[r] += 1
+        for o, _, _ in edges:
+            euler[roots[o]] -= 1
+        total += c * euler.count(1)
     return total
 
 

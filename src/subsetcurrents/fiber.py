@@ -10,7 +10,6 @@ double-coset components.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .errors import MismatchBugError
@@ -130,12 +129,20 @@ def classify_components(fp: FiberProduct) -> list[ComponentReport]:
     """Vertex and edge counts per component, by ascending base vertex.
 
     Isolated vertices count as (contractible) components.  Membership is
-    read from `fp.graph.component_ids()`, so no vertex list is built.
+    read from `fp.graph.component_ids()`, so no vertex list is built: one
+    pass over the vertices and one over the edges count into lists indexed
+    by base vertex, and a base vertex is exactly an entry with a vertex.
+    The cylinder route does not read these reports; `c_hat` counts its
+    trees with a union pass of its own.
     """
     comp_of = fp.graph.component_ids()
-    sizes = Counter(comp_of)
-    edge_count = Counter(comp_of[o] for o, _, _ in fp.graph.edges)
-    return [ComponentReport(c, sizes[c], edge_count[c]) for c in sorted(sizes)]
+    sizes = [0] * len(comp_of)
+    for c in comp_of:
+        sizes[c] += 1
+    edge_count = [0] * len(comp_of)
+    for o, _, _ in fp.graph.edges:
+        edge_count[comp_of[o]] += 1
+    return [ComponentReport(c, n, edge_count[c]) for c, n in enumerate(sizes) if n]
 
 
 def component_subgroup(fp: FiberProduct, comp: ComponentReport) -> tuple[Word, list[Word]]:
@@ -146,7 +153,11 @@ def component_subgroup(fp: FiberProduct, comp: ComponentReport) -> tuple[Word, l
     the basepoints to u and v, the representative is g = w_a * w_b^-1 and
     each spanning-tree loop word l of the component yields the generator
     w_a * l * w_a^-1.  Tree paths in folded graphs are reduced, so g only
-    drops the common suffix of w_a and w_b.
+    drops the common suffix of w_a and w_b: both parent tables are walked
+    up together while their letters agree, and g is read from the two
+    stops, the left path up to its root reversed and then the right path
+    up to its root with each letter negated.  w_a itself is spelled only
+    for an essential component.
 
     Both factors must be based and connected: `_based_tree` refuses
     either in this function's name.
@@ -161,16 +172,26 @@ def component_subgroup(fp: FiberProduct, comp: ComponentReport) -> tuple[Word, l
     h, k = fp.left, fp.right
     if fp._trees is None:
         fp._trees = (_based_tree(h, "component_subgroup"), _based_tree(k, "component_subgroup"))
+    left, right = fp._trees
     u, v = fp.vertex_pair(comp.base_vertex)
-    w_a = _tree_path(fp._trees[0], u)
-    w_b = _tree_path(fp._trees[1], v)
-    i, j = len(w_a), len(w_b)
-    while i and j and w_a[i - 1] == w_b[j - 1]:
-        i -= 1
-        j -= 1
-    g = w_a[:i] + invert(w_b[:j])
+    a, b = u, v
+    while True:
+        step_a, step_b = left[a], right[b]
+        if step_a is None or step_b is None or step_a[1] != step_b[1]:
+            break
+        a, b = step_a[0], step_b[0]
+    letters = []
+    while left[a] is not None:
+        a, s = left[a]
+        letters.append(s)
+    letters.reverse()
+    while right[b] is not None:
+        b, s = right[b]
+        letters.append(-s)
+    g = tuple(letters)
     if comp.contractible:
         return g, []
+    w_a = _tree_path(left, u)
     gens = [
         concat(w_a, loop, invert(w_a))
         for loop in subgroup_generators(fp._component_graph(comp))

@@ -31,8 +31,9 @@ COVER_TRIES = 500
 
 class UnionFind:
     """Disjoint sets over 0..n-1 whose every root is its class's smallest
-    member: `union` keeps the smaller root and `find` compresses paths to
-    it, so every parent pointer points to a vertex no larger than itself."""
+    member: `union` and `union_edges` keep the smaller root, `find`
+    compresses paths to it and `union_edges` halves them, so every parent
+    pointer points to a vertex no larger than itself."""
 
     def __init__(self, n: int):
         self.parent = list(range(n))
@@ -54,6 +55,21 @@ class UnionFind:
             ra, rb = rb, ra
         self.parent[rb] = ra
         return rb
+
+    def union_edges(self, edges) -> None:
+        """Merge the endpoints of every (origin, terminus, label) edge in one
+        inline loop.  Path halving keeps parents pointing downward, and the
+        smaller root is kept, as in `union`."""
+        parent = self.parent
+        for a, b, _ in edges:
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a < b:
+                parent[b] = a
+            elif b < a:
+                parent[a] = b
 
     def roots(self) -> list[int]:
         """Per element, its root, in place.  Parents point downward, so in
@@ -94,6 +110,10 @@ class LabeledGraph:
             raise ValueError(f"rank must be at least 2, got {rank}")
         if _int(num_vertices, "num_vertices") < 0:
             raise ValueError(f"num_vertices must be nonnegative, got {num_vertices}")
+        try:
+            edges = iter(edges)
+        except TypeError:
+            raise ValueError(f"edges must be an iterable of edges, got {edges!r}") from None
         edges = [e if type(e) is tuple else _edge_tuple(e) for e in edges]
         for e in edges:
             try:
@@ -143,8 +163,7 @@ class LabeledGraph:
         """Per vertex, the smallest vertex of its component; computed once."""
         if self._components is None:
             uf = UnionFind(self.num_vertices)
-            for o, t, _ in self.edges:
-                uf.union(o, t)
+            uf.union_edges(self.edges)
             self._components = tuple(uf.roots())
         return self._components
 

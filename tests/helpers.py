@@ -38,6 +38,15 @@ two routes, component isomorphism and vertex-pair neighborhood
 intersections, and raises on disagreement; it is the reference for
 acceptance 5 and the round-graph tests.
 
+`c_hat_oracle` is the earlier `c_hat`, which summed the contractible
+flags of `fiber_product(g1, g2).components()` for every pair of terms,
+kept as the oracle for the union pass over the product edges that counts
+trees without a product graph or component reports.
+`representative_oracle` is the earlier double-coset representative of
+`component_subgroup`: both full tree paths read with `_tree_path`, their
+common suffix dropped by slicing, and the right one inverted, kept as the
+oracle for the walk up both parent tables.
+
 `intersection_number_euler_oracle` is the earlier Euler route, edges minus
 vertices plus contractible components of the whole product, kept as the
 oracle for edges minus vertices of the pruned product.
@@ -640,6 +649,32 @@ def component_ids_oracle(num_vertices: int, edges) -> tuple[int, ...]:
                     label[u] = start
                     queue.append(u)
     return tuple(label)
+
+
+def c_hat_oracle(mu: RationalCurrent, nu: RationalCurrent) -> Fraction:
+    """Bilinear count of contractible fiber-product components, read from
+    the component reports of each product."""
+    if mu.is_zero or nu.is_zero:
+        return Fraction(0)
+    total = Fraction(0)
+    for c1, g1 in mu.terms():
+        for c2, g2 in nu.terms():
+            comps = fiber_product(g1, g2).components()
+            total += c1 * c2 * sum(comp.contractible for comp in comps)
+    return total
+
+
+def representative_oracle(fp, comp):
+    """g = w_a * w_b^-1 for the component's base vertex (u, v), with w_a and
+    w_b the full tree paths to u and v; the common suffix is dropped."""
+    u, v = fp.vertex_pair(comp.base_vertex)
+    w_a = _tree_path(_based_tree(fp.left, "representative_oracle"), u)
+    w_b = _tree_path(_based_tree(fp.right, "representative_oracle"), v)
+    i, j = len(w_a), len(w_b)
+    while i and j and w_a[i - 1] == w_b[j - 1]:
+        i -= 1
+        j -= 1
+    return w_a[:i] + invert(w_b[:j])
 
 
 def intersection_number_euler_oracle(h: LabeledGraph, k: LabeledGraph) -> int:

@@ -483,8 +483,9 @@ def test_math_failure_dump_replays(files, tmp_path, monkeypatch, capsys, command
 
 
 def test_contractible_flag_fault_leaves_euler_alone(files, tmp_path, monkeypatch, capsys):
-    # The Euler route prunes the product and reads no component report, so
-    # a report lost by classify_components moves the cylinder route only.
+    # No N route reads a report lost by classify_components: the Euler route
+    # prunes the product, c_hat counts trees by its own union pass, and a
+    # lost tree has reduced rank 0.  product's coverage check catches it.
     classify = fiber.classify_components
 
     def drop_one_tree(fp):
@@ -502,12 +503,13 @@ def test_contractible_flag_fault_leaves_euler_alone(files, tmp_path, monkeypatch
     monkeypatch.setattr(fiber, "classify_components", drop_one_tree)
     assert fiber.intersection_number_euler(h, k) == 1
     assert fiber.intersection_number_euler(core(h), core(k)) == 1
-    assert intersection_functional_N(mu, nu) != 1
+    assert intersection_functional_N(mu, nu) == 1
     assert run(["product", files["h"], files["k"]], str(tmp_path / "x.json")) == 2
     err = capsys.readouterr().err
+    assert "component reports do not cover the fiber product" in err
     dump = json.loads(err[err.index("{"):])
-    assert (dump["euler"], dump["cosets"]) == (1, 1)
-    assert dump["cylinder"] != "1"
+    assert dump["covered_pairs"] == dump["pairs"] - 1 == h.num_vertices * k.num_vertices - 1
+    assert dump["covered_edges"] == dump["product_edges"]
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ at rank 3, 2^6 - 1 - 6 = 57.
 import functools
 import hashlib
 import random
+from itertools import combinations_with_replacement
 from decimal import Decimal
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subsetcurrents import currents, stallings
+from subsetcurrents import currents, fiber, stallings
 from subsetcurrents import (
     Alphabet,
     Endomorphism,
@@ -56,7 +57,9 @@ from subsetcurrents import (
     zero_current,
 )
 from helpers import (
+    all_cores,
     brute_force_occurrences,
+    c_hat_oracle,
     c_hat_via_round_graphs,
     functional_V_oracle,
     occurrence_count_oracle,
@@ -487,6 +490,66 @@ def test_c_hat_goldens():
     assert c_hat(zero_current(), eta_a) == 0
 
 
+def test_c_hat_matches_the_report_oracle_on_the_small_core_census():
+    # the counting currents of acceptance 20's 4,278 pairs
+    etas = [
+        counting_current(LabeledGraph(2, g.num_vertices, g.edges, basepoint=0))
+        for g in all_cores(2, 3)
+    ]
+    pairs = list(combinations_with_replacement(etas, 2))
+    assert len(pairs) == 4278
+    values = [c_hat(mu, nu) for mu, nu in pairs]
+    assert values == [c_hat_oracle(mu, nu) for mu, nu in pairs]
+    assert sum(v > 0 for v in values) >= 1000
+
+
+def test_c_hat_matches_the_report_oracle_on_multi_term_currents():
+    # pushforwards and scaled sums carry several terms, so each pair of
+    # currents is several products weighted by c1 * c2
+    rng = random.Random(91)
+    multi = positive = 0
+    for rank in (2, 3, 4):
+        alphabet = Alphabet(rank)
+        for _ in range(8):
+            mu, nu, rho = (random_current(rng, alphabet) for _ in range(3))
+            pushed = pushforward_I(mu + rho, nu + rho)
+            summed = mu.scale(Fraction(rng.randint(1, 5), rng.randint(1, 3))) + nu
+            for x, y in [(mu, nu), (pushed, mu), (pushed, pushed), (summed, rho), (summed, pushed)]:
+                value = c_hat(x, y)
+                assert value == c_hat_oracle(x, y)
+                multi += len(x.terms()) * len(y.terms()) > 1
+                positive += value > 0
+    assert multi >= 60
+    assert positive >= 40
+
+
+def test_c_hat_builds_no_fiber_product(monkeypatch):
+    counts = {"FiberProduct": 0, "classify_components": 0}
+    init, classify = fiber.FiberProduct.__init__, fiber.classify_components
+
+    def counted_init(fp, left, right):
+        counts["FiberProduct"] += 1
+        init(fp, left, right)
+
+    def counted_classify(fp):
+        counts["classify_components"] += 1
+        return classify(fp)
+
+    monkeypatch.setattr(fiber.FiberProduct, "__init__", counted_init)
+    monkeypatch.setattr(fiber, "classify_components", counted_classify)
+    eta = lambda *w: counting_current(sub(*w))
+    pairs = [
+        (eta("aa", "b"), eta("a", "bb")),
+        (eta("a"), eta("b")),
+        (eta("ab", "ba", "aab") + eta("a", "bab"), eta("a", "bab").scale(2)),
+    ]
+    assert [intersection_functional_N(mu, nu) for mu, nu in pairs] == [1, 0, 4]
+    assert counts == {"FiberProduct": 0, "classify_components": 0}
+    # the counters do see the products that pushforward_I builds
+    pushforward_I(*pairs[0])
+    assert counts == {"FiberProduct": 1, "classify_components": 1}
+
+
 def test_c_hat_round_graph_routes_goldens():
     a_loop = ucore(sub("a"))
     b_loop = ucore(sub("b"))
@@ -780,6 +843,18 @@ INPUT_REFUSALS = {
     ),
     "edge-two-entries": (
         lambda: LabeledGraph(2, 2, [(0, 1)]), r"edge \(0, 1\) is not \[origin, terminus, label\]"
+    ),
+    # the doors check the container before its entries
+    "edges-none": (lambda: LabeledGraph(2, 2, None), "edges must be an iterable of edges, got None"),
+    "edges-int": (lambda: LabeledGraph(2, 2, 5), "edges must be an iterable of edges, got 5"),
+    "terms-none": (
+        lambda: normalize(None), r"terms must be \(coefficient, graph\) pairs, got None"
+    ),
+    "term-bare-coefficient": (
+        lambda: normalize([1]), r"a term is a \(coefficient, graph\) pair, got 1"
+    ),
+    "term-graph-str": (
+        lambda: normalize([(1, "x")]), "a term's graph must be a LabeledGraph, got 'x'"
     ),
 }
 

@@ -35,6 +35,7 @@ from helpers import (
     component_subgroup_oracle,
     intersection_number_euler_full_oracle,
     intersection_number_euler_oracle,
+    representative_oracle,
     spanning_tree_oracle,
 )
 
@@ -210,6 +211,32 @@ def test_component_subgroup_matches_oracle():
             )
         with_essential += any(not c.contractible for c in comps)
     assert with_essential >= 50
+
+
+def test_representatives_match_the_two_path_oracle():
+    """The walk up both parent tables gives the g that reading both full
+    tree paths and dropping their common suffix gives, on every component:
+    seeded products, conjugates <a^n b a^-n> against <bab>, where the two
+    paths share long suffixes, and finite covers against their base."""
+    rng = random.Random(29)
+    pairs = differential_pairs()
+    bab = from_generators([(2, 1, 2)], AL2)
+    pairs += [
+        (from_generators([(1,) * n + (2,) + (-1,) * n], AL2), bab) for n in (1, 2, 5, 13, 40)
+    ]
+    for _ in range(10):
+        h = random_subgroup(rng, AL2)
+        pairs.append((random_finite_index_cover(h, rng.randint(2, 4), rng), h))
+    checked = nontrivial = 0
+    for h, k in pairs:
+        fp = fiber_product(h, k)
+        for comp in fp.components():
+            g, _ = component_subgroup(fp, comp)
+            assert g == representative_oracle(fp, comp)
+            checked += 1
+            nontrivial += len(g) > 2
+    assert checked >= 5000
+    assert nontrivial >= 3000
 
 
 def test_product_trees_match_oracle():

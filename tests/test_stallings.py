@@ -58,6 +58,7 @@ from subsetcurrents import (
 )
 
 from subsetcurrents import cli, stallings
+from subsetcurrents.fiber import _product_edges
 from subsetcurrents.stallings import (
     UnionFind,
     _core_and_tail,
@@ -1064,6 +1065,30 @@ def test_component_ids_is_a_memoized_union_find():
             uf.union(o, t)
         assert ids == tuple(uf.find(v) for v in range(g.num_vertices))
         assert g.component_ids() is ids
+
+
+def test_union_edges_matches_union_edge_by_edge():
+    """The batch union and `union` called per edge end in the same roots,
+    and the batch keeps every parent at or below its vertex: on the seeded
+    multigraphs (loops, parallel edges, isolated vertices) in sorted and
+    shuffled order, on hand cases down to n = 0, and on product edge lists."""
+    rng = random.Random(47)
+    cases = [(0, []), (1, [(0, 0, 1)] * 3), (4, [(3, 3, 1), (3, 1, 2), (3, 1, 2), (1, 3, 1)])]
+    for g in random_multigraphs():
+        shuffled = list(g.edges)
+        rng.shuffle(shuffled)
+        cases += [(g.num_vertices, g.edges), (g.num_vertices, shuffled)]
+    for alphabet in (AL2, Alphabet(3)):
+        for _ in range(20):
+            h, k = random_subgroup(rng, alphabet), random_subgroup(rng, alphabet)
+            cases.append((h.num_vertices * k.num_vertices, _product_edges(h, k)))
+    for n, edges in cases:
+        batch, single = UnionFind(n), UnionFind(n)
+        batch.union_edges(edges)
+        for o, t, _ in edges:
+            single.union(o, t)
+        assert all(p <= v for v, p in enumerate(batch.parent))
+        assert batch.roots() == single.roots()
 
 
 def test_is_folded_and_moves_match_the_germ_list_oracle():
