@@ -135,18 +135,19 @@ def neighborhood_tree(graph: LabeledGraph, v: int, r: int) -> FiniteSubtree:
         raise ValueError("neighborhood radius must be at least 1")
     if not 0 <= _int(v, "vertex") < graph.num_vertices:
         raise ValueError(f"vertex {v} out of range 0..{graph.num_vertices - 1}")
-    moves = graph.moves()
+    moves, letters = graph.moves(), graph._letters
     words: set[Word] = {()}
     frontier: list[tuple[Word, int]] = [((), v)]
     for _ in range(r):
         nxt = []
         for w, u in frontier:
-            for s, t in moves[u].items():
+            row = moves[u]
+            for s in letters[u]:
                 if w and s == -w[-1]:
                     continue
                 nw = w + (s,)
                 words.add(nw)
-                nxt.append((nw, t))
+                nxt.append((nw, row[s]))
         frontier = nxt
     return check_round_graph(FiniteSubtree(words), r)
 
@@ -211,7 +212,9 @@ def occurrence_count(tree: FiniteSubtree, graph: LabeledGraph) -> int:
     (degree above 1), so the tree is cut out locally, not just immersed.
     The tree is read in its stored form: each word after the root is one
     (parent position, letter) step, and its image at a vertex is one list
-    entry; the stored degrees name the interior positions.
+    entry; the stored degrees name the interior positions, and the lengths
+    of the graph's `_letters` (filled with its `moves()` rows) are compared
+    with them.
     """
     if not tree.nondegenerate:
         raise ValueError("occurrences are counted for subtrees with an edge")
@@ -219,17 +222,17 @@ def occurrence_count(tree: FiniteSubtree, graph: LabeledGraph) -> int:
     if max(abs(s) for _, s in steps) > graph.rank:
         raise ValueError(f"subtree letters exceed the graph's rank {graph.rank}")
     interior = [(i, d) for i, d in enumerate(tree._degrees) if d > 1]
-    moves = graph.moves()
+    moves, letters = graph.moves(), graph._letters
     count = 0
     for v in range(graph.num_vertices):
         image = [v]
         for p, s in steps:
-            t = moves[image[p]].get(s)
+            t = moves[image[p]][s]
             if t is None:
                 break
             image.append(t)
         else:
-            if all(len(moves[image[i]]) == d for i, d in interior):
+            if all(len(letters[image[i]]) == d for i, d in interior):
                 count += 1
     return count
 
@@ -378,7 +381,7 @@ def functional_V(mu: RationalCurrent) -> Fraction:
     The sum runs only over the grade-1 trees that some term of mu shows.
     At a core vertex the grade-1 neighborhood is the star on its
     departures, so these are one star per distinct departure set of the
-    terms' `moves()` rows, each checked as a round graph (a vertex of
+    terms' `_letters` lists, each checked as a round graph (a vertex of
     degree 1 raises).  Every other round graph has occurrence count 0 in
     every term: an occurrence of a grade-1 round graph at v needs its
     letters to be exactly the departures at v.  Leaving those terms out
@@ -386,7 +389,10 @@ def functional_V(mu: RationalCurrent) -> Fraction:
     sets of mu rather than the 2^(2N) - 1 - 2N round graphs of the rank.
     Each term is still a cylinder count from occurrence_count.
     """
-    departures = {frozenset(row) for _, g in mu.terms() for row in g.moves()}
+    departures: set[frozenset[int]] = set()
+    for _, g in mu.terms():
+        g.moves()
+        departures.update(map(frozenset, g._letters))
     observed = [
         check_round_graph(FiniteSubtree([(), *((s,) for s in letters)]), 1)
         for letters in departures

@@ -34,7 +34,9 @@ class NotAutomorphismError(ValueError):
 
 
 class SizeLimitError(ValueError):
-    """An enumeration would exceed the configured size cap."""
+    """An input would exceed a fixed size ceiling: an enumeration above its
+    cap, a rank above `MAX_RANK`, which bounds a departure row, or a
+    departure table above `MAX_TABLE_SLOTS`."""
 
 
 class RetryLimitError(RuntimeError):

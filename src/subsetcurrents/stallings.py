@@ -10,6 +10,7 @@ every rebuild so downstream code can treat vertex ids as dense indices.
 from __future__ import annotations
 
 import functools
+import operator
 import random
 
 from .errors import (
@@ -18,12 +19,18 @@ from .errors import (
     NotConnectedError,
     NotSubgroupError,
     RetryLimitError,
+    SizeLimitError,
     TrivialSubgroupError,
     WordFormatError,
 )
 from .words import Alphabet, Word, concat, cyclic_reduce, invert, parse_word, reduce_word
 
 Edge = tuple[int, int, int]  # (origin, terminus, positive label)
+
+# Most slots a departure table may hold: 8 bytes a slot keeps one graph's
+# `moves()` rows under 128 MiB.  A row has 2N + 1 slots, so a rank-2 graph
+# may have about 3.3 million vertices and a rank-4096 graph 2047.
+MAX_TABLE_SLOTS = 2**24
 
 # Draws `random_finite_index_cover` makes before it gives up on connectivity.
 COVER_TRIES = 500
@@ -103,11 +110,10 @@ def _edge_tuple(e) -> tuple:
 class LabeledGraph:
     """Finite multigraph over the rank-N rose.  Treated as immutable."""
 
-    __slots__ = ("rank", "num_vertices", "edges", "basepoint", "_moves", "_components")
+    __slots__ = ("rank", "num_vertices", "edges", "basepoint", "_moves", "_letters", "_components")
 
     def __init__(self, rank: int, num_vertices: int, edges, basepoint: int | None = None):
-        if _int(rank, "rank") < 2:
-            raise ValueError(f"rank must be at least 2, got {rank}")
+        _alphabet(_int(rank, "rank"))  # refuses a rank below 2 or above MAX_RANK
         if _int(num_vertices, "num_vertices") < 0:
             raise ValueError(f"num_vertices must be nonnegative, got {num_vertices}")
         try:
@@ -133,29 +139,69 @@ class LabeledGraph:
         self.edges: tuple[Edge, ...] = tuple(sorted(edges))
         self.basepoint = basepoint
         self._moves = None
+        self._letters = None
         self._components = None
+
+    def _unbased(self) -> LabeledGraph:
+        """This graph without its basepoint.  The copy shares the edges and
+        every cached table, none of which depends on the basepoint, so
+        neither graph builds them again."""
+        if self.basepoint is None:
+            return self
+        out = object.__new__(LabeledGraph)
+        for name in self.__slots__:
+            setattr(out, name, getattr(self, name))
+        out.basepoint = None
+        return out
 
     def is_folded(self) -> bool:
         """No two edges share (origin, label) or (terminus, label), which is
-        exactly when `moves()` can build its table."""
+        exactly when `moves()` can build its table.  A table above
+        `MAX_TABLE_SLOTS` is refused, not read as unfolded."""
         try:
             self.moves()
+        except SizeLimitError:
+            raise
         except ValueError:
             return False
         return True
 
-    def moves(self) -> list[dict[int, int]]:
-        """Per vertex, signed label -> target; computed once.  Every departure
-        reader goes through here, so here is where unfolded graphs are
-        refused: an edge whose (origin, label) or (terminus, label) an
-        earlier edge already took."""
+    def moves(self) -> list[list[int | None]]:
+        """Per vertex, a row of 2N + 1 slots indexed by the signed label, as
+        `Alphabet._names` is: +i at position i and, by negative indexing,
+        -i at 2N + 1 - i (position 0 is never read).  A slot holds the
+        target, or None where the vertex has no such departure.  Lists,
+        because hash(-1) == hash(-2) makes a dict keyed by signed labels
+        probe past one of them.  So `len(row)` is 2N + 1, not the degree.
+
+        The same pass fills `_letters`: per vertex, the signed labels of its
+        departures in edge order, so its length is the degree.  A reader
+        that visits every departure of a vertex iterates these, and indexes
+        the row only for their targets, so its cost follows the degrees,
+        not the rank.  Computed once.
+
+        Every departure reader goes through here, so here is where unfolded
+        graphs are refused: an edge whose (origin, label) or (terminus,
+        label) an earlier edge already took.  A table of more than
+        `MAX_TABLE_SLOTS` slots is refused before it is allocated."""
         if self._moves is None:
-            table: list[dict[int, int]] = [{} for _ in range(self.num_vertices)]
+            slots = self.num_vertices * (2 * self.rank + 1)
+            if slots > MAX_TABLE_SLOTS:
+                raise SizeLimitError(
+                    f"a departure table of {self.num_vertices} vertices at rank {self.rank} "
+                    f"has {slots} slots, above the budget of {MAX_TABLE_SLOTS}"
+                )
+            table = [[None] * (2 * self.rank + 1) for _ in range(self.num_vertices)]
+            letters: list[list[int]] = [[] for _ in range(self.num_vertices)]
             for o, t, lab in self.edges:
-                if lab in table[o] or -lab in table[t]:
+                out, back = table[o], table[t]
+                if out[lab] is not None or back[-lab] is not None:
                     raise ValueError("following departures needs a folded graph; fold it first")
-                table[o][lab] = t
-                table[t][-lab] = o
+                out[lab] = t
+                back[-lab] = o
+                letters[o].append(lab)
+                letters[t].append(-lab)
+            self._letters = letters
             self._moves = table
         return self._moves
 
@@ -189,6 +235,13 @@ class _Folder:
     vertices, and makes them in the order a wedge of the same words would;
     a merge keeps the smaller root, so `graph` numbers each class by its
     smallest wedge vertex, exactly as folding the wedge would.
+
+    The rows stay dicts, unlike the lists of `LabeledGraph.moves()`: every
+    spelled vertex gets a fresh row and every merge moves a row, so a row
+    of 2N + 1 slots would be allocated and scanned where a dict holds the
+    one or two departures a spelled vertex has.  A version with list rows
+    here ran about 1.5% slower on the `scan` benchmark workload and 2% on
+    `big-core`.
     """
 
     def __init__(self, n: int, edges=()):
@@ -333,9 +386,13 @@ def _require_basepoint(graph: LabeledGraph, fn: str) -> None:
 
 
 def core(graph: LabeledGraph) -> LabeledGraph:
-    """Unbased core: prune hanging trees, forget the basepoint."""
+    """Unbased core: prune hanging trees, forget the basepoint.  When
+    nothing is pruned, the core is `graph._unbased()`."""
     survivors = core_vertices(graph)
-    out, _ = induced_subgraph(graph, survivors)
+    if len(survivors) == graph.num_vertices:
+        out = graph._unbased()
+    else:
+        out, _ = induced_subgraph(graph, survivors)
     if not out.edges:
         raise EmptyCoreError("graph has no essential loop, so its core is empty")
     return out
@@ -363,11 +420,11 @@ def check_core_graph(graph: LabeledGraph) -> LabeledGraph:
     """
     if not graph.edges:
         raise EmptyCoreError("empty graph does not represent a nontrivial subgroup")
-    moves = graph.moves()
+    graph.moves()
     if graph.basepoint is not None and not graph.is_connected():
         raise NotConnectedError("based core graph must be connected")
-    for v, departures in enumerate(moves):
-        if v != graph.basepoint and len(departures) < 2:
+    for v, letters in enumerate(graph._letters):
+        if v != graph.basepoint and len(letters) < 2:
             raise ValueError(f"non-basepoint vertex {v} has degree < 2")
     return graph
 
@@ -404,7 +461,7 @@ def contains(h: LabeledGraph, w: Word) -> bool:
     moves = h.moves()
     v = h.basepoint
     for x in reduce_word(w):
-        v = moves[v].get(x)
+        v = moves[v][x]
         if v is None:
             return False
     return v == h.basepoint
@@ -425,8 +482,9 @@ def _based_tree(h: LabeledGraph, fn: str) -> dict[int, tuple[int, int] | None]:
     parent: dict[int, tuple[int, int] | None] = {h.basepoint: None}
     queue = [h.basepoint]
     for v in queue:
+        row = moves[v]
         for s in order:
-            t = moves[v].get(s)
+            t = row[s]
             if t is not None and t not in parent:
                 parent[t] = (v, s)
                 queue.append(t)
@@ -466,13 +524,13 @@ def reduced_rank(g: LabeledGraph) -> int:
     return max(rank(g) - 1, 0)
 
 
-def _step_table(graph: LabeledGraph) -> list[list[int | None]]:
-    """`step[v][j]` is the target of the j-th signed letter at v, or None."""
-    order = _alphabet(graph.rank).signed_letters()
-    return [[departures.get(s) for s in order] for departures in graph.moves()]
+def _step_table(graph: LabeledGraph) -> list[tuple[int | None, ...]]:
+    """`step[v][j]` is the target of the j-th signed letter at v, or None:
+    the `moves()` rows read in `signed_letters()` order."""
+    return list(map(operator.itemgetter(*_alphabet(graph.rank).signed_letters()), graph.moves()))
 
 
-def _bfs_code(step: list[list[int | None]], start: int) -> tuple:
+def _bfs_code(step: list[tuple[int | None, ...]], start: int) -> tuple:
     """BFS adjacency code from `start`: row i lists, per signed letter, the
     BFS number of the target at the i-th vertex visited, or -1."""
     ids: dict[int | None, int] = {None: -1, start: 0}
@@ -539,10 +597,11 @@ def finite_index(h: LabeledGraph, k: LabeledGraph) -> int | None:
     tree = _based_tree(h, "finite_index")
     _based_tree(k, "finite_index")  # K's table is built for its refusals only
     h_moves, k_moves = h.moves(), k.moves()
+    h_letters, k_letters = h._letters, k._letters
     f = {h.basepoint: k.basepoint}
     steps = [(*step, v) for v, step in tree.items() if step]
     for o, s, t in steps + [(o, lab, t) for o, t, lab in h.edges]:
-        img = k_moves[f[o]].get(s)
+        img = k_moves[f[o]][s]
         if img is None:
             raise NotSubgroupError("subgroup graph does not map into the target")
         if f.setdefault(t, img) != img:
@@ -554,10 +613,13 @@ def finite_index(h: LabeledGraph, k: LabeledGraph) -> int | None:
     if not core_h:
         return None
     for v in core_h:
-        if f[v] not in core_k:
+        w = f[v]
+        if w not in core_k:
             raise MismatchBugError("core image escaped the target core")
-        here = {s for s, t in h_moves[v].items() if t in core_h}
-        if here != {s for s, t in k_moves[f[v]].items() if t in core_k}:
+        here, there = h_moves[v], k_moves[w]
+        if {s for s in h_letters[v] if here[s] in core_h} != {
+            s for s in k_letters[w] if there[s] in core_k
+        }:
             return None
     if len({f[v] for v in core_h}) != len(core_k) or len(core_h) % len(core_k):
         raise MismatchBugError("locally bijective map of cores failed to be a covering")
@@ -582,21 +644,28 @@ def _stable_classes(graph: LabeledGraph) -> list[int]:
     letter at a time in `signed_letters()` order, touched classes split in
     ascending id order, and the split-off part takes the next id.  So by
     induction on the splits an isomorphism maps class i onto class i.
+    Only the letters some member departs by are taken, as no other letter
+    touches a class, so a splitter costs its members' degrees and not the
+    rank.  The members are read from a snapshot taken before any of those
+    letters splits a class, the splitter itself included.
     """
-    moves = graph.moves()
-    order = _alphabet(graph.rank).signed_letters()
+    moves, letters = graph.moves(), graph._letters
+    position = [0] * (2 * graph.rank + 1)  # signed letter -> its place in the order
+    for i, s in enumerate(_alphabet(graph.rank).signed_letters()):
+        position[s] = i
     cls = [0] * graph.num_vertices
     classes = [set(range(graph.num_vertices))]
     pending = {0: None}  # a stack of class ids, without repeats
     while pending:
-        into: dict[int, list[int]] = {}
-        for c in classes[pending.popitem()[0]]:
-            for s, x in moves[c].items():
-                into.setdefault(s, []).append(x)
-        for s in order:
+        splitter = classes[pending.popitem()[0]]
+        rows = [moves[c] for c in splitter]
+        carried = {s for c in splitter for s in letters[c]}
+        for s in sorted(carried, key=position.__getitem__):
             touched: dict[int, set[int]] = {}
-            for x in into.get(s, ()):
-                touched.setdefault(cls[x], set()).add(x)
+            for row in rows:
+                x = row[s]
+                if x is not None:
+                    touched.setdefault(cls[x], set()).add(x)
             for k in sorted(touched):
                 marked, rest = touched[k], classes[k]
                 if len(marked) == len(rest):
@@ -619,12 +688,21 @@ def _keyed_quotient(graph: LabeledGraph) -> tuple[LabeledGraph, int, list[int], 
     class 0 is the image of the graph's class 0.  The quotient's partition
     is discrete, so its key is its BFS code from that one vertex.
 
+    When every class is a singleton, the graph is its own minimal
+    quotient, and the quotient is `graph._unbased()` with degree 1 and the
+    identity map, so its departure table is not built again.
+
     It trusts its caller: the graph must be nonempty and connected, which
     `minimal_covering_quotient` checks and `normalize` has checked before
     coring the term.
     """
+    classes = _stable_classes(graph)
+    n = graph.num_vertices
+    if max(classes) == n - 1:  # class ids are 0, 1, ..., so all are singletons
+        quotient = graph._unbased()
+        return quotient, 1, list(range(n)), _key(quotient, [classes.index(0)])
     first: dict[int, int] = {}
-    vmap = [first.setdefault(c, len(first)) for c in _stable_classes(graph)]
+    vmap = [first.setdefault(c, len(first)) for c in classes]
     edges = {(vmap[o], vmap[t], lab) for o, t, lab in graph.edges}
     quotient = LabeledGraph(graph.rank, len(first), edges)
     if not quotient.is_folded():

@@ -11,11 +11,16 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import WordFormatError
+from .errors import SizeLimitError, WordFormatError
 
 Word = tuple[int, ...]
 
 IDENTITY: Word = ()
+
+# Highest rank an `Alphabet` or a `LabeledGraph` accepts.  A departure row
+# holds one 8-byte slot per signed letter, 2N + 1 in all, so 4096 keeps a
+# row under 64 KiB.
+MAX_RANK = 4096
 
 _EXTENDED_TOKEN = re.compile(r"([xX])(\d+)")
 
@@ -31,6 +36,8 @@ class Alphabet:
             raise ValueError(f"rank must be an integer, got {self.rank!r}")
         if self.rank < 2:
             raise ValueError(f"rank must be at least 2, got {self.rank}")
+        if self.rank > MAX_RANK:
+            raise SizeLimitError(f"rank {self.rank} exceeds the ceiling of {MAX_RANK}")
 
     def letters(self) -> list[int]:
         return list(range(1, self.rank + 1))
@@ -54,6 +61,13 @@ class Alphabet:
         compact = self.rank <= 26
         up = [chr(ord("a") + i - 1) if compact else f"x{i}" for i in self.letters()]
         return ("", *up, *(name.upper() for name in reversed(up)))
+
+    @cached_property
+    def _compact(self) -> dict[str, int]:
+        """Signed letter of each compact character within the rank: a/A..
+        for +1/-1 and so on.  Read only up to rank 26."""
+        signed = self.signed_letters()
+        return dict(zip(map(self._names.__getitem__, signed), signed))
 
     def check_letter(self, x: int) -> None:
         self.check_word((x,))
@@ -112,28 +126,26 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
     s = text.strip()
     if s in ("", "1"):
         return IDENTITY
-    if any(ch.isdigit() for ch in s):
+    # a text of letters only has no digit, so only the others are scanned
+    if not s.isalpha() and any(ch.isdigit() for ch in s):
         return reduce_word(_parse_extended(s, alphabet))
     return reduce_word(_parse_compact(s, alphabet))
 
 
 def _parse_compact(s: str, alphabet: Alphabet) -> list[int]:
+    """Each character through the rank's table; the first character
+    missing from it is an ASCII letter beyond the rank or an unknown token."""
     if alphabet.rank > 26:
         raise WordFormatError(
             f"compact format covers ranks up to 26, not {alphabet.rank}; use x<i>/X<i>"
         )
-    letters = []
-    for ch in s:
-        if "a" <= ch <= "z":
-            x = ord(ch) - ord("a") + 1
-        elif "A" <= ch <= "Z":
-            x = -(ord(ch) - ord("A") + 1)
-        else:
-            raise WordFormatError(f"unknown token {ch!r} in word {s!r}")
-        if abs(x) > alphabet.rank:
-            raise WordFormatError(f"generator {ch!r} exceeds rank {alphabet.rank}")
-        letters.append(x)
-    return letters
+    try:
+        return list(map(alphabet._compact.__getitem__, s))
+    except KeyError as exc:
+        ch = exc.args[0]
+        if ch.isascii() and ch.isalpha():
+            raise WordFormatError(f"generator {ch!r} exceeds rank {alphabet.rank}") from None
+        raise WordFormatError(f"unknown token {ch!r} in word {s!r}") from None
 
 
 def _parse_extended(s: str, alphabet: Alphabet) -> list[int]:

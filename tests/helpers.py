@@ -86,6 +86,20 @@ counting the matching ends once.
 subgroup classes: every folded graph on at most that many vertices (one
 partial injection of the vertices per label), kept when it is a connected
 core and deduplicated by a canonical key.
+
+`departures(graph)` reads the list rows of `moves()` back as one dict per
+vertex (signed label -> target), the form `moves()` had before its rows
+became lists indexed by signed label; every oracle here that follows
+departures reads them through it.  `stable_classes_oracle` is the earlier
+`_stable_classes`, which bucketed the splitter's departures by letter from
+those dicts, kept as the oracle for reading each letter the splitter's
+members carry from the list rows of a snapshot of the splitter.  `canonical_key_dict_oracle` and
+`canonical_key_based_dict_oracle` read the keys from the earlier
+`_step_table`, built with `dict.get` per signed letter, and
+`stable_classes_oracle`, kept as the oracle for the rows read by
+`operator.itemgetter`.  `parse_word_oracle` is the earlier `parse_word`,
+which decided the format by scanning for a digit and read compact words
+one character at a time, kept as the oracle for the per-rank table.
 """
 
 import itertools
@@ -118,16 +132,26 @@ from subsetcurrents import (
     random_subgroup,
     reduce_word,
 )
+from subsetcurrents.errors import WordFormatError
 from subsetcurrents.stallings import (
     UnionFind,
     _based_tree,
+    _bfs_code,
     _tree_path,
     core_vertices,
     induced_subgraph,
 )
+from subsetcurrents.words import _parse_extended
 
 # a based graph as `graph_to_json_dict` writes it, for the JSON refusal tests
 GOOD_JSON = {"rank": 2, "vertices": [0, 1], "edges": [[0, 1, 1], [1, 0, 2]], "basepoint": 0}
+
+
+def departures(graph: LabeledGraph) -> list[dict[int, int]]:
+    """Per vertex, signed label -> target, in `signed_letters()` order: the
+    list rows of `moves()` read back as dicts."""
+    order = Alphabet(graph.rank).signed_letters()
+    return [{s: row[s] for s in order if row[s] is not None} for row in graph.moves()]
 
 
 def brute_force_occurrences(tree, graph) -> int:
@@ -187,7 +211,7 @@ def brute_force_occurrences(tree, graph) -> int:
 def _read_tree(graph: LabeledGraph, v: int, words: list) -> dict | None:
     """Image of every tree word read from v, or None when a label cannot be
     read.  The words must list each prefix before its extensions."""
-    moves = graph.moves()
+    moves = departures(graph)
     image = {(): v}
     for w in words[1:]:
         tgt = moves[image[w[:-1]]].get(w[-1])
@@ -204,7 +228,7 @@ def occurrence_count_oracle(tree: FiniteSubtree, graph: LabeledGraph) -> int:
     ws = tree.sorted_words()
     if max(abs(w[-1]) for w in ws[1:]) > graph.rank:
         raise ValueError(f"subtree letters exceed the graph's rank {graph.rank}")
-    moves = graph.moves()
+    moves = departures(graph)
     interior = [(w, d) for w in ws if (d := tree.degree(w)) > 1]
     count = 0
     for v in range(graph.num_vertices):
@@ -374,14 +398,14 @@ def _wl_classes(graph: LabeledGraph) -> list[int]:
     2000 and 4000 on a shared 2-vCPU host.  Hopcroft refinement would
     make it O(E log V).
     """
-    moves = graph.moves()
-    color = [tuple(sorted(departures)) for departures in moves]
+    moves = departures(graph)
+    color = [tuple(sorted(row)) for row in moves]
     palette = {c: i for i, c in enumerate(sorted(set(color)))}
     colors = [palette[c] for c in color]
     while True:
         sig = [
-            (colors[v], tuple(sorted((s, colors[t]) for s, t in departures.items())))
-            for v, departures in enumerate(moves)
+            (colors[v], tuple(sorted((s, colors[t]) for s, t in row.items())))
+            for v, row in enumerate(moves)
         ]
         palette = {c: i for i, c in enumerate(sorted(set(sig)))}
         new_colors = [palette[sig[v]] for v in range(graph.num_vertices)]
@@ -390,10 +414,84 @@ def _wl_classes(graph: LabeledGraph) -> list[int]:
         colors = new_colors
 
 
+def stable_classes_oracle(graph: LabeledGraph) -> list[int]:
+    """The earlier `_stable_classes`: Hopcroft splitting whose splitter's
+    departures are bucketed by letter from dict rows before any split."""
+    moves = departures(graph)
+    order = Alphabet(graph.rank).signed_letters()
+    cls = [0] * graph.num_vertices
+    classes = [set(range(graph.num_vertices))]
+    pending = {0: None}  # a stack of class ids, without repeats
+    while pending:
+        into: dict[int, list[int]] = {}
+        for c in classes[pending.popitem()[0]]:
+            for s, x in moves[c].items():
+                into.setdefault(s, []).append(x)
+        for s in order:
+            touched: dict[int, set[int]] = {}
+            for x in into.get(s, ()):
+                touched.setdefault(cls[x], set()).add(x)
+            for k in sorted(touched):
+                marked, rest = touched[k], classes[k]
+                if len(marked) == len(rest):
+                    continue
+                rest -= marked
+                for x in marked:
+                    cls[x] = len(classes)
+                pending[len(classes) if k in pending or len(marked) <= len(rest) else k] = None
+                classes.append(marked)
+    return cls
+
+
+def _step_table_oracle(graph: LabeledGraph) -> list[list[int | None]]:
+    """The earlier `_step_table`: `dict.get` per signed letter of each row."""
+    order = Alphabet(graph.rank).signed_letters()
+    return [[row.get(s) for s in order] for row in departures(graph)]
+
+
+def canonical_key_dict_oracle(graph: LabeledGraph) -> bytes:
+    """`canonical_key` read from the dict-order table and the earlier
+    refinement: the least BFS code over the members of class 0."""
+    step = _step_table_oracle(graph)
+    starts = [v for v, c in enumerate(stable_classes_oracle(graph)) if c == 0]
+    return f"{graph.rank}:{min(_bfs_code(step, v) for v in starts)}".encode()
+
+
+def canonical_key_based_dict_oracle(h: LabeledGraph) -> bytes:
+    """`canonical_key_based` read from the dict-order table."""
+    return f"{h.rank}:based:{_bfs_code(_step_table_oracle(h), h.basepoint)}".encode()
+
+
+def parse_word_oracle(text: str, alphabet: Alphabet):
+    """The earlier `parse_word`: extended format when any character is a
+    digit, else compact, read one character at a time."""
+    s = text.strip()
+    if s in ("", "1"):
+        return ()
+    if any(ch.isdigit() for ch in s):
+        return reduce_word(_parse_extended(s, alphabet))
+    if alphabet.rank > 26:
+        raise WordFormatError(
+            f"compact format covers ranks up to 26, not {alphabet.rank}; use x<i>/X<i>"
+        )
+    letters = []
+    for ch in s:
+        if "a" <= ch <= "z":
+            x = ord(ch) - ord("a") + 1
+        elif "A" <= ch <= "Z":
+            x = -(ord(ch) - ord("A") + 1)
+        else:
+            raise WordFormatError(f"unknown token {ch!r} in word {s!r}")
+        if abs(x) > alphabet.rank:
+            raise WordFormatError(f"generator {ch!r} exceeds rank {alphabet.rank}")
+        letters.append(x)
+    return reduce_word(letters)
+
+
 def _closure_partition(graph: LabeledGraph, v: int, w: int) -> UnionFind:
     """Finest vertex identification containing v ~ w with a folded quotient."""
     uf = UnionFind(graph.num_vertices)
-    germ: dict[int, dict[int, int]] = {u: dict(m) for u, m in enumerate(graph.moves())}
+    germ: dict[int, dict[int, int]] = {u: dict(m) for u, m in enumerate(departures(graph))}
     stack = [(v, w)]
     while stack:
         a, b = stack.pop()
@@ -423,7 +521,7 @@ def _quotient_if_covering(
     roots = {}
     for v in range(graph.num_vertices):
         roots.setdefault(uf.find(v), []).append(v)
-    moves = graph.moves()
+    moves = departures(graph)
     for members in roots.values():
         sig = moves[members[0]].keys()
         if any(moves[u].keys() != sig for u in members[1:]):
@@ -524,7 +622,7 @@ def spanning_tree_oracle(graph: LabeledGraph, root: int):
     """Deterministic BFS tree: path words from the root and the tree edges,
     as triples, which name edges since a folded graph has no duplicates."""
     order = Alphabet(graph.rank).signed_letters()
-    moves = graph.moves()
+    moves = departures(graph)
     path = {root: ()}
     tree_edges = set()
     queue = deque([root])
@@ -541,7 +639,7 @@ def spanning_tree_oracle(graph: LabeledGraph, root: int):
 
 def based_morphism_oracle(h: LabeledGraph, k: LabeledGraph) -> list[int]:
     """The label-preserving map (h, *) -> (k, *); exists exactly when H <= K."""
-    h_moves, k_moves = h.moves(), k.moves()
+    h_moves, k_moves = departures(h), departures(k)
     f = [-1] * h.num_vertices
     f[h.basepoint] = k.basepoint
     queue = deque([h.basepoint])
@@ -568,7 +666,7 @@ def finite_index_oracle(h: LabeledGraph, k: LabeledGraph) -> int | None:
         return 1
     if not core_h:
         return None
-    h_moves, k_moves = h.moves(), k.moves()
+    h_moves, k_moves = departures(h), departures(k)
     for v in core_h:
         here = {s for s, t in h_moves[v].items() if t in core_h}
         if here != {s for s, t in k_moves[f[v]].items() if t in core_k}:
@@ -695,7 +793,7 @@ def core_and_tail_oracle(h: LabeledGraph):
     if h.basepoint in survivors:
         return cg, renum[h.basepoint], ()
     order = Alphabet(h.rank).signed_letters()
-    moves = h.moves()
+    moves = departures(h)
     prev: dict[int, tuple[int, int]] = {h.basepoint: (-1, 0)}
     queue = deque([h.basepoint])
     hit = None
@@ -722,7 +820,7 @@ def core_and_tail_oracle(h: LabeledGraph):
 
 
 def _bfs_code_oracle(graph: LabeledGraph, start: int, order: list[int]):
-    moves = graph.moves()
+    moves = departures(graph)
     ids = {start: 0}
     seq = [start]
     rows = []
@@ -888,6 +986,6 @@ def all_cores(rank: int, max_vertices: int, key=canonical_key) -> list[LabeledGr
             edges = [(o, t, lab) for lab, pairs in enumerate(choice, 1) for o, t in pairs]
             g = LabeledGraph(rank, n, edges)
             # partial injections fold, so a vertex's degree is its departures
-            if min(map(len, g.moves())) >= 2 and g.is_connected():
+            if min(map(len, departures(g))) >= 2 and g.is_connected():
                 classes.setdefault(key(g), g)
     return list(classes.values())

@@ -433,6 +433,9 @@ def test_usage_errors(files, tmp_path, capsys):
     assert run(["core", str(tmp_path / "missing.txt")]) == 1
     assert run(["core", files["bad"]]) == 1
     assert run(["core", files["h"], "--rank", "1"]) == 1
+    capsys.readouterr()
+    assert run(["core", files["h"], "--rank", "100000"]) == 1
+    assert "rank 100000 exceeds the ceiling of 4096" in capsys.readouterr().err
     assert cli.main(["shnc-scan", "--samples", "abc"]) == 1
     capsys.readouterr()
 

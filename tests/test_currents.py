@@ -44,6 +44,7 @@ from subsetcurrents import (
     graph_from_json_dict,
     intersection_functional_N,
     invert,
+    minimal_covering_quotient,
     neighborhood_profile,
     neighborhood_tree,
     normalize,
@@ -61,6 +62,7 @@ from helpers import (
     brute_force_occurrences,
     c_hat_oracle,
     c_hat_via_round_graphs,
+    departures,
     functional_V_oracle,
     occurrence_count_oracle,
     random_current,
@@ -210,7 +212,7 @@ def test_occurrence_count_matches_the_word_keyed_oracle():
         while loop[0] == -conj[-1] or loop[-1] == conj[-1]:
             loop = random_reduced_word(rng, AL2, 3)
         tailed = from_generators([conj + loop + invert(conj)], AL2)
-        assert len(tailed.moves()[tailed.basepoint]) == 1
+        assert len(departures(tailed)[tailed.basepoint]) == 1
         graphs += [g, cover, tailed]
         for r in (1, 2):
             trees.update(neighborhood_tree(g, v, r) for v in range(g.num_vertices))
@@ -340,6 +342,42 @@ def test_normalize_decides_connectivity_once_per_term(monkeypatch):
         assert len(computed) == 1 and computed[0] is g
 
 
+def test_normalize_fills_one_departure_table_per_graph_it_keeps(monkeypatch):
+    """A core that nothing prunes is the term graph without its basepoint
+    and shares its table, and a core that is its own minimal quotient is
+    its own quotient: the based core of <a^3 b> fills one departure table,
+    and its quotient is its core with degree 1.  A tailed graph fills one
+    for the pruned core, and a proper double cover one for its core and
+    one for the quotient."""
+    moves = LabeledGraph.moves
+    filled = []
+
+    def counted(graph):
+        if graph._moves is None:
+            filled.append(graph)
+        return moves(graph)
+
+    monkeypatch.setattr(LabeledGraph, "moves", counted)
+    cases = {"own quotient": ("aaab", 1, 1), "tailed": ("baaBB", 1, 1), "double cover": ("abab", 2, 2)}
+    for name, (word, tables, degree) in cases.items():
+        h = sub(word)
+        g = LabeledGraph(h.rank, h.num_vertices, h.edges, basepoint=h.basepoint)
+        filled.clear()
+        ((coeff, term),) = counting_current(g).terms()
+        assert (len(filled), coeff) == (tables, degree), name
+        assert g._moves is None, name  # the term graph's own table is never read
+    g = LabeledGraph(2, 4, sub("aaab").edges, basepoint=0)
+    c = core(g)
+    assert c.edges is g.edges and c.basepoint is None
+    assert minimal_covering_quotient(c)[:2] == (c, 1)
+    assert minimal_covering_quotient(c)[2] == [0, 1, 2, 3]
+    assert core(g).moves() is not g.moves()  # a table built after the core is not shared
+    assert core(g).moves() is g.moves()
+    assert core(g)._letters is g._letters and core(g)._components is g._components
+    tailed = sub("baaBB")
+    assert core(tailed).moves() is not tailed.moves()
+
+
 def test_normalize_idempotent():
     rng = random.Random(4)
     for _ in range(10):
@@ -447,7 +485,7 @@ def test_functional_V_sums_the_stars_of_the_departure_sets(monkeypatch):
 def test_functional_V_refuses_a_term_with_a_degree_1_vertex():
     # the based graph of <b^-1 a b> hangs its basepoint off the a-loop
     tail = sub("Bab")
-    assert sorted(map(len, tail.moves())) == [1, 3]
+    assert sorted(map(len, departures(tail))) == [1, 3]
     mu = RationalCurrent({b"tail": (Fraction(1), tail)})
     with pytest.raises(ValueError, match="the root of a round graph has degree at least 2"):
         functional_V(mu)
@@ -751,6 +789,15 @@ INPUT_REFUSALS = {
         lambda: from_generators([(2,), (True,)], AL2), "letter True is not valid for rank 2"
     ),
     "alphabet-rank-float": (lambda: Alphabet(2.0), "rank must be an integer, got 2.0"),
+    # a departure row has 2N + 1 slots, so a rank above the ceiling is
+    # refused before any row or letter list is made
+    "rank-above-the-ceiling": (
+        lambda: LabeledGraph(10**30, 1, [(0, 0, 1), (0, 0, 2)], basepoint=0),
+        f"rank {10**30} exceeds the ceiling of 4096",
+    ),
+    "alphabet-rank-above-the-ceiling": (
+        lambda: Alphabet(10**30), f"rank {10**30} exceeds the ceiling of 4096"
+    ),
     "occurrence-edge-above-rank": (
         lambda: occurrence_count(FiniteSubtree.edge(-3), ucore(sub("aa", "b"))),
         "exceed the graph's rank 2",

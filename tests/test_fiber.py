@@ -33,6 +33,7 @@ from helpers import (
     classify_components_oracle,
     component_ids_oracle,
     component_subgroup_oracle,
+    departures,
     intersection_number_euler_full_oracle,
     intersection_number_euler_oracle,
     representative_oracle,
@@ -341,7 +342,7 @@ def test_euler_by_pruning_matches_oracle():
         assert intersection_number_euler(ucore(h), ucore(k)) == expected
         assert intersection_number_euler(h, k) == expected
         positive += expected > 0
-        with_tail += len(h.moves()[h.basepoint]) == 1
+        with_tail += len(departures(h)[h.basepoint]) == 1
     assert positive >= 50
     assert with_tail >= 120
     for rose, k in roses:  # the product with the rose is a copy of k

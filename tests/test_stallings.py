@@ -21,6 +21,7 @@ from subsetcurrents import (
     LabeledGraph,
     NotConnectedError,
     NotSubgroupError,
+    SizeLimitError,
     TrivialSubgroupError,
     WordFormatError,
     act_on_subgroup,
@@ -59,7 +60,9 @@ from subsetcurrents import (
 
 from subsetcurrents import cli, stallings
 from subsetcurrents.fiber import _product_edges
+from subsetcurrents.words import MAX_RANK
 from subsetcurrents.stallings import (
+    MAX_TABLE_SLOTS,
     UnionFind,
     _core_and_tail,
     _keyed_quotient,
@@ -74,6 +77,8 @@ from helpers import (
     all_cores,
     assert_tree_matches_oracle,
     attach_tail_oracle,
+    canonical_key_based_dict_oracle,
+    canonical_key_dict_oracle,
     canonical_key_oracle,
     core_and_tail_oracle,
     core_vertices_oracle,
@@ -83,6 +88,7 @@ from helpers import (
     from_generators_oracle,
     germ_lists_oracle,
     is_folded_oracle,
+    stable_classes_oracle,
     subgroup_corpus,
     wedge,
 )
@@ -278,6 +284,110 @@ def _by_first_occurrence(classes):
 def test_stable_classes_match_oracle():
     for g in canonical_key_corpus():
         assert _by_first_occurrence(_stable_classes(g)) == _by_first_occurrence(_wl_classes(g))
+
+
+def test_list_row_refinement_and_keys_match_the_dict_row_oracles():
+    """Reading each letter from the list rows of a snapshot of the splitter
+    gives the class ids of the earlier refinement over dict rows, and keys
+    read through `operator.itemgetter` are the bytes of keys read from the
+    dict-order table: on the folded seeded multigraphs (disconnected ones
+    for the class ids alone), every rank-2 core on at most 3 vertices, two
+    Cayley graphs of Z/400, and a^n b, a^n b^n and (a^2 b^2)^n a b."""
+    graphs = [fold(g) for g in random_multigraphs()] + all_cores(2, 3)
+    graphs += [cayley_cyclic(400, (1, 7)), cayley_cyclic(400, (1, 0))]
+    for n in (1, 2, 5, 40, 400):
+        graphs += [power_cycle(n)]
+        graphs += [core(from_generators([w], AL2)) for w in [(1,) * n + (2,) * n,
+                                                             (1, 1, 2, 2) * n + (1, 2)]]
+    discrete = keyed = 0
+    for g in graphs:
+        classes = _stable_classes(g)
+        assert classes == stable_classes_oracle(g)
+        discrete += len(set(classes)) == g.num_vertices
+        if g.is_connected():
+            keyed += 1
+            assert canonical_key(g) == canonical_key_dict_oracle(g)
+            based = LabeledGraph(g.rank, g.num_vertices, g.edges, basepoint=g.num_vertices // 2)
+            assert canonical_key_based(based) == canonical_key_based_dict_oracle(based)
+    assert discrete >= 100 and len(graphs) - discrete >= 100
+    assert keyed >= 250
+
+
+def test_rank_ceiling_refuses_before_anything_is_built():
+    """A rank above `MAX_RANK` is refused by `Alphabet` and the graph
+    constructor with `SizeLimitError`, before a row or a letter list is
+    made; the ceiling itself is accepted."""
+    builds = [
+        lambda: LabeledGraph(10**30, 1, [(0, 0, 1), (0, 0, 2)], basepoint=0),
+        lambda: LabeledGraph(MAX_RANK + 1, 1, []),
+        lambda: Alphabet(10**30),
+        lambda: Alphabet(MAX_RANK + 1),
+    ]
+    tracemalloc.start()
+    try:
+        for build in builds:
+            with pytest.raises(SizeLimitError, match=f"exceeds the ceiling of {MAX_RANK}"):
+                build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    top = LabeledGraph(MAX_RANK, 1, [(0, 0, MAX_RANK)], basepoint=0)
+    assert len(top.moves()[0]) == 2 * MAX_RANK + 1 and top._letters == [[MAX_RANK, -MAX_RANK]]
+    assert contains(top, (MAX_RANK, -MAX_RANK, -MAX_RANK))
+    assert Alphabet(MAX_RANK).rank == MAX_RANK
+
+
+def test_table_budget_refuses_before_the_rows_are_built(monkeypatch):
+    """`moves()` refuses a table of more than `MAX_TABLE_SLOTS` slots with
+    `SizeLimitError` before a row is made, and `is_folded` passes the
+    refusal on instead of answering False; a table at the budget is built."""
+    n = MAX_TABLE_SLOTS // (2 * MAX_RANK + 1) + 1
+    wide = LabeledGraph(MAX_RANK, n, [(v, (v + 1) % n, MAX_RANK) for v in range(n)])
+    tracemalloc.start()
+    try:
+        for call in (wide.moves, wide.is_folded, lambda: check_core_graph(wide)):
+            with pytest.raises(SizeLimitError, match=f"above the budget of {MAX_TABLE_SLOTS}"):
+                call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024 and wide._moves is None
+    monkeypatch.setattr(stallings, "MAX_TABLE_SLOTS", 5 * 20)
+    for n, fits in ((20, True), (21, False)):
+        cycle = LabeledGraph(2, n, [(v, (v + 1) % n, 1) for v in range(n)])
+        if fits:
+            assert cycle.is_folded() and len(cycle.moves()) == n
+        else:
+            with pytest.raises(SizeLimitError, match="21 vertices at rank 2 has 105 slots"):
+                cycle.is_folded()
+
+
+def test_departure_reads_do_not_grow_with_the_rank():
+    """The refinement and the neighborhood walk read a row only at the
+    letters some vertex departs by: on the core of <a^300 x>, with x = b at
+    rank 2 and x = x1000 at rank 1000, they make the same number of row
+    reads, and the refinement gives the same class ids."""
+    reads = []
+
+    class Counted(list):
+        def __getitem__(self, s):
+            reads.append(s)
+            return list.__getitem__(self, s)
+
+    seen = []
+    for n in (2, 1000):
+        g = core(from_generators([(1,) * 300 + (n,)], Alphabet(n)))
+        g._moves = [Counted(row) for row in g.moves()]
+        reads.clear()
+        classes = _stable_classes(g)
+        refinement = len(reads)
+        reads.clear()
+        for v in range(g.num_vertices):
+            neighborhood_tree(g, v, 2)
+        seen.append((classes, refinement, len(reads)))
+    assert seen[0] == seen[1]
+    assert seen[0][1] < 40 * 301
 
 
 def test_covering_quotient_budget(acceptance):
@@ -1096,9 +1206,13 @@ def test_is_folded_and_moves_match_the_germ_list_oracle():
     for g in raw + [fold(g) for g in raw]:
         assert g.is_folded() == is_folded_oracle(g)
         if g.is_folded():
-            first = [{s: ts[0] for s, ts in germs.items()} for germs in germ_lists_oracle(g)]
+            first = [[None] * (2 * g.rank + 1) for _ in range(g.num_vertices)]
+            for row, germs in zip(first, germ_lists_oracle(g)):
+                for s, ts in germs.items():
+                    row[s] = ts[0]
             assert g.moves() == first
             assert g.moves() is g.moves()
+            assert g._letters == [list(germs) for germs in germ_lists_oracle(g)]
         else:
             with pytest.raises(ValueError, match="needs a folded graph"):
                 g.moves()
