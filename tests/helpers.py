@@ -100,12 +100,19 @@ members carry from the list rows of a snapshot of the splitter.  `canonical_key_
 `operator.itemgetter`.  `parse_word_oracle` is the earlier `parse_word`,
 which decided the format by scanning for a digit and read compact words
 one character at a time, kept as the oracle for the per-rank table.
+
+`render_oracle` is the earlier `cli._render`: the whole report text, JSON
+from `_json_pieces_oracle` (one recursive call per JSON value, every
+piece in one list, joined once) or the TSV rows joined once, kept as the
+oracle for the writer that renders scalars in place, caches dict heads and
+hands its sink bounded chunks.
 """
 
 import itertools
 import random
 from collections import deque, namedtuple
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from subsetcurrents import (
     Alphabet,
@@ -141,6 +148,7 @@ from subsetcurrents.stallings import (
     core_vertices,
     induced_subgraph,
 )
+from subsetcurrents.cli import _cell
 from subsetcurrents.words import _parse_extended
 
 # a based graph as `graph_to_json_dict` writes it, for the JSON refusal tests
@@ -989,3 +997,49 @@ def all_cores(rank: int, max_vertices: int, key=canonical_key) -> list[LabeledGr
             if min(map(len, departures(g))) >= 2 and g.is_connected():
                 classes.setdefault(key(g), g)
     return list(classes.values())
+
+
+def _json_pieces_oracle(value, newline: str, put) -> None:
+    kind = type(value)
+    if kind is str:
+        put(encode_basestring_ascii(value))
+    elif kind is int:
+        put(int.__repr__(value))
+    elif kind is bool:
+        put("true" if value else "false")
+    elif value is None:
+        put("null")
+    elif kind is list:
+        if not value:
+            put("[]")
+            return
+        inner = newline + "  "
+        comma, sep = "," + inner, "[" + inner
+        for item in value:
+            put(sep)
+            _json_pieces_oracle(item, inner, put)
+            sep = comma
+        put(newline + "]")
+    elif kind is dict:
+        if not value:
+            put("{}")
+            return
+        inner = newline + "  "
+        comma, sep = "," + inner, "{" + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
+            put(sep + encode_basestring_ascii(key) + ": ")
+            _json_pieces_oracle(value[key], inner, put)
+            sep = comma
+        put(newline + "}")
+    else:
+        raise TypeError(f"a report cannot hold a {kind.__name__}")
+
+
+def render_oracle(fmt: str, report, rows: list[list]) -> str:
+    if fmt == "json":
+        pieces: list[str] = []
+        _json_pieces_oracle(report, "\n", pieces.append)
+        return "".join(pieces) + "\n"
+    return "".join("\t".join(map(_cell, row)) + "\n" for row in rows)

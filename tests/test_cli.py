@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -31,12 +32,13 @@ from subsetcurrents.stallings import (
     graph_to_json_dict,
     parse_subgroup_file,
     random_finite_index_cover,
+    random_reduced_word,
     reduced_rank,
     subgroup_generators,
 )
 from subsetcurrents.words import Alphabet, format_word
 
-from helpers import classify_components_oracle
+from helpers import classify_components_oracle, render_oracle
 
 # hand-checked table for the loop-with-tail family at grade 1:
 # e_a is n/n = 1, e_b is 1/n, the interior a-run vertices give (n-1)/n,
@@ -202,9 +204,47 @@ _report_values = st.recursive(
 )
 
 
+def written(value) -> str:
+    """The text `cli._write_json` hands its sink, chunks joined."""
+    chunks: list[str] = []
+    cli._write_json(value, chunks.append)
+    return "".join(chunks)
+
+
 @given(_report_values)
 def test_json_renderer_matches_json_dumps(value):
-    assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+    assert written(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@st.composite
+def _shaped_reports(draw):
+    """Lists of dicts that reuse a few key sets, in any insertion order, at
+    several depths, so that the writer's cached dict heads are met again
+    at the same indent and at others."""
+    key_sets = draw(st.lists(st.lists(_report_text, max_size=4, unique=True), min_size=1,
+                             max_size=3))
+    scalars = st.none() | st.booleans() | st.integers(-(2**70), 2**70) | _report_text
+
+    def shaped(depth):
+        if depth == 0:
+            return scalars
+        inner = shaped(depth - 1)
+        dicts = st.sampled_from(key_sets).flatmap(st.permutations).flatmap(
+            lambda keys: st.fixed_dictionaries({key: inner for key in keys}))
+        return scalars | dicts | st.lists(dicts, max_size=4)
+
+    return draw(st.lists(shaped(3), max_size=6))
+
+
+@given(_shaped_reports())
+def test_json_renderer_matches_json_dumps_on_repeated_shapes(value):
+    assert written(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def test_json_renderer_reads_a_bool_as_a_bool_in_a_cached_shape():
+    text = written([{"a": 1}, {"a": True}, {"a": False}, {"a": 0}])
+    assert text == json.dumps([{"a": 1}, {"a": True}, {"a": False}, {"a": 0}], indent=2) + "\n"
+    assert '"a": true' in text and '"a": false' in text
 
 
 @pytest.mark.parametrize("key", sorted(REPORT_DIGESTS))
@@ -212,13 +252,132 @@ def test_json_renderer_matches_json_dumps_on_golden_reports(files, key):
     args = cli._parser().parse_args(golden_argv(files, key) + ["--format", "json"])
     code, report, _ = cli._handler(args.command)(args)
     assert code == cli.EXIT_OK
-    assert cli._json_text(report) == json.dumps(report, indent=2, sort_keys=True)
+    assert written(report) == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize("value", [1.5, {"N": 0.5}, [(1, 2)], {"gens": (1,)}, {1: "a"}])
+@pytest.mark.parametrize("value", [
+    1.5, {"N": 0.5}, [(1, 2)], {"gens": (1,)}, {1: "a"},
+    # only a later entry of a repeated shape is bad
+    [{"a": 1}, {"a": 1.5}], [{"g": [1]}, {"g": [(1,)]}], [{"a": 1}, {1: "a"}],
+])
 def test_json_renderer_refuses_what_a_report_cannot_hold(value):
     with pytest.raises(TypeError):
-        cli._json_text(value)
+        written(value)
+
+
+def _long_report(n):
+    """A report and TSV rows that span several chunks: n entries of one
+    shape, a flat list of n ints and a dict of n keys."""
+    entries = [
+        {"i": i, "word": "aB" * (i % 5), "flag": i % 3 == 0, "gens": ["a", "Bb"][: i % 3],
+         "none": None, "nested": {"i": [i, -i]} if i % 2 else {}}
+        for i in range(n)
+    ]
+    report = {"entries": entries, "flat": list(range(n)), "wide": {f"k{i}": i for i in range(n)}}
+    rows = [["i", "word", "flag", "gens"]] + [
+        [e["i"], e["word"], e["flag"], e["gens"]] for e in entries
+    ]
+    return report, rows
+
+
+class _Chunks(io.StringIO):
+    """A stdout that keeps each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.chunks = []
+
+    def write(self, text):
+        self.chunks.append(text)
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_reports_across_chunk_boundaries(files, tmp_path, monkeypatch, fmt):
+    report, rows = _long_report(3 * cli._CHUNK_PIECES + 5)
+    monkeypatch.setattr(cli, "cmd_core", lambda args: (cli.EXIT_OK, report, rows))
+    stdout = _Chunks()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    argv = ["core", files["h"], "--format", fmt]
+    assert cli.main(argv) == 0
+    out = tmp_path / f"long.{fmt}"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    expected = render_oracle(fmt, report, rows)
+    if fmt == "json":
+        assert expected == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert stdout.getvalue() == expected
+    assert out.read_text(encoding="utf-8") == expected
+    # each chunk holds at most _CHUNK_PIECES pieces for each level of
+    # nesting, and a piece here is under 40 characters
+    assert len(stdout.chunks) > 3
+    assert max(map(len, stdout.chunks)) < 4 * cli._CHUNK_PIECES * 40
+
+
+def test_a_failed_write_leaves_the_old_file(files, tmp_path, monkeypatch):
+    report, rows = _long_report(3 * cli._CHUNK_PIECES)
+    report["entries"][-1]["word"] = 0.5
+    monkeypatch.setattr(cli, "cmd_core", lambda args: (cli.EXIT_OK, report, rows))
+    out = tmp_path / "out" / "report.json"
+    out.parent.mkdir()
+    out.write_bytes(b"old bytes\n")
+    dropped = []
+    unlink = os.unlink
+    monkeypatch.setattr(os, "unlink", lambda path: (dropped.append(os.path.getsize(path)),
+                                                    unlink(path)))
+    with pytest.raises(TypeError, match="cannot hold a float"):
+        cli.main(["core", files["h"], "--out", str(out)])
+    # several chunks reached the sibling before the float was met
+    assert len(dropped) == 1 and dropped[0] > 3 * cli._CHUNK_PIECES
+    assert out.read_bytes() == b"old bytes\n"
+    assert os.listdir(out.parent) == ["report.json"]
+
+
+def test_a_written_file_keeps_its_mode_and_its_symlink(files, tmp_path):
+    out = tmp_path / "report.json"
+    out.write_text("old\n" * 10000)
+    out.chmod(0o600)
+    link = tmp_path / "link.json"
+    link.symlink_to(out)
+    assert cli.main(["core", files["h"], "--out", str(link)]) == 0
+    assert link.is_symlink() and json.loads(out.read_text())["vertices"] == 2
+    assert out.stat().st_mode & 0o777 == 0o600
+    assert sorted(p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")) == []
+
+
+# The tracemalloc peak of writing a report to a file, whatever its length:
+# 0.47 MiB (JSON) and 0.56 MiB (TSV) measured for acceptance 13's report and
+# for it doubled, against 22.4 MiB and 2.7 MiB for the one whole text the
+# writer used to join.
+WRITER_PEAK_BOUND = 1 << 20
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_writer_footprint_does_not_grow_with_the_report(files, tmp_path, monkeypatch, fmt):
+    # the 8x30 pair of acceptance 13: 20,384 components
+    rng = random.Random(5)
+    alphabet = Alphabet(2)
+    paths = [
+        files["write"](name, "".join(
+            format_word(random_reduced_word(rng, alphabet, 30), alphabet) + "\n"
+            for _ in range(8)))
+        for name in ("h30.txt", "k30.txt")
+    ]
+    argv = ["product", *paths, "--format", fmt, "--out", str(tmp_path / "report")]
+    code, report, rows = cli.cmd_product(cli._parser().parse_args(argv))
+    assert len(report["components"]) == 20384
+    doubled = dict(report, components=report["components"] * 2), rows + rows[1:]
+    for report, rows in ((report, rows), doubled):
+        expected = render_oracle(fmt, report, rows)
+        monkeypatch.setattr(cli, "cmd_product", lambda args: (code, report, rows))
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "report").read_text(encoding="utf-8") == expected
+        assert peak < WRITER_PEAK_BOUND
+    assert len(expected) > WRITER_PEAK_BOUND
 
 
 def test_patched_command_runs_after_the_parser_is_built(files, monkeypatch, capsys):
@@ -538,6 +697,11 @@ def test_unwritable_output_is_an_input_error(files, tmp_path, capsys, flag):
     target = str(tmp_path / "no" / "such" / "dir" / "x")
     assert cli.main(["core", files["h"], flag, target]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    # a directory is refused, and no sibling is left beside it
+    before = sorted(os.listdir(tmp_path))
+    assert cli.main(["core", files["h"], flag, str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_shnc_violation_exit_code(files, tmp_path, monkeypatch, capsys):
