@@ -16,7 +16,9 @@ import random
 import shutil
 import sys
 from collections import Counter
+from collections.abc import Iterable
 from fractions import Fraction
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 
 from .automorphisms import act_on_subgroup, is_automorphism, parse_automorphism_file
@@ -54,7 +56,9 @@ EXIT_MATH = 2
 # report of any length is never held in memory as one text.
 _CHUNK_PIECES = 4096
 
-Result = tuple[int, object, list]  # exit code, JSON report, TSV rows
+# exit code, JSON report, and the TSV rows: an iterable that reads them from
+# the report as it is written, so a JSON report builds none
+Result = tuple[int, object, Iterable]
 
 
 class UsageError(Exception):
@@ -240,16 +244,17 @@ def _write_json(value, write) -> None:
     spill()
 
 
-def _write_report(fmt: str, report, rows: list[list], write) -> None:
+def _write_report(fmt: str, report, rows: Iterable, write) -> None:
     """The one text form of every report, passed to `write` in chunks:
     sorted-key JSON, or TSV rows whose cells are the values as str, flags as
-    yes/no and word lists ;-joined."""
+    yes/no and word lists ;-joined.  The rows are read once, _CHUNK_PIECES
+    at a time, and only for TSV."""
     if fmt == "json":
         _write_json(report, write)
         return
-    for start in range(0, len(rows), _CHUNK_PIECES):
-        chunk = rows[start:start + _CHUNK_PIECES]
-        write("".join("\t".join(map(_cell, row)) + "\n" for row in chunk))
+    lines = ("\t".join(map(_cell, row)) + "\n" for row in rows)
+    while chunk := "".join(islice(lines, _CHUNK_PIECES)):
+        write(chunk)
 
 
 def _dump(message: str, h, k, **routes) -> MismatchBugError:
@@ -305,6 +310,10 @@ def cmd_product(args: argparse.Namespace) -> Result:
         if not is_automorphism(phi):
             raise NotAutomorphismError("invariance checks need an automorphism")
         h, k = act_on_subgroup(phi, h), act_on_subgroup(phi, k)
+    # the Euler and cylinder routes walk products of their own, so they run
+    # before the fiber product is built: one product is alive at a time
+    n_euler = intersection_number_euler(h, k)
+    n_cylinder = intersection_functional_N(counting_current(h), counting_current(k))
     fp = fiber_product(h, k)
     _check_coverage(h, k, fp.components())
     components = []
@@ -325,8 +334,6 @@ def cmd_product(args: argparse.Namespace) -> Result:
         )
     # the cosets route is the sum over the double cosets just reported
     n_cosets = sum(entry["reduced_rank"] for entry in components)
-    n_euler = intersection_number_euler(h, k)
-    n_cylinder = intersection_functional_N(counting_current(h), counting_current(k))
     if not (n_euler == n_cosets == n_cylinder):
         raise _dump(
             "intersection-number routes disagree:", h, k,
@@ -358,18 +365,19 @@ def cmd_product(args: argparse.Namespace) -> Result:
         "margin": rk_product - n_euler,
         "components": components,
     }
-    rows = [
-        ["key", "value"],
-        ["intersection_number", n_euler],
-        ["route_euler", n_euler],
-        ["route_cosets", n_cosets],
-        ["route_cylinder", n_cylinder],
-        ["reduced_rank_product", rk_product],
-        ["margin", rk_product - n_euler],
-    ]
-    # a component's fields, in order, are its TSV columns
-    rows += [["component", *entry.values()] for entry in components]
-    return EXIT_OK, report, rows
+
+    def rows():
+        yield "key", "value"
+        yield "intersection_number", report["intersection_number"]
+        for route, value in report["routes"].items():
+            yield "route_" + route, value
+        yield "reduced_rank_product", report["reduced_rank_product"]
+        yield "margin", report["margin"]
+        # a component's fields, in order, are its TSV columns
+        for entry in components:
+            yield "component", *entry.values()
+
+    return EXIT_OK, report, rows()
 
 
 def cmd_shnc_scan(args: argparse.Namespace) -> Result:
@@ -377,7 +385,6 @@ def cmd_shnc_scan(args: argparse.Namespace) -> Result:
     rng = random.Random(args.seed)
     header = ["h", "k", "intersection", "rk_product", "ratio"]
     records = []
-    rows = [header]
     violations = 0
     for _ in range(args.samples):
         h = random_subgroup(rng, alphabet, args.max_gens, args.max_gen_len)
@@ -389,9 +396,9 @@ def cmd_shnc_scan(args: argparse.Namespace) -> Result:
         ratio = "-" if rk_product == 0 else str(Fraction(n, rk_product))
         row = [_gens_text(h, alphabet), _gens_text(k, alphabet), n, rk_product, ratio]
         records.append(dict(zip(header, row)))
-        rows.append(row)
     if violations:
         sys.stderr.write(f"math check failed: {violations} bound violations\n")
+    rows = chain([header], map(dict.values, records))
     return (EXIT_MATH if violations else EXIT_OK), records, rows
 
 
@@ -416,15 +423,15 @@ def cmd_converge(args: argparse.Namespace) -> Result:
     family.append(("limit", limit))
     trees = _converge_columns(args.grade, alphabet, [g for _, mu in family for _, g in mu.terms()])
     names = [t.serialize(alphabet) for t in trees]
-    rows = [["n"] + names + ["N", "pushforward_terms"]]
     records = []
     for n, mu in family:
         terms = len(pushforward_I(mu, limit).terms())
         cylinders = {name: str(eval_cylinder(mu, t)) for name, t in zip(names, trees)}
         pairing = str(intersection_functional_N(mu, limit))
         records.append({"n": n, "cylinders": cylinders, "N": pairing, "pushforward_terms": terms})
-        rows.append([n, *cylinders.values(), pairing, terms])
-    return EXIT_OK, records, rows
+    header = ["n", *names, "N", "pushforward_terms"]
+    rows = ((r["n"], *r["cylinders"].values(), r["N"], r["pushforward_terms"]) for r in records)
+    return EXIT_OK, records, chain([header], rows)
 
 
 def cmd_intersect(args: argparse.Namespace) -> Result:
@@ -442,10 +449,15 @@ def cmd_intersect(args: argparse.Namespace) -> Result:
         )
     terms = current_to_json_dict(pushed)
     report = {"pushforward": terms, "rk": str(rk_pushed), "intersection_number": str(n_value)}
-    rows = [["key", "value"], ["rk", rk_pushed], ["intersection_number", n_value]]
-    for term in terms:
-        rows.append(["term", term["coefficient"], json.dumps(term["graph"], sort_keys=True)])
-    return EXIT_OK, report, rows
+
+    def rows():
+        yield "key", "value"
+        yield "rk", report["rk"]
+        yield "intersection_number", report["intersection_number"]
+        for term in terms:
+            yield "term", term["coefficient"], json.dumps(term["graph"], sort_keys=True)
+
+    return EXIT_OK, report, rows()
 
 
 def _add_common(parser: argparse.ArgumentParser, fmt_default: str) -> None:

@@ -385,30 +385,30 @@ def _require_basepoint(graph: LabeledGraph, fn: str) -> None:
         raise ValueError(f"{fn} needs a based graph, got one without a basepoint")
 
 
-def core(graph: LabeledGraph) -> LabeledGraph:
-    """Unbased core: prune hanging trees, forget the basepoint.  When
-    nothing is pruned, the core is `graph._unbased()`."""
-    survivors = core_vertices(graph)
+def _pruned(graph: LabeledGraph, keep: int | None) -> LabeledGraph:
+    """The graph with its hanging trees pruned, sparing `keep` (None, or the
+    basepoint, which it stays); the graph itself when nothing is pruned,
+    since the renumbering would be the identity."""
+    survivors = core_vertices(graph, keep=keep)
     if len(survivors) == graph.num_vertices:
-        out = graph._unbased()
+        out = graph
     else:
-        out, _ = induced_subgraph(graph, survivors)
+        out, _ = induced_subgraph(graph, survivors, basepoint=keep)
     if not out.edges:
         raise EmptyCoreError("graph has no essential loop, so its core is empty")
     return out
+
+
+def core(graph: LabeledGraph) -> LabeledGraph:
+    """Unbased core: prune hanging trees, forget the basepoint.  When
+    nothing is pruned, the core is `graph._unbased()`."""
+    return _pruned(graph, None)._unbased()
 
 
 def core_based(graph: LabeledGraph) -> LabeledGraph:
     """Core that spares the basepoint (plus the arc connecting it, if any)."""
     _require_basepoint(graph, "core_based")
-    survivors = core_vertices(graph, keep=graph.basepoint)
-    if len(survivors) == graph.num_vertices:
-        out = graph  # nothing pruned: the renumbering would be the identity
-    else:
-        out, _ = induced_subgraph(graph, survivors, basepoint=graph.basepoint)
-    if not out.edges:
-        raise EmptyCoreError("graph has no essential loop, so its core is empty")
-    return out
+    return _pruned(graph, graph.basepoint)
 
 
 def check_core_graph(graph: LabeledGraph) -> LabeledGraph:
