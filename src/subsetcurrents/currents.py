@@ -11,6 +11,7 @@ components of fiber products.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -154,11 +155,7 @@ def neighborhood_tree(graph: LabeledGraph, v: int, r: int) -> FiniteSubtree:
 
 def neighborhood_profile(graph: LabeledGraph, r: int) -> dict[FiniteSubtree, int]:
     """How many vertices of the graph see each grade-r neighborhood tree."""
-    profile: dict[FiniteSubtree, int] = {}
-    for v in range(graph.num_vertices):
-        t = neighborhood_tree(graph, v, r)
-        profile[t] = profile.get(t, 0) + 1
-    return profile
+    return dict(Counter(neighborhood_tree(graph, v, r) for v in range(graph.num_vertices)))
 
 
 def count_round_graphs(r: int, alphabet: Alphabet) -> int:
@@ -364,10 +361,21 @@ def eval_cylinder(mu: RationalCurrent, tree: FiniteSubtree) -> Fraction:
 
 
 def _edge_cylinders(mu: RationalCurrent) -> list[Fraction]:
-    """The single-edge cylinder values, one per generator; none for zero."""
+    """The single-edge cylinder values, one per generator; none for zero.
+
+    The tree of one i-labelled edge occurs at v exactly when an i-edge
+    leaves v, so each term adds c times its count of i-labelled edges, read
+    in one pass over its edges.  With the `moves()` call that refuses an
+    unfolded term, that is O(V + E) per term.
+    """
     if mu.is_zero:
         return []
-    return [eval_cylinder(mu, FiniteSubtree.edge(i)) for i in range(1, mu.rank + 1)]
+    cylinders = [Fraction(0)] * mu.rank
+    for c, g in mu.terms():
+        g.moves()
+        for label, n in Counter(lab for _, _, lab in g.edges).items():
+            cylinders[label - 1] += c * n
+    return cylinders
 
 
 def functional_E(mu: RationalCurrent) -> Fraction:
@@ -376,28 +384,23 @@ def functional_E(mu: RationalCurrent) -> Fraction:
 
 
 def functional_V(mu: RationalCurrent) -> Fraction:
-    """Sum of the grade-1 round-graph cylinder values.
+    """Sum of the grade-1 round-graph cylinder values, O(V + E) per term.
 
-    The sum runs only over the grade-1 trees that some term of mu shows.
-    At a core vertex the grade-1 neighborhood is the star on its
-    departures, so these are one star per distinct departure set of the
-    terms' `_letters` lists, each checked as a round graph (a vertex of
-    degree 1 raises).  Every other round graph has occurrence count 0 in
-    every term: an occurrence of a grade-1 round graph at v needs its
-    letters to be exactly the departures at v.  Leaving those terms out
-    changes no exact value, and the cost follows the distinct departure
-    sets of mu rather than the 2^(2N) - 1 - 2N round graphs of the rank.
-    Each term is still a cylinder count from occurrence_count.
+    Every vertex of a core graph roots exactly one occurrence of one grade-1
+    round graph, the star on its departures: an occurrence of a star at v
+    needs the star's letters to be exactly the departures at v.  So a
+    term's grade-1 cylinder values are the histogram of its departure sets
+    and their sum is its vertex count, and V is the sum of c times V(g).
+    No tree is built and no occurrence is counted.  A star is a round graph
+    exactly when its root has degree at least 2, so a term with a vertex of
+    degree below 2 raises, once every term's `moves()` has refused an
+    unfolded one.
     """
-    departures: set[frozenset[int]] = set()
     for _, g in mu.terms():
         g.moves()
-        departures.update(map(frozenset, g._letters))
-    observed = [
-        check_round_graph(FiniteSubtree([(), *((s,) for s in letters)]), 1)
-        for letters in departures
-    ]
-    return sum((eval_cylinder(mu, t) for t in observed), Fraction(0))
+    if any(min(map(len, g._letters), default=2) < 2 for _, g in mu.terms()):
+        raise ValueError("the root of a round graph has degree at least 2")
+    return sum((c * g.num_vertices for c, g in mu.terms()), Fraction(0))
 
 
 def functional_rk(mu: RationalCurrent) -> Fraction:

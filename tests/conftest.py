@@ -22,10 +22,10 @@ def acceptance():
         if budget is not None and elapsed >= budget:
             _ACCEPTANCE_LINES[num] = (
                 f"[acceptance {num}] FAIL {label} (took {elapsed:.1f}s, "
-                f"budget {budget:.0f}s)"
+                f"budget {budget:g}s)"
             )
             raise AssertionError(
-                f"criterion {num} exceeded its {budget:.0f}s budget: {elapsed:.1f}s"
+                f"criterion {num} exceeded its {budget:g}s budget: {elapsed:.1f}s"
             )
         _ACCEPTANCE_LINES[num] = f"[acceptance {num}] PASS {label}"
 

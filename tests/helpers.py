@@ -12,8 +12,15 @@ quotient.  The greedy search uses `_wl_classes`, the package's earlier
 round-by-round colour refinement, only to skip pairs that no covering can
 identify; it is also the oracle for the Hopcroft splitting of
 `_stable_classes`.  `functional_V_oracle` is the earlier `functional_V`,
-the cylinder sum over every grade-1 round graph of the rank, kept as the
-oracle for the sum over observed neighborhoods.  `component_subgroup_oracle`
+the cylinder sum over every grade-1 round graph of the rank, kept as an
+oracle for `functional_V` wherever the rank's round graphs fit under
+`ROUND_GRAPH_CAP`.  `functional_V_stars_oracle`
+is the earlier `functional_V` that built one checked star per distinct
+departure set of the terms and counted its occurrences at every vertex,
+and `edge_cylinders_oracle` the earlier `_edge_cylinders`, one
+`eval_cylinder` pass over every vertex per generator; they are the oracles
+for the vertex count and the per-label edge count read from each term in
+one pass.  `component_subgroup_oracle`
 is the earlier `component_subgroup`, which rebuilds both basepoint trees
 and scans every product edge for each component, kept as the oracle for
 the cached paths and the per-component edge buckets.
@@ -125,6 +132,7 @@ from subsetcurrents import (
     TrivialSubgroupError,
     canonical_key,
     check_core_graph,
+    check_round_graph,
     concat,
     contains,
     core_based,
@@ -588,6 +596,28 @@ def functional_V_oracle(mu: RationalCurrent) -> Fraction:
         (eval_cylinder(mu, t) for t in enumerate_round_graphs(1, alphabet)),
         Fraction(0),
     )
+
+
+def functional_V_stars_oracle(mu: RationalCurrent) -> Fraction:
+    """The earlier `functional_V`: one star per distinct departure set of
+    the terms, each checked as a round graph and evaluated as a cylinder."""
+    stars: set[frozenset[int]] = set()
+    for _, g in mu.terms():
+        g.moves()
+        stars.update(map(frozenset, g._letters))
+    observed = [
+        check_round_graph(FiniteSubtree([(), *((s,) for s in letters)]), 1)
+        for letters in stars
+    ]
+    return sum((eval_cylinder(mu, t) for t in observed), Fraction(0))
+
+
+def edge_cylinders_oracle(mu: RationalCurrent) -> list[Fraction]:
+    """The earlier `_edge_cylinders`: one single-edge cylinder evaluation
+    per generator; none for zero."""
+    if mu.is_zero:
+        return []
+    return [eval_cylinder(mu, FiniteSubtree.edge(i)) for i in range(1, mu.rank + 1)]
 
 
 def component_subgroup_oracle(fp, comp, h: LabeledGraph, k: LabeledGraph):

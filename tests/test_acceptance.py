@@ -25,7 +25,9 @@ from subsetcurrents import (
     finite_index,
     format_word,
     from_generators,
+    functional_E,
     functional_rk,
+    functional_V,
     intersection_functional_N,
     intersection_number_cosets,
     intersection_number_euler,
@@ -453,3 +455,17 @@ def test_criterion_20_every_pair_of_small_cores(acceptance):
             positive += bound > 0
             attained += bound > 0 and n == bound
         assert (pairs, positive, attained) == (4278, 3240, 1409)
+
+
+def test_criterion_21_grade_1_functionals_at_rank_200(acceptance):
+    """V, E and rk of one counting current at rank 200, 40 seeded words of
+    100 letters (V = 3952 vertices, 3860 distinct departure sets), read in
+    one pass per term; one cylinder pass per star took seconds here."""
+    alphabet = Alphabet(200)
+    rng = random.Random(21)
+    words = [random_reduced_word(rng, alphabet, 100) for _ in range(40)]
+    mu = counting_current(from_generators(words, alphabet))
+    label = "V, E and rk of a rank-200 counting current with 3952 vertices"
+    with acceptance(21, label, budget=0.25):
+        values = functional_V(mu), functional_E(mu), functional_rk(mu)
+    assert values == (3952, 3991, 39)

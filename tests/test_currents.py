@@ -9,6 +9,7 @@ at rank 3, 2^6 - 1 - 6 = 57.
 import functools
 import hashlib
 import random
+from collections import Counter
 from itertools import combinations_with_replacement
 from decimal import Decimal
 from fractions import Fraction
@@ -63,10 +64,13 @@ from helpers import (
     c_hat_oracle,
     c_hat_via_round_graphs,
     departures,
+    edge_cylinders_oracle,
     functional_V_oracle,
+    functional_V_stars_oracle,
     occurrence_count_oracle,
     random_current,
     random_tree_words,
+    special_corpus,
 )
 
 AL2 = Alphabet(2)
@@ -459,27 +463,106 @@ def _mixed_currents():
             yield from (mu, mu + nu, cover + nu.scale(Fraction(1, 3)))
 
 
-def test_functional_V_sums_the_stars_of_the_departure_sets(monkeypatch):
-    # functional_V builds its grade-1 trees as stars on the departure sets
-    # of the terms' moves() rows; they must be the observed neighborhoods
-    seen = []
-
-    def recording_eval(mu, tree):
-        seen.append(tree)
-        return eval_cylinder(mu, tree)
-
-    monkeypatch.setattr(currents, "eval_cylinder", recording_eval)
+def test_departure_set_histogram_is_the_grade_1_profile():
+    # functional_V reads each term's vertex count: every vertex roots one
+    # occurrence of the star on its departure set and of no other grade-1
+    # round graph, so the departure-set histogram is the occurrence counts
     checked = 0
     for rho in _mixed_currents():
-        seen.clear()
-        functional_V(rho)
-        observed = set()
         for _, g in rho.terms():
-            observed.update(neighborhood_profile(g, 1))
-        assert len(seen) == len(set(seen))
-        assert set(seen) == observed
+            g.moves()
+            histogram = Counter(map(frozenset, g._letters))
+            counts = {
+                frozenset(w[0] for w in t.words if w): occurrence_count(t, g)
+                for t in neighborhood_profile(g, 1)
+            }
+            assert counts == histogram
+            assert sum(counts.values()) == g.num_vertices
         checked += 1
     assert checked == 300
+
+
+def _seeded_high_rank_currents(rank):
+    """Counting currents of seeded cores at one rank, one sum and one scaled
+    sum of two of them."""
+    alphabet = Alphabet(rank)
+    rng = random.Random(2800 + rank)
+    etas = [
+        counting_current(random_subgroup(rng, alphabet, max_gens=4, max_len=8))
+        for _ in range(12)
+    ]
+    return etas + [etas[0] + etas[1], etas[2] + etas[3].scale(Fraction(5, 3))]
+
+
+def test_grade_1_functionals_match_the_cylinder_oracles():
+    # V, E and rk against the earlier one-cylinder-per-star and
+    # one-cylinder-per-generator sums, and V against the sum over every
+    # grade-1 round graph where the rank's round graphs fit under the cap
+    special = [
+        counting_current(h) for al in (AL2, AL3, Alphabet(7)) for h in special_corpus(al)
+    ]
+    corpus = [
+        *_mixed_currents(), *special, *_seeded_high_rank_currents(7),
+        *_seeded_high_rank_currents(26), zero_current(),
+    ]
+    full_sums = 0
+    for rho in corpus:
+        v = functional_V_stars_oracle(rho)
+        cylinders = edge_cylinders_oracle(rho)
+        e = sum(cylinders, Fraction(0))
+        assert functional_V(rho) == v
+        assert currents._edge_cylinders(rho) == cylinders
+        assert functional_E(rho) == e
+        assert functional_rk(rho) == e - v
+        if rho.is_zero or count_round_graphs(1, Alphabet(rho.rank)) <= currents.ROUND_GRAPH_CAP:
+            assert functional_V_oracle(rho) == v
+            full_sums += 1
+    assert len(corpus) == 300 + 27 + 14 + 14 + 1
+    assert full_sums == 300 + 18 + 1
+
+
+def _outcome(f, mu):
+    """The value of f at mu, or the message of the ValueError it raises."""
+    try:
+        return f(mu)
+    except ValueError as exc:
+        return str(exc)
+
+
+ROUND = "the root of a round graph has degree at least 2"
+UNFOLDED = "following departures needs a folded graph; fold it first"
+# two a-edges leave vertex 0
+UNFOLDED_GRAPH = LabeledGraph(2, 2, [(0, 1, 1), (0, 0, 1), (1, 1, 2), (0, 0, 2)])
+
+
+@pytest.mark.parametrize(
+    "terms, expected",
+    [
+        ([LabeledGraph(2, 0, [])], (0, 0, 0)),
+        # a rose beside an isolated vertex
+        ([LabeledGraph(2, 2, [(0, 0, 1), (0, 0, 2)])], (ROUND, 2, ROUND)),
+        ([UNFOLDED_GRAPH], (UNFOLDED,) * 3),
+        # the based graph of <b^-1 a b> hangs its basepoint off the a-loop
+        ([sub("Bab")], (ROUND, 2, ROUND)),
+        # every term is folded before any is read as round graphs
+        ([sub("Bab"), UNFOLDED_GRAPH], (UNFOLDED,) * 3),
+    ],
+)
+def test_grade_1_functionals_refuse_as_the_cylinder_oracles(terms, expected):
+    # hand-built terms that normalize would never store: the vertex and edge
+    # counts return or refuse exactly as the cylinder sums they replace
+    mu = RationalCurrent({bytes([i]): (Fraction(1), g) for i, g in enumerate(terms)})
+    got = tuple(_outcome(f, mu) for f in (functional_V, functional_E, functional_rk))
+    assert got == expected
+
+    def e_oracle(mu):
+        return sum(edge_cylinders_oracle(mu), Fraction(0))
+
+    def rk_oracle(mu):
+        return e_oracle(mu) - functional_V_stars_oracle(mu)
+
+    oracle = tuple(_outcome(f, mu) for f in (functional_V_stars_oracle, e_oracle, rk_oracle))
+    assert oracle == expected
 
 
 def test_functional_V_refuses_a_term_with_a_degree_1_vertex():
