@@ -3,9 +3,10 @@
 A `FiberProduct` of two folded labeled graphs keeps every vertex pair, so
 its connected components split into trees and components carrying
 essential loops.  Both intersection-number routes live here: edges minus
-vertices of the pruned product, which numbers only the vertex pairs that
-some product edge touches, and the sum of reduced ranks over the
-double-coset components.
+vertices of the pruned product, which counts the degree of each vertex
+pair that some product edge touches and peels leaves by reading the
+factors' departure tables, so it stores no product edge; and the sum of
+reduced ranks over the double-coset components.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .stallings import (
     LabeledGraph,
     _alphabet,
     _based_tree,
-    _prune,
     _tree_path,
     contains,
     from_generators,
@@ -50,19 +50,31 @@ class ComponentReport:
         return self.euler == 1
 
 
+def _check_factors(left: LabeledGraph, right: LabeledGraph) -> None:
+    """Refuse factors of two ranks, then unfolded ones.  `is_folded` builds
+    both departure tables, and a `SizeLimitError` from them passes through."""
+    if left.rank != right.rank:
+        raise ValueError("fiber product needs a common ambient rank")
+    if not (left.is_folded() and right.is_folded()):
+        raise ValueError("fiber product factors must be folded")
+
+
+def _edges_by_label(graph: LabeledGraph) -> dict[int, list[tuple[int, int]]]:
+    """(origin, terminus) of the graph's edges, listed per label."""
+    by_label: dict[int, list[tuple[int, int]]] = {}
+    for o, t, lab in graph.edges:
+        by_label.setdefault(lab, []).append((o, t))
+    return by_label
+
+
 def _product_edges(left: LabeledGraph, right: LabeledGraph) -> list[Edge]:
     """Edges of the fiber product, joined by label: edges o1 -> t1 of the
     left factor and o2 -> t2 of the right with the same label give the
     edge (o1, o2) -> (t1, t2), where the pair (v1, v2) is numbered
     v1 * V2 + v2.  Both factors must be folded and of one rank."""
-    if left.rank != right.rank:
-        raise ValueError("fiber product needs a common ambient rank")
-    if not (left.is_folded() and right.is_folded()):
-        raise ValueError("fiber product factors must be folded")
+    _check_factors(left, right)
     n2 = right.num_vertices
-    by_label: dict[int, list[tuple[int, int]]] = {}
-    for o, t, lab in right.edges:
-        by_label.setdefault(lab, []).append((o, t))
+    by_label = _edges_by_label(right)
     return [
         (o1 * n2 + o2, t1 * n2 + t2, lab)
         for o1, t1, lab in left.edges
@@ -214,16 +226,61 @@ def intersection_number_euler(h: LabeledGraph, k: LabeledGraph) -> int:
     route classifies no component, and it gives the same value for based
     factors as for their cores.
 
-    The product is sparse: only the vertex pairs that some product edge
-    touches are numbered, since an isolated pair is pruned anyway.
+    No product edge is stored.  Joining the factors' edges by label counts
+    E and the degree of each touched pair (u, v), numbered u * V2 + v; an
+    isolated pair is pruned anyway, so it is never numbered.  A leaf finds
+    its one live neighbour by reading the letters at u against the
+    departures of v, and removing it takes one edge and one vertex, which
+    leaves E - V as it was.  A pair whose last neighbour went first is the
+    last vertex of a tree and adds one.  So the value is E minus the
+    touched pairs plus the pairs removed at degree 0.
+
+    Cost: the product's edges plus, per removed leaf, the degree of u;
+    nothing scales with the rank or with V1 * V2.
     """
-    ids: dict[int, int] = {}
-    edges = [
-        (ids.setdefault(o, len(ids)), ids.setdefault(t, len(ids)), lab)
-        for o, t, lab in _product_edges(h, k)
-    ]
-    survivors, left = _prune(len(ids), edges)
-    return left - len(survivors)
+    _check_factors(h, k)
+    n2 = k.num_vertices
+    by_label = _edges_by_label(k)
+    deg: dict[int, int] = {}
+    get = deg.get
+    num_edges = 0
+    for o1, t1, lab in h.edges:
+        pairs = by_label.get(lab)
+        if pairs is None:
+            continue
+        num_edges += len(pairs)
+        o1 *= n2
+        t1 *= n2
+        for o2, t2 in pairs:
+            o2 += o1
+            deg[o2] = get(o2, 0) + 1
+            t2 += t1
+            deg[t2] = get(t2, 0) + 1
+    h_moves, k_moves, h_letters = h.moves(), k.moves(), h._letters
+    # deg[p] counts the live edges at p, and a pair is queued once, when
+    # its degree first is 1.  A removed pair reads 0, which no pair with a
+    # live edge does.
+    queue = [p for p, d in deg.items() if d == 1]
+    trees = 0
+    while queue:
+        p = queue.pop()
+        if not deg[p]:
+            trees += 1
+            continue
+        deg[p] = 0
+        u, v = divmod(p, n2)
+        here, there = h_moves[u], k_moves[v]
+        for s in h_letters[u]:
+            w = there[s]
+            if w is not None:
+                q = here[s] * n2 + w
+                d = deg[q]
+                if d > 0:  # the one neighbour not yet removed
+                    deg[q] = d - 1
+                    if d == 2:
+                        queue.append(q)
+                    break
+    return num_edges - len(deg) + trees
 
 
 def intersection_number_cosets(h: LabeledGraph, k: LabeledGraph) -> int:

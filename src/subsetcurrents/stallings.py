@@ -768,15 +768,23 @@ def commensurator(h: LabeledGraph) -> tuple[LabeledGraph, int]:
 
 
 def random_reduced_word(rng: random.Random, alphabet: Alphabet, length: int) -> Word:
-    """Uniform non-backtracking walk of the given length."""
-    signed = alphabet.signed_letters()
-    after = {x: [s for s in signed if s != -x] for x in signed}
+    """Uniform non-backtracking walk of the given length.
+
+    The first letter is drawn from the 2N signed letters, each later one
+    from the 2N - 1 left after the inverse of the last, in the order of
+    `signed_letters()`.  A draw takes `rng.randrange` of the count and
+    steps over the inverse's place, so a letter costs O(1) at any rank and
+    the stream is the one `rng.choice` over those lists would draw.
+    """
+    signed, inverse_place = alphabet._signed, alphabet._inverse_place
+    randrange = rng.randrange
     letters: list[int] = []
-    options = signed
+    count, skip = len(signed), len(signed)  # the first draw skips no place
     for _ in range(length):
-        x = rng.choice(options)
+        i = randrange(count)
+        x = signed[i + (i >= skip)]
         letters.append(x)
-        options = after[x]
+        count, skip = len(signed) - 1, inverse_place[x]
     return tuple(letters)
 
 

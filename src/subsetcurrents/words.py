@@ -63,6 +63,18 @@ class Alphabet:
         return ("", *up, *(name.upper() for name in reversed(up)))
 
     @cached_property
+    def _signed(self) -> tuple[int, ...]:
+        """`signed_letters()` as a tuple, built once per alphabet."""
+        return tuple(self.signed_letters())
+
+    @cached_property
+    def _inverse_place(self) -> tuple[int, ...]:
+        """Place of each signed letter's inverse in `_signed`, indexed by
+        the letter as `_names` is: -i sits at 2i - 1 and +i at 2i - 2."""
+        places = range(1, self.rank + 1)
+        return (0, *(2 * i - 1 for i in places), *(2 * i - 2 for i in reversed(places)))
+
+    @cached_property
     def _compact(self) -> dict[str, int]:
         """Signed letter of each compact character within the rank: a/A..
         for +1/-1 and so on.  Read only up to rank 26."""

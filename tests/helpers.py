@@ -61,7 +61,17 @@ oracle for edges minus vertices of the pruned product.
 before the product went sparse: the full `FiberProduct` with every vertex
 pair, pruned by `core_vertices_oracle`, the earlier `core_vertices` (a
 FIFO leaf queue with per-edge liveness flags), kept as the oracle for the
-shared `_prune`.
+shared `_prune`.  `intersection_number_euler_sparse_oracle` is the
+pruning route as it was before it read the factors' departure tables: the
+product edge list from `_product_edges`, renumbered through a dict to the
+pairs it touches, and pruned by `_prune` with its per-vertex adjacency
+lists, kept as the oracle for the degree counts and the leaves that find
+their neighbour by table.
+`random_reduced_word_oracle` is the earlier `random_reduced_word`, which
+built a follower list of 2N - 1 letters for each of the 2N signed letters
+and drew with `rng.choice`, kept as the oracle for the draw that steps
+over the inverse's place: both must leave the same words and the same
+generator state.
 `is_folded_oracle` is the earlier `is_folded`, which built a list of
 departures per signed label at each vertex and required one per list, kept
 as the oracle for the two set sizes read off the edge list; the first entry
@@ -148,10 +158,12 @@ from subsetcurrents import (
     reduce_word,
 )
 from subsetcurrents.errors import WordFormatError
+from subsetcurrents.fiber import _product_edges
 from subsetcurrents.stallings import (
     UnionFind,
     _based_tree,
     _bfs_code,
+    _prune,
     _tree_path,
     core_vertices,
     induced_subgraph,
@@ -926,6 +938,30 @@ def intersection_number_euler_full_oracle(h: LabeledGraph, k: LabeledGraph) -> i
     survivors = core_vertices_oracle(product)
     edges = sum(1 for o, t, _ in product.edges if o in survivors and t in survivors)
     return edges - len(survivors)
+
+
+def intersection_number_euler_sparse_oracle(h: LabeledGraph, k: LabeledGraph) -> int:
+    """Edges minus vertices of the pruned product, on the touched pairs."""
+    ids: dict[int, int] = {}
+    edges = [
+        (ids.setdefault(o, len(ids)), ids.setdefault(t, len(ids)), lab)
+        for o, t, lab in _product_edges(h, k)
+    ]
+    survivors, left = _prune(len(ids), edges)
+    return left - len(survivors)
+
+
+def random_reduced_word_oracle(rng: random.Random, alphabet: Alphabet, length: int):
+    """Uniform non-backtracking walk of the given length."""
+    signed = alphabet.signed_letters()
+    after = {x: [s for s in signed if s != -x] for x in signed}
+    letters: list[int] = []
+    options = signed
+    for _ in range(length):
+        x = rng.choice(options)
+        letters.append(x)
+        options = after[x]
+    return tuple(letters)
 
 
 def _component_matches_tree(fp, comp, tree: FiniteSubtree) -> bool:

@@ -5,8 +5,12 @@ line in the terminal summary.  Every comparison is exact: integers and
 Fractions throughout, no tolerances anywhere.
 """
 
+import contextlib
+import io
 import json
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
@@ -469,3 +473,38 @@ def test_criterion_21_grade_1_functionals_at_rank_200(acceptance):
     with acceptance(21, label, budget=0.25):
         values = functional_V(mu), functional_E(mu), functional_rk(mu)
     assert values == (3952, 3991, 39)
+
+
+def _traced_peak(fn, *args):
+    """The value of fn(*args) and the peak of memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        value = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return value, peak
+
+
+def test_criterion_22_euler_route_and_word_draws_at_scale(acceptance):
+    """The Euler route stores no product edge: on the 8x60 pair of
+    acceptance 13's seed the pruning from an edge list and adjacency lists
+    peaked at 44.8 MiB, and on <a^5000 b> x <b^5000 a> at 5.4 MiB.  A
+    word draw costs O(1) a letter at every rank: with a follower list for
+    each signed letter, each word at rank 4096 built 67 million entries."""
+    label = "Euler route in bounded memory and shnc-scan at rank 4096 within 1 s"
+    with acceptance(22, label):
+        rng = random.Random(5)
+        h, k = (from_generators([random_reduced_word(rng, AL2, 60) for _ in range(8)], AL2)
+                for _ in range(2))
+        value, peak = _traced_peak(intersection_number_euler, h, k)
+        assert value == 0 and peak < 20 * 2**20
+        h = from_generators([(1,) * 5000 + (2,)], AL2)
+        k = from_generators([(2,) * 5000 + (1,)], AL2)
+        value, peak = _traced_peak(intersection_number_euler, h, k)
+        assert value == 0 and peak < 3 * 2**20
+        start = time.monotonic()
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(["shnc-scan", "--rank", "4096", "--samples", "5"]) == 0
+        assert time.monotonic() - start < 1
+        assert len(out.getvalue().splitlines()) == 6

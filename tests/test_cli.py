@@ -107,6 +107,14 @@ REPORT_DIGESTS = {
         "7abb02a36cc821ec2cc6d4f1d8118d2b93e4c7d110cba0ac06e93f7f0b454b58",
         None,
     ),
+    "shnc-scan --rank 7 --samples 8 --seed 11 --max-gens 4 --max-gen-len 2 --format tsv": (
+        "132db6f4a66802ffc8d63ee04cc40c10f1ba52cb0a551397283ef816d28a27a3",
+        None,
+    ),
+    "shnc-scan --rank 30 --samples 5 --seed 30 --max-gens 4 --max-gen-len 8 --format json": (
+        "51204d6259d5f34c95b77861ff975da707dce8039e47f77f5ff43b58a03eb93d",
+        None,
+    ),
     "converge --n-max 3 --grade 2 --format tsv": (
         "c5553c48d1aceb2bc66f540feccb95587d5aadcacb0056c261cd91213af984f4",
         None,

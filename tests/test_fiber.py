@@ -34,8 +34,10 @@ from helpers import (
     component_ids_oracle,
     component_subgroup_oracle,
     departures,
+    all_cores,
     intersection_number_euler_full_oracle,
     intersection_number_euler_oracle,
+    intersection_number_euler_sparse_oracle,
     representative_oracle,
     spanning_tree_oracle,
 )
@@ -327,6 +329,18 @@ def euler_edge_pairs():
     return forests, roses, tails
 
 
+def parallel_pairs():
+    """Products with loops and parallel edges: two vertices joined by both
+    an a-edge and a b-edge (and, at rank 3, a c-loop at one of them),
+    against themselves, each other's rank and the rose."""
+    theta = LabeledGraph(2, 2, [(0, 1, 1), (0, 1, 2)], basepoint=0)
+    theta3 = LabeledGraph(3, 2, [(0, 1, 1), (0, 1, 2), (1, 1, 3)], basepoint=0)
+    rose2 = sub("a", "b")
+    rose3 = from_generators([(1,), (2,), (3,)], Alphabet(3))
+    return [(theta, theta), (theta, rose2), (rose2, theta), (theta, sub("ab", "bA")),
+            (theta3, theta3), (theta3, rose3), (rose3, theta3)]
+
+
 def test_euler_by_pruning_matches_oracle():
     pairs = euler_pairs()
     assert len(pairs) == 300
@@ -335,10 +349,18 @@ def test_euler_by_pruning_matches_oracle():
         assert all(c.contractible for c in fiber_product(h, k).components())
     assert not fiber_product(*forests[0]).graph.edges
     assert all(h.num_vertices - ucore(h).num_vertices >= 20 for h, _ in tails)
+    parallel = parallel_pairs()
+    loops = doubled = 0
+    for h, k in parallel:
+        edges = fiber_product(h, k).graph.edges
+        loops += any(o == t for o, t, _ in edges)
+        doubled += len({(o, t) for o, t, _ in edges}) < len(edges)
+    assert doubled == len(parallel) and loops >= 3
     positive = with_tail = 0
-    for h, k in pairs + forests + roses + tails:
+    for h, k in pairs + forests + roses + tails + parallel:
         expected = intersection_number_euler_oracle(ucore(h), ucore(k))
         assert intersection_number_euler_full_oracle(h, k) == expected
+        assert intersection_number_euler_sparse_oracle(h, k) == expected
         assert intersection_number_euler(ucore(h), ucore(k)) == expected
         assert intersection_number_euler(h, k) == expected
         positive += expected > 0
@@ -348,6 +370,20 @@ def test_euler_by_pruning_matches_oracle():
     for rose, k in roses:  # the product with the rose is a copy of k
         assert intersection_number_euler(rose, k) == intersection_number_euler(k, rose)
         assert intersection_number_euler(rose, k) == reduced_rank(k)
+
+
+def test_euler_by_pruning_on_every_pair_of_small_cores():
+    """Acceptance 20's pairs: every pair of rank-2 cores on at most 3
+    vertices, a core with itself included, against all three oracles."""
+    cores = all_cores(2, 3)
+    positive = 0
+    for h, k in itertools.combinations_with_replacement(cores, 2):
+        expected = intersection_number_euler_oracle(h, k)
+        assert intersection_number_euler_full_oracle(h, k) == expected
+        assert intersection_number_euler_sparse_oracle(h, k) == expected
+        assert intersection_number_euler(h, k) == expected
+        positive += expected > 0
+    assert positive > 0
 
 
 def test_euler_refuses_what_the_product_refuses():

@@ -88,6 +88,7 @@ from helpers import (
     from_generators_oracle,
     germ_lists_oracle,
     is_folded_oracle,
+    random_reduced_word_oracle,
     stable_classes_oracle,
     subgroup_corpus,
     wedge,
@@ -619,6 +620,20 @@ def test_random_reduced_word_is_reduced():
         w = random_reduced_word(rng, AL3, 8)
         assert len(w) == 8
         assert all(w[i] != -w[i + 1] for i in range(len(w) - 1))
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 7, 26, 200])
+def test_random_reduced_word_matches_oracle_stream(rank):
+    """Same words and the same generator state after every draw as the
+    follower-list draw, so every seeded report keeps its bytes."""
+    alphabet = Alphabet(rank)
+    ours, theirs = random.Random(rank), random.Random(rank)
+    for _ in range(3):
+        for length in (0, 1, 2, 12, 40):
+            w = random_reduced_word(ours, alphabet, length)
+            assert w == random_reduced_word_oracle(theirs, alphabet, length)
+            assert len(w) == length
+            assert ours.getstate() == theirs.getstate()
 
 
 def test_fold_idempotent_on_random_wedges():
