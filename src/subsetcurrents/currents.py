@@ -20,6 +20,7 @@ from .fiber import _product_edges, fiber_product
 from .stallings import (
     LabeledGraph,
     UnionFind,
+    _alphabet,
     _int,
     _keyed_quotient,
     check_core_graph,
@@ -136,19 +137,21 @@ def neighborhood_tree(graph: LabeledGraph, v: int, r: int) -> FiniteSubtree:
         raise ValueError("neighborhood radius must be at least 1")
     if not 0 <= _int(v, "vertex") < graph.num_vertices:
         raise ValueError(f"vertex {v} out of range 0..{graph.num_vertices - 1}")
-    moves, letters = graph.moves(), graph._letters
+    moves, places = graph.moves(), graph._places
+    signed = _alphabet(graph.rank)._signed
     words: set[Word] = {()}
     frontier: list[tuple[Word, int]] = [((), v)]
     for _ in range(r):
         nxt = []
         for w, u in frontier:
             row = moves[u]
-            for s in letters[u]:
+            for p in places[u]:
+                s = signed[p]
                 if w and s == -w[-1]:
                     continue
                 nw = w + (s,)
                 words.add(nw)
-                nxt.append((nw, row[s]))
+                nxt.append((nw, row[p]))
         frontier = nxt
     return check_round_graph(FiniteSubtree(words), r)
 
@@ -208,18 +211,19 @@ def occurrence_count(tree: FiniteSubtree, graph: LabeledGraph) -> int:
     and must match degrees exactly at every interior vertex of the tree
     (degree above 1), so the tree is cut out locally, not just immersed.
     The tree is read in its stored form: each word after the root is one
-    (parent position, letter) step, and its image at a vertex is one list
-    entry; the stored degrees name the interior positions, and the lengths
-    of the graph's `_letters` (filled with its `moves()` rows) are compared
-    with them.
+    (parent position, letter) step, read at the letter's place in the
+    `moves()` rows, and its image at a vertex is one list entry; the stored
+    degrees name the interior positions, and the lengths of the graph's
+    `_places` (filled with its `moves()` rows) are compared with them.
     """
     if not tree.nondegenerate:
         raise ValueError("occurrences are counted for subtrees with an edge")
-    steps = tree._steps
-    if max(abs(s) for _, s in steps) > graph.rank:
+    if max(abs(s) for _, s in tree._steps) > graph.rank:
         raise ValueError(f"subtree letters exceed the graph's rank {graph.rank}")
+    place = _alphabet(graph.rank)._place
+    steps = [(i, place[s]) for i, s in tree._steps]
     interior = [(i, d) for i, d in enumerate(tree._degrees) if d > 1]
-    moves, letters = graph.moves(), graph._letters
+    moves, places = graph.moves(), graph._places
     count = 0
     for v in range(graph.num_vertices):
         image = [v]
@@ -229,7 +233,7 @@ def occurrence_count(tree: FiniteSubtree, graph: LabeledGraph) -> int:
                 break
             image.append(t)
         else:
-            if all(len(letters[image[i]]) == d for i, d in interior):
+            if all(len(places[image[i]]) == d for i, d in interior):
                 count += 1
     return count
 
@@ -398,7 +402,7 @@ def functional_V(mu: RationalCurrent) -> Fraction:
     """
     for _, g in mu.terms():
         g.moves()
-    if any(min(map(len, g._letters), default=2) < 2 for _, g in mu.terms()):
+    if any(min(map(len, g._places), default=2) < 2 for _, g in mu.terms()):
         raise ValueError("the root of a round graph has degree at least 2")
     return sum((c * g.num_vertices for c, g in mu.terms()), Fraction(0))
 

@@ -229,7 +229,7 @@ def intersection_number_euler(h: LabeledGraph, k: LabeledGraph) -> int:
     No product edge is stored.  Joining the factors' edges by label counts
     E and the degree of each touched pair (u, v), numbered u * V2 + v; an
     isolated pair is pruned anyway, so it is never numbered.  A leaf finds
-    its one live neighbour by reading the letters at u against the
+    its one live neighbour by reading the places at u against the
     departures of v, and removing it takes one edge and one vertex, which
     leaves E - V as it was.  A pair whose last neighbour went first is the
     last vertex of a tree and adds one.  So the value is E minus the
@@ -256,7 +256,7 @@ def intersection_number_euler(h: LabeledGraph, k: LabeledGraph) -> int:
             deg[o2] = get(o2, 0) + 1
             t2 += t1
             deg[t2] = get(t2, 0) + 1
-    h_moves, k_moves, h_letters = h.moves(), k.moves(), h._letters
+    h_moves, k_moves, h_places = h.moves(), k.moves(), h._places
     # deg[p] counts the live edges at p, and a pair is queued once, when
     # its degree first is 1.  A removed pair reads 0, which no pair with a
     # live edge does.
@@ -270,10 +270,10 @@ def intersection_number_euler(h: LabeledGraph, k: LabeledGraph) -> int:
         deg[p] = 0
         u, v = divmod(p, n2)
         here, there = h_moves[u], k_moves[v]
-        for s in h_letters[u]:
-            w = there[s]
+        for i in h_places[u]:
+            w = there[i]
             if w is not None:
-                q = here[s] * n2 + w
+                q = here[i] * n2 + w
                 d = deg[q]
                 if d > 0:  # the one neighbour not yet removed
                     deg[q] = d - 1

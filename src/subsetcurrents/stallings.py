@@ -10,7 +10,6 @@ every rebuild so downstream code can treat vertex ids as dense indices.
 from __future__ import annotations
 
 import functools
-import operator
 import random
 
 from .errors import (
@@ -28,8 +27,8 @@ from .words import Alphabet, Word, concat, cyclic_reduce, invert, parse_word, re
 Edge = tuple[int, int, int]  # (origin, terminus, positive label)
 
 # Most slots a departure table may hold: 8 bytes a slot keeps one graph's
-# `moves()` rows under 128 MiB.  A row has 2N + 1 slots, so a rank-2 graph
-# may have about 3.3 million vertices and a rank-4096 graph 2047.
+# `moves()` rows under 128 MiB.  A row has 2N slots, so a rank-2 graph may
+# have about 4.2 million vertices and a rank-4096 graph 2048.
 MAX_TABLE_SLOTS = 2**24
 
 # Draws `random_finite_index_cover` makes before it gives up on connectivity.
@@ -110,7 +109,7 @@ def _edge_tuple(e) -> tuple:
 class LabeledGraph:
     """Finite multigraph over the rank-N rose.  Treated as immutable."""
 
-    __slots__ = ("rank", "num_vertices", "edges", "basepoint", "_moves", "_letters", "_components")
+    __slots__ = ("rank", "num_vertices", "edges", "basepoint", "_moves", "_places", "_components")
 
     def __init__(self, rank: int, num_vertices: int, edges, basepoint: int | None = None):
         _alphabet(_int(rank, "rank"))  # refuses a rank below 2 or above MAX_RANK
@@ -139,7 +138,7 @@ class LabeledGraph:
         self.edges: tuple[Edge, ...] = tuple(sorted(edges))
         self.basepoint = basepoint
         self._moves = None
-        self._letters = None
+        self._places = None
         self._components = None
 
     def _unbased(self) -> LabeledGraph:
@@ -167,14 +166,15 @@ class LabeledGraph:
         return True
 
     def moves(self) -> list[list[int | None]]:
-        """Per vertex, a row of 2N + 1 slots indexed by the signed label, as
-        `Alphabet._names` is: +i at position i and, by negative indexing,
-        -i at 2N + 1 - i (position 0 is never read).  A slot holds the
-        target, or None where the vertex has no such departure.  Lists,
-        because hash(-1) == hash(-2) makes a dict keyed by signed labels
-        probe past one of them.  So `len(row)` is 2N + 1, not the degree.
+        """Per vertex, a row of 2N slots in `signed_letters()` order: the
+        departure by +i at place 2i - 2 and by -i at place 2i - 1, so a
+        letter's inverse sits at its place ^ 1.  A slot holds the target,
+        or None where the vertex has no such departure.  So `len(row)` is
+        2N, not the degree; `Alphabet._place` takes a signed label to its
+        place and `Alphabet._signed` a place back to its label, and
+        `dict(zip(alphabet.signed_letters(), row))` reads a row by label.
 
-        The same pass fills `_letters`: per vertex, the signed labels of its
+        The same pass fills `_places`: per vertex, the places of its
         departures in edge order, so its length is the degree.  A reader
         that visits every departure of a vertex iterates these, and indexes
         the row only for their targets, so its cost follows the degrees,
@@ -185,23 +185,25 @@ class LabeledGraph:
         label) an earlier edge already took.  A table of more than
         `MAX_TABLE_SLOTS` slots is refused before it is allocated."""
         if self._moves is None:
-            slots = self.num_vertices * (2 * self.rank + 1)
+            slots = self.num_vertices * 2 * self.rank
             if slots > MAX_TABLE_SLOTS:
                 raise SizeLimitError(
                     f"a departure table of {self.num_vertices} vertices at rank {self.rank} "
                     f"has {slots} slots, above the budget of {MAX_TABLE_SLOTS}"
                 )
-            table = [[None] * (2 * self.rank + 1) for _ in range(self.num_vertices)]
-            letters: list[list[int]] = [[] for _ in range(self.num_vertices)]
+            table = [[None] * (2 * self.rank) for _ in range(self.num_vertices)]
+            places: list[list[int]] = [[] for _ in range(self.num_vertices)]
+            place = _alphabet(self.rank)._place
             for o, t, lab in self.edges:
                 out, back = table[o], table[t]
-                if out[lab] is not None or back[-lab] is not None:
+                p = place[lab]
+                if out[p] is not None or back[p ^ 1] is not None:
                     raise ValueError("following departures needs a folded graph; fold it first")
-                out[lab] = t
-                back[-lab] = o
-                letters[o].append(lab)
-                letters[t].append(-lab)
-            self._letters = letters
+                out[p] = t
+                back[p ^ 1] = o
+                places[o].append(p)
+                places[t].append(p ^ 1)
+            self._places = places
             self._moves = table
         return self._moves
 
@@ -214,8 +216,10 @@ class LabeledGraph:
         return self._components
 
     def is_connected(self) -> bool:
-        """One component; a graph with no vertices has none."""
-        return len(set(self.component_ids())) == 1
+        """One component; a graph with no vertices has none.  A component
+        id is the smallest vertex of its component, so every id is 0."""
+        ids = self.component_ids()
+        return bool(ids) and not any(ids)
 
     @property
     def graph(self) -> "LabeledGraph":
@@ -238,7 +242,7 @@ class _Folder:
 
     The rows stay dicts, unlike the lists of `LabeledGraph.moves()`: every
     spelled vertex gets a fresh row and every merge moves a row, so a row
-    of 2N + 1 slots would be allocated and scanned where a dict holds the
+    of 2N slots would be allocated and scanned where a dict holds the
     one or two departures a spelled vertex has.  A version with list rows
     here ran about 1.5% slower on the `scan` benchmark workload and 2% on
     `big-core`.
@@ -330,10 +334,10 @@ def fold(graph: LabeledGraph) -> LabeledGraph:
     return _Folder(graph.num_vertices, graph.edges).graph(graph.rank, graph.basepoint)
 
 
-def _prune(n: int, edges, keep: int | None = None) -> tuple[set[int], int]:
+def _prune(n: int, edges, keep: int | None = None) -> set[int]:
     """Iterated removal of degree <= 1 vertices other than `keep` from the
     graph on vertices 0..n-1 with the given (origin, terminus, label)
-    edges.  Returns the surviving vertices and the number of edges left."""
+    edges.  Returns the surviving vertices."""
     ends: list[list[int]] = [[] for _ in range(n)]
     for o, t, _ in edges:
         ends[o].append(t)
@@ -343,7 +347,6 @@ def _prune(n: int, edges, keep: int | None = None) -> tuple[set[int], int]:
     # degree becomes -1 when it is removed, which kills its last edge.
     deg = list(map(len, ends))
     queue = [v for v in range(n) if deg[v] <= 1 and v != keep]
-    left = len(edges)
     while queue:
         v = queue.pop()
         deg[v] = -1
@@ -351,16 +354,15 @@ def _prune(n: int, edges, keep: int | None = None) -> tuple[set[int], int]:
             d = deg[u]
             if d < 0:
                 continue
-            left -= 1
             deg[u] = d - 1
             if d == 2 and u != keep:
                 queue.append(u)
-    return {v for v in range(n) if deg[v] >= 0}, left
+    return {v for v in range(n) if deg[v] >= 0}
 
 
 def core_vertices(graph: LabeledGraph, keep: int | None = None) -> set[int]:
     """Vertices surviving iterated removal of degree <= 1 vertices."""
-    return _prune(graph.num_vertices, graph.edges, keep)[0]
+    return _prune(graph.num_vertices, graph.edges, keep)
 
 
 def induced_subgraph(
@@ -423,8 +425,8 @@ def check_core_graph(graph: LabeledGraph) -> LabeledGraph:
     graph.moves()
     if graph.basepoint is not None and not graph.is_connected():
         raise NotConnectedError("based core graph must be connected")
-    for v, letters in enumerate(graph._letters):
-        if v != graph.basepoint and len(letters) < 2:
+    for v, places in enumerate(graph._places):
+        if v != graph.basepoint and len(places) < 2:
             raise ValueError(f"non-basepoint vertex {v} has degree < 2")
     return graph
 
@@ -457,11 +459,12 @@ def contains(h: LabeledGraph, w: Word) -> bool:
     """Does the word lie in the subgroup, i.e. read as a loop at the basepoint.
     A letter outside the graph's alphabet raises `WordFormatError`."""
     _require_basepoint(h, "contains")
-    _alphabet(h.rank).check_word(w)
-    moves = h.moves()
+    alphabet = _alphabet(h.rank)
+    alphabet.check_word(w)
+    moves, place = h.moves(), alphabet._place
     v = h.basepoint
     for x in reduce_word(w):
-        v = moves[v][x]
+        v = moves[v][place[x]]
         if v is None:
             return False
     return v == h.basepoint
@@ -470,23 +473,23 @@ def contains(h: LabeledGraph, w: Word) -> bool:
 def _based_tree(h: LabeledGraph, fn: str) -> dict[int, tuple[int, int] | None]:
     """Deterministic BFS tree from the basepoint as a parent table: each
     vertex maps to (parent, signed letter read from the parent), the
-    basepoint to None, and the keys come in BFS order.  O(V + E).
+    basepoint to None, and the keys come in BFS order.  It reads every
+    slot of every row, so it costs O(V * N) at rank N, which is O(V + E)
+    only when most letters leave most vertices.
 
     Every walk from a basepoint starts here, so this is where an unbased
     graph (a conjugacy class, not a subgroup) or a disconnected one (no
     path to some vertex) is refused, in the caller `fn`'s name; a table it
     returns holds every vertex."""
     _require_basepoint(h, fn)
-    order = _alphabet(h.rank).signed_letters()
+    signed = _alphabet(h.rank)._signed
     moves = h.moves()
     parent: dict[int, tuple[int, int] | None] = {h.basepoint: None}
     queue = [h.basepoint]
     for v in queue:
-        row = moves[v]
-        for s in order:
-            t = row[s]
+        for p, t in enumerate(moves[v]):
             if t is not None and t not in parent:
-                parent[t] = (v, s)
+                parent[t] = (v, signed[p])
                 queue.append(t)
     if len(parent) != h.num_vertices:
         raise NotConnectedError(f"{fn} needs a connected based graph")
@@ -504,7 +507,9 @@ def _tree_path(parent: dict, v: int) -> Word:
 
 def subgroup_generators(h: LabeledGraph) -> list[Word]:
     """Free basis: one word per edge off the spanning tree (in a folded
-    graph a parent entry names one edge); only those edges' paths are read."""
+    graph a parent entry names one edge); only those edges' paths are read.
+    The tree costs O(V * N) at rank N (`_based_tree`), the words their
+    lengths."""
     parent = _based_tree(h, "subgroup_generators")
     return [
         concat(_tree_path(parent, o), (lab,), invert(_tree_path(parent, t)))
@@ -524,36 +529,31 @@ def reduced_rank(g: LabeledGraph) -> int:
     return max(rank(g) - 1, 0)
 
 
-def _step_table(graph: LabeledGraph) -> list[tuple[int | None, ...]]:
-    """`step[v][j]` is the target of the j-th signed letter at v, or None:
-    the `moves()` rows read in `signed_letters()` order."""
-    return list(map(operator.itemgetter(*_alphabet(graph.rank).signed_letters()), graph.moves()))
-
-
-def _bfs_code(step: list[tuple[int | None, ...]], start: int) -> tuple:
-    """BFS adjacency code from `start`: row i lists, per signed letter, the
-    BFS number of the target at the i-th vertex visited, or -1."""
+def _bfs_code(moves: list[list[int | None]], start: int) -> tuple:
+    """BFS adjacency code from `start` over the `moves()` rows: row i lists,
+    per signed letter in `signed_letters()` order, the BFS number of the
+    target at the i-th vertex visited, or -1.  O(V * N) at rank N."""
     ids: dict[int | None, int] = {None: -1, start: 0}
     seq = [start]
     rows = []
     for v in seq:
         row = []
-        for t in step[v]:
+        for t in moves[v]:
             i = ids.get(t)
             if i is None:
                 i = ids[t] = len(seq)
                 seq.append(t)
             row.append(i)
         rows.append(tuple(row))
-    if len(seq) != len(step):
+    if len(seq) != len(moves):
         raise NotConnectedError("canonical form needs a connected graph")
     return tuple(rows)
 
 
 def _key(graph: LabeledGraph, starts) -> bytes:
     """The rank and the least BFS code over the given start vertices."""
-    step = _step_table(graph)
-    return f"{graph.rank}:{min(_bfs_code(step, v) for v in starts)}".encode()
+    moves = graph.moves()
+    return f"{graph.rank}:{min(_bfs_code(moves, v) for v in starts)}".encode()
 
 
 def canonical_key(graph: LabeledGraph) -> bytes:
@@ -565,9 +565,13 @@ def canonical_key(graph: LabeledGraph) -> bytes:
     rebuilds the graph it was read from, so equal keys mean isomorphic
     graphs.  On a connected graph class 0 is one fiber of the minimal
     covering quotient, so for a degree-d cover the cost is one refinement,
-    O(E log V), plus d codes of O(E) each: linear on a graph that is its own
-    minimal covering quotient, and O(V*E) on a Cayley graph of a finite
-    group, where d = V.
+    O(E log V), plus d codes, each of which reads all 2N slots of every
+    row, O(V * N) at rank N: O(V * N) on a graph that is its own minimal
+    covering quotient, and O(V^2 * N) on a Cayley graph of a finite group,
+    where d = V.  A sparse graph at high rank pays for the slots, not the
+    edges: a 1000-vertex cycle at rank 500, its own quotient, reads a
+    million slots for its one code, about 0.2 s with Python 3.11 on a
+    2-vCPU host.
     """
     if graph.num_vertices == 0:
         raise EmptyCoreError("canonical_key needs a graph with at least one vertex")
@@ -577,7 +581,7 @@ def canonical_key(graph: LabeledGraph) -> bytes:
 def canonical_key_based(h: LabeledGraph) -> bytes:
     """Canonical byte string for the based graph, i.e. the subgroup itself."""
     _require_basepoint(h, "canonical_key_based")
-    code = _bfs_code(_step_table(h), h.basepoint)
+    code = _bfs_code(h.moves(), h.basepoint)
     return f"{h.rank}:based:{code}".encode()
 
 
@@ -597,11 +601,12 @@ def finite_index(h: LabeledGraph, k: LabeledGraph) -> int | None:
     tree = _based_tree(h, "finite_index")
     _based_tree(k, "finite_index")  # K's table is built for its refusals only
     h_moves, k_moves = h.moves(), k.moves()
-    h_letters, k_letters = h._letters, k._letters
+    h_places, k_places = h._places, k._places
+    place = _alphabet(h.rank)._place
     f = {h.basepoint: k.basepoint}
     steps = [(*step, v) for v, step in tree.items() if step]
     for o, s, t in steps + [(o, lab, t) for o, t, lab in h.edges]:
-        img = k_moves[f[o]][s]
+        img = k_moves[f[o]][place[s]]
         if img is None:
             raise NotSubgroupError("subgroup graph does not map into the target")
         if f.setdefault(t, img) != img:
@@ -617,8 +622,8 @@ def finite_index(h: LabeledGraph, k: LabeledGraph) -> int | None:
         if w not in core_k:
             raise MismatchBugError("core image escaped the target core")
         here, there = h_moves[v], k_moves[w]
-        if {s for s in h_letters[v] if here[s] in core_h} != {
-            s for s in k_letters[w] if there[s] in core_k
+        if {p for p in h_places[v] if here[p] in core_h} != {
+            p for p in k_places[w] if there[p] in core_k
         }:
             return None
     if len({f[v] for v in core_h}) != len(core_k) or len(core_h) % len(core_k):
@@ -641,7 +646,8 @@ def _stable_classes(graph: LabeledGraph) -> list[int]:
 
     Every choice reads only class ids, class sizes and letters: the last
     class queued is processed first, its preimages are taken one signed
-    letter at a time in `signed_letters()` order, touched classes split in
+    letter at a time in `signed_letters()` order (the ascending order of
+    their places in the `moves()` rows), touched classes split in
     ascending id order, and the split-off part takes the next id.  So by
     induction on the splits an isomorphism maps class i onto class i.
     Only the letters some member departs by are taken, as no other letter
@@ -649,21 +655,18 @@ def _stable_classes(graph: LabeledGraph) -> list[int]:
     rank.  The members are read from a snapshot taken before any of those
     letters splits a class, the splitter itself included.
     """
-    moves, letters = graph.moves(), graph._letters
-    position = [0] * (2 * graph.rank + 1)  # signed letter -> its place in the order
-    for i, s in enumerate(_alphabet(graph.rank).signed_letters()):
-        position[s] = i
+    moves, places = graph.moves(), graph._places
     cls = [0] * graph.num_vertices
     classes = [set(range(graph.num_vertices))]
     pending = {0: None}  # a stack of class ids, without repeats
     while pending:
         splitter = classes[pending.popitem()[0]]
         rows = [moves[c] for c in splitter]
-        carried = {s for c in splitter for s in letters[c]}
-        for s in sorted(carried, key=position.__getitem__):
+        carried = {p for c in splitter for p in places[c]}
+        for p in sorted(carried):
             touched: dict[int, set[int]] = {}
             for row in rows:
-                x = row[s]
+                x = row[p]
                 if x is not None:
                     touched.setdefault(cls[x], set()).add(x)
             for k in sorted(touched):
@@ -773,18 +776,19 @@ def random_reduced_word(rng: random.Random, alphabet: Alphabet, length: int) -> 
     The first letter is drawn from the 2N signed letters, each later one
     from the 2N - 1 left after the inverse of the last, in the order of
     `signed_letters()`.  A draw takes `rng.randrange` of the count and
-    steps over the inverse's place, so a letter costs O(1) at any rank and
+    steps over the inverse's place, the last place ^ 1, so a letter costs
+    O(1) at any rank and
     the stream is the one `rng.choice` over those lists would draw.
     """
-    signed, inverse_place = alphabet._signed, alphabet._inverse_place
+    signed = alphabet._signed
     randrange = rng.randrange
     letters: list[int] = []
     count, skip = len(signed), len(signed)  # the first draw skips no place
     for _ in range(length):
         i = randrange(count)
-        x = signed[i + (i >= skip)]
-        letters.append(x)
-        count, skip = len(signed) - 1, inverse_place[x]
+        i += i >= skip
+        letters.append(signed[i])
+        count, skip = len(signed) - 1, i ^ 1
     return tuple(letters)
 
 

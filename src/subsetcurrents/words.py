@@ -18,8 +18,8 @@ Word = tuple[int, ...]
 IDENTITY: Word = ()
 
 # Highest rank an `Alphabet` or a `LabeledGraph` accepts.  A departure row
-# holds one 8-byte slot per signed letter, 2N + 1 in all, so 4096 keeps a
-# row under 64 KiB.
+# holds one 8-byte slot per signed letter, 2N in all, so 4096 keeps a row
+# at 64 KiB.
 MAX_RANK = 4096
 
 _EXTENDED_TOKEN = re.compile(r"([xX])(\d+)")
@@ -55,24 +55,28 @@ class Alphabet:
         """Text of each signed letter: a/A.. up to rank 26, else x<i>/X<i>.
 
         Indexed by the letter itself: +i at position i and, by negative
-        indexing, -i at position 2N + 1 - i (position 0 is never read).  A
-        tuple, because hash(-1) == hash(-2) would make a dict keyed by
-        signed letters probe past one of them on every lookup."""
+        indexing, -i at position 2N + 1 - i (position 0 is never read), as
+        `_place` is.  A tuple, because hash(-1) == hash(-2) would make a
+        dict keyed by signed letters probe past one of them on every
+        lookup."""
         compact = self.rank <= 26
         up = [chr(ord("a") + i - 1) if compact else f"x{i}" for i in self.letters()]
         return ("", *up, *(name.upper() for name in reversed(up)))
 
     @cached_property
     def _signed(self) -> tuple[int, ...]:
-        """`signed_letters()` as a tuple, built once per alphabet."""
+        """`signed_letters()` as a tuple, built once per alphabet: the
+        letter at each place of a `LabeledGraph.moves()` row."""
         return tuple(self.signed_letters())
 
     @cached_property
-    def _inverse_place(self) -> tuple[int, ...]:
-        """Place of each signed letter's inverse in `_signed`, indexed by
-        the letter as `_names` is: -i sits at 2i - 1 and +i at 2i - 2."""
+    def _place(self) -> tuple[int, ...]:
+        """Place of each signed letter in `_signed`, indexed by the letter
+        as `_names` is: +i sits at 2i - 2 and -i at 2i - 1, so a letter's
+        inverse sits at its place ^ 1.  The inverse of `_signed`, and the
+        slot of the letter in a `LabeledGraph.moves()` row."""
         places = range(1, self.rank + 1)
-        return (0, *(2 * i - 1 for i in places), *(2 * i - 2 for i in reversed(places)))
+        return (0, *(2 * i - 2 for i in places), *(2 * i - 1 for i in reversed(places)))
 
     @cached_property
     def _compact(self) -> dict[str, int]:

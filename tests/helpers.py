@@ -64,9 +64,9 @@ FIFO leaf queue with per-edge liveness flags), kept as the oracle for the
 shared `_prune`.  `intersection_number_euler_sparse_oracle` is the
 pruning route as it was before it read the factors' departure tables: the
 product edge list from `_product_edges`, renumbered through a dict to the
-pairs it touches, and pruned by `_prune` with its per-vertex adjacency
-lists, kept as the oracle for the degree counts and the leaves that find
-their neighbour by table.
+pairs it touches, pruned by `_prune` with its per-vertex adjacency lists,
+and its surviving edges counted, kept as the oracle for the degree counts
+and the leaves that find their neighbour by table.
 `random_reduced_word_oracle` is the earlier `random_reduced_word`, which
 built a follower list of 2N - 1 letters for each of the 2N signed letters
 and drew with `rng.choice`, kept as the oracle for the draw that steps
@@ -106,16 +106,17 @@ core and deduplicated by a canonical key.
 
 `departures(graph)` reads the list rows of `moves()` back as one dict per
 vertex (signed label -> target), the form `moves()` had before its rows
-became lists indexed by signed label; every oracle here that follows
-departures reads them through it.  `stable_classes_oracle` is the earlier
-`_stable_classes`, which bucketed the splitter's departures by letter from
-those dicts, kept as the oracle for reading each letter the splitter's
-members carry from the list rows of a snapshot of the splitter.  `canonical_key_dict_oracle` and
+became lists, now of 2N slots in `signed_letters()` order; every oracle
+here that follows departures reads them through it.
+`stable_classes_oracle` is the earlier `_stable_classes`, which bucketed
+the splitter's departures by letter from those dicts, kept as the oracle
+for reading each letter the splitter's members carry from the list rows
+of a snapshot of the splitter.  `canonical_key_dict_oracle` and
 `canonical_key_based_dict_oracle` read the keys from the earlier
 `_step_table`, built with `dict.get` per signed letter, and
-`stable_classes_oracle`, kept as the oracle for the rows read by
-`operator.itemgetter`.  `parse_word_oracle` is the earlier `parse_word`,
-which decided the format by scanning for a digit and read compact words
+`stable_classes_oracle`, kept as the oracle for the codes read off the
+`moves()` rows as they are.  `parse_word_oracle` is the earlier
+`parse_word`, which decided the format by scanning for a digit and read compact words
 one character at a time, kept as the oracle for the per-rank table.
 
 `render_oracle` is the earlier `cli._render`: the whole report text, JSON
@@ -177,9 +178,9 @@ GOOD_JSON = {"rank": 2, "vertices": [0, 1], "edges": [[0, 1, 1], [1, 0, 2]], "ba
 
 def departures(graph: LabeledGraph) -> list[dict[int, int]]:
     """Per vertex, signed label -> target, in `signed_letters()` order: the
-    list rows of `moves()` read back as dicts."""
+    list rows of `moves()`, whose slots follow that order, read back as dicts."""
     order = Alphabet(graph.rank).signed_letters()
-    return [{s: row[s] for s in order if row[s] is not None} for row in graph.moves()]
+    return [{s: t for s, t in zip(order, row) if t is not None} for row in graph.moves()]
 
 
 def brute_force_occurrences(tree, graph) -> int:
@@ -616,7 +617,8 @@ def functional_V_stars_oracle(mu: RationalCurrent) -> Fraction:
     stars: set[frozenset[int]] = set()
     for _, g in mu.terms():
         g.moves()
-        stars.update(map(frozenset, g._letters))
+        signed = Alphabet(g.rank)._signed
+        stars.update(frozenset(map(signed.__getitem__, places)) for places in g._places)
     observed = [
         check_round_graph(FiniteSubtree([(), *((s,) for s in letters)]), 1)
         for letters in stars
@@ -947,8 +949,8 @@ def intersection_number_euler_sparse_oracle(h: LabeledGraph, k: LabeledGraph) ->
         (ids.setdefault(o, len(ids)), ids.setdefault(t, len(ids)), lab)
         for o, t, lab in _product_edges(h, k)
     ]
-    survivors, left = _prune(len(ids), edges)
-    return left - len(survivors)
+    survivors = _prune(len(ids), edges)
+    return sum(o in survivors and t in survivors for o, t, _ in edges) - len(survivors)
 
 
 def random_reduced_word_oracle(rng: random.Random, alphabet: Alphabet, length: int):

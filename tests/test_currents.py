@@ -377,7 +377,7 @@ def test_normalize_fills_one_departure_table_per_graph_it_keeps(monkeypatch):
     assert minimal_covering_quotient(c)[2] == [0, 1, 2, 3]
     assert core(g).moves() is not g.moves()  # a table built after the core is not shared
     assert core(g).moves() is g.moves()
-    assert core(g)._letters is g._letters and core(g)._components is g._components
+    assert core(g)._places is g._places and core(g)._components is g._components
     tailed = sub("baaBB")
     assert core(tailed).moves() is not tailed.moves()
 
@@ -471,7 +471,8 @@ def test_departure_set_histogram_is_the_grade_1_profile():
     for rho in _mixed_currents():
         for _, g in rho.terms():
             g.moves()
-            histogram = Counter(map(frozenset, g._letters))
+            signed = Alphabet(g.rank)._signed
+            histogram = Counter(frozenset(map(signed.__getitem__, p)) for p in g._places)
             counts = {
                 frozenset(w[0] for w in t.words if w): occurrence_count(t, g)
                 for t in neighborhood_profile(g, 1)

@@ -485,6 +485,13 @@ def test_component_ids_match_bfs_labels():
         g = LabeledGraph(3, n, edges)
         assert g.component_ids() == component_ids_oracle(n, edges)
         assert g.is_connected() == (set(component_ids_oracle(n, edges)) == {0})
+    # a graph with no vertex has no component; a second component has a
+    # nonzero id
+    assert not LabeledGraph(3, 0, []).is_connected()
+    assert LabeledGraph(3, 1, []).is_connected()
+    two = LabeledGraph(3, 4, [(0, 1, 1), (3, 2, 2)])
+    assert two.component_ids() == (0, 0, 2, 2) and not two.is_connected()
+    assert not LabeledGraph(3, 2, []).is_connected()
     for h, k in classify_pairs():
         product = fiber_product(h, k).graph
         want = component_ids_oracle(product.num_vertices, product.edges)

@@ -334,7 +334,8 @@ def test_rank_ceiling_refuses_before_anything_is_built():
         tracemalloc.stop()
     assert peak < 64 * 1024
     top = LabeledGraph(MAX_RANK, 1, [(0, 0, MAX_RANK)], basepoint=0)
-    assert len(top.moves()[0]) == 2 * MAX_RANK + 1 and top._letters == [[MAX_RANK, -MAX_RANK]]
+    assert len(top.moves()[0]) == 2 * MAX_RANK
+    assert top._places == [[2 * MAX_RANK - 2, 2 * MAX_RANK - 1]]
     assert contains(top, (MAX_RANK, -MAX_RANK, -MAX_RANK))
     assert Alphabet(MAX_RANK).rank == MAX_RANK
 
@@ -343,7 +344,7 @@ def test_table_budget_refuses_before_the_rows_are_built(monkeypatch):
     """`moves()` refuses a table of more than `MAX_TABLE_SLOTS` slots with
     `SizeLimitError` before a row is made, and `is_folded` passes the
     refusal on instead of answering False; a table at the budget is built."""
-    n = MAX_TABLE_SLOTS // (2 * MAX_RANK + 1) + 1
+    n = MAX_TABLE_SLOTS // (2 * MAX_RANK) + 1
     wide = LabeledGraph(MAX_RANK, n, [(v, (v + 1) % n, MAX_RANK) for v in range(n)])
     tracemalloc.start()
     try:
@@ -354,13 +355,13 @@ def test_table_budget_refuses_before_the_rows_are_built(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024 and wide._moves is None
-    monkeypatch.setattr(stallings, "MAX_TABLE_SLOTS", 5 * 20)
+    monkeypatch.setattr(stallings, "MAX_TABLE_SLOTS", 4 * 20)
     for n, fits in ((20, True), (21, False)):
         cycle = LabeledGraph(2, n, [(v, (v + 1) % n, 1) for v in range(n)])
         if fits:
             assert cycle.is_folded() and len(cycle.moves()) == n
         else:
-            with pytest.raises(SizeLimitError, match="21 vertices at rank 2 has 105 slots"):
+            with pytest.raises(SizeLimitError, match="21 vertices at rank 2 has 84 slots"):
                 cycle.is_folded()
 
 
@@ -1171,9 +1172,8 @@ def test_prune_matches_oracle():
     cases += [(h, h.basepoint) for h in based_graphs_with_tails()[:300]]
     pruned = kept = 0
     for g, keep in cases:
-        survivors, left = _prune(g.num_vertices, g.edges, keep)
+        survivors = _prune(g.num_vertices, g.edges, keep)
         assert survivors == core_vertices_oracle(g, keep)
-        assert left == sum(1 for o, t, _ in g.edges if o in survivors and t in survivors)
         pruned += 0 < len(survivors) < g.num_vertices
         ends_at_keep = sum((o == keep) + (t == keep) for o, t, _ in g.edges)
         kept += keep is not None and keep in survivors and ends_at_keep < 2
@@ -1221,13 +1221,16 @@ def test_is_folded_and_moves_match_the_germ_list_oracle():
     for g in raw + [fold(g) for g in raw]:
         assert g.is_folded() == is_folded_oracle(g)
         if g.is_folded():
-            first = [[None] * (2 * g.rank + 1) for _ in range(g.num_vertices)]
+            # a row's slots follow `signed_letters()`, and `_places` holds
+            # the slot of each departure in edge order
+            order = Alphabet(g.rank).signed_letters()
+            first = [[None] * (2 * g.rank) for _ in range(g.num_vertices)]
             for row, germs in zip(first, germ_lists_oracle(g)):
                 for s, ts in germs.items():
-                    row[s] = ts[0]
+                    row[order.index(s)] = ts[0]
             assert g.moves() == first
             assert g.moves() is g.moves()
-            assert g._letters == [list(germs) for germs in germ_lists_oracle(g)]
+            assert g._places == [list(map(order.index, germs)) for germs in germ_lists_oracle(g)]
         else:
             with pytest.raises(ValueError, match="needs a folded graph"):
                 g.moves()

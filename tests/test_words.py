@@ -39,6 +39,18 @@ def test_alphabet_validation():
     assert AL3.signed_letters() == [1, -1, 2, -2, 3, -3]
 
 
+def test_place_inverts_signed_and_pairs_each_letter_with_its_inverse():
+    """`_place` takes each signed letter to its slot in `_signed`, which is
+    its slot in a `moves()` row, and a letter's inverse sits at its place ^ 1."""
+    for rank in (2, 3, 26, 4096):
+        alphabet = Alphabet(rank)
+        signed = alphabet.signed_letters()
+        assert [alphabet._place[s] for s in signed] == list(range(2 * rank))
+        for s in signed:
+            assert alphabet._signed[alphabet._place[s]] == s
+            assert alphabet._place[-s] == alphabet._place[s] ^ 1
+
+
 def test_parse_compact():
     assert parse_word("abA", AL2) == (1, 2, -1)
     assert parse_word("aBc", AL3) == (1, -2, 3)
