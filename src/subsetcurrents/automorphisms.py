@@ -19,7 +19,7 @@ from .stallings import (
     parse_subgroup_file,
     subgroup_generators,
 )
-from .words import Alphabet, Word, invert, reduce_word
+from .words import Alphabet, Word, _int, invert, reduce_word
 
 
 class Endomorphism:
@@ -115,6 +115,8 @@ def random_automorphism(
     rng: random.Random, alphabet: Alphabet, length: int
 ) -> Endomorphism:
     """Composition of `length` uniformly chosen Nielsen generators."""
+    if _int(length, "length") < 0:
+        raise ValueError(f"length must be nonnegative, got {length}")
     gens = nielsen_generators(alphabet)
     phi = Endomorphism.identity(alphabet)
     for _ in range(length):
@@ -123,17 +125,23 @@ def random_automorphism(
 
 
 def act_on_subgroup(phi: Endomorphism, h: LabeledGraph) -> LabeledGraph:
-    """Core graph of the image subgroup phi(H); phi may be any endomorphism."""
+    """Core graph of the image subgroup phi(H); phi may be any endomorphism
+    of H's ambient rank."""
+    if phi.alphabet.rank != h.rank:
+        raise ValueError(
+            f"an endomorphism of rank {phi.alphabet.rank} cannot act on a subgroup of rank {h.rank}"
+        )
     gens = subgroup_generators(h)
     return from_generators([apply_word(phi, g) for g in gens], phi.alphabet)
 
 
 def act_on_current(phi: Endomorphism, mu: RationalCurrent) -> RationalCurrent:
-    """Push a current through phi term by term, then re-normalize."""
+    """Push a current through phi term by term, then re-normalize.  Each
+    term is read as the subgroup based at its vertex 0, a copy that shares
+    the term's edges and departure table."""
     raw = []
     for coeff, g in mu.terms():
-        based = check_core_graph(LabeledGraph(g.rank, g.num_vertices, g.edges, basepoint=0))
-        raw.append((coeff, act_on_subgroup(phi, based)))
+        raw.append((coeff, act_on_subgroup(phi, check_core_graph(g._rebased(0)))))
     return normalize(raw)
 
 

@@ -45,7 +45,7 @@ from .stallings import (
     reduced_rank,
     subgroup_generators,
 )
-from .words import Alphabet, Word
+from .words import Alphabet
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -264,14 +264,8 @@ def _dump(message: str, h, k, **routes) -> MismatchBugError:
     return MismatchBugError(f"{message} {json.dumps(data, sort_keys=True, default=str)}")
 
 
-def _word_text(w: Word, alphabet: Alphabet) -> str:
-    """`format_word` without its letter check, for words the engine built:
-    their letters are within the rank by construction."""
-    return "".join(map(alphabet._names.__getitem__, w)) or "1"
-
-
 def _gens_text(h: LabeledGraph, alphabet: Alphabet) -> str:
-    return ";".join(_word_text(w, alphabet) for w in subgroup_generators(h))
+    return ";".join(map(alphabet._text, subgroup_generators(h)))
 
 
 def _check_coverage(h: LabeledGraph, k: LabeledGraph, reports) -> None:
@@ -325,8 +319,8 @@ def cmd_product(args: argparse.Namespace) -> Result:
                 "edges": comp.num_edges,
                 "euler": comp.euler,
                 "contractible": comp.contractible,
-                "representative": _word_text(g, alphabet),
-                "generators": [_word_text(w, alphabet) for w in gens],
+                "representative": alphabet._text(g),
+                "generators": list(map(alphabet._text, gens)),
                 "reduced_rank": (
                     reduced_rank(from_generators(gens, alphabet)) if gens else 0
                 ),

@@ -21,13 +21,13 @@ from .stallings import (
     LabeledGraph,
     UnionFind,
     _alphabet,
-    _int,
     _keyed_quotient,
+    _vertex,
     check_core_graph,
     core,
     graph_to_json_dict,
 )
-from .words import Alphabet, Word, format_word
+from .words import Alphabet, Word, _int, format_word
 
 # Ceiling on how many round graphs any enumeration may produce.  Grade 2 in
 # rank 2 (4067 graphs) fits; grade 2 in rank 3 does not, by design.
@@ -115,7 +115,7 @@ class FiniteSubtree:
 def check_round_graph(tree: FiniteSubtree, grade: int) -> FiniteSubtree:
     """Return the tree if it is a round graph of the grade, else raise:
     a root of degree >= 2 and every leaf at distance exactly `grade`."""
-    if grade < 1:
+    if _int(grade, "grade") < 1:
         raise ValueError("round graphs have grade at least 1")
     if tree._degrees[0] < 2:
         raise ValueError("the root of a round graph has degree at least 2")
@@ -135,8 +135,7 @@ def neighborhood_tree(graph: LabeledGraph, v: int, r: int) -> FiniteSubtree:
     """
     if _int(r, "neighborhood radius") < 1:
         raise ValueError("neighborhood radius must be at least 1")
-    if not 0 <= _int(v, "vertex") < graph.num_vertices:
-        raise ValueError(f"vertex {v} out of range 0..{graph.num_vertices - 1}")
+    _vertex(graph, v)
     moves, places = graph.moves(), graph._places
     signed = _alphabet(graph.rank)._signed
     words: set[Word] = {()}
@@ -163,7 +162,7 @@ def neighborhood_profile(graph: LabeledGraph, r: int) -> dict[FiniteSubtree, int
 
 def count_round_graphs(r: int, alphabet: Alphabet) -> int:
     """Closed-form count of round graphs of grade r over the alphabet."""
-    if r < 1:
+    if _int(r, "grade") < 1:
         raise ValueError("grade must be at least 1")
     m = 2 * alphabet.rank
     g = 1

@@ -50,19 +50,18 @@ class ComponentReport:
         return self.euler == 1
 
 
-def _check_factors(left: LabeledGraph, right: LabeledGraph) -> None:
-    """Refuse factors of two ranks, then unfolded ones.  `is_folded` builds
-    both departure tables, and a `SizeLimitError` from them passes through."""
+def _join(left: LabeledGraph, right: LabeledGraph) -> dict[int, list[tuple[int, int]]]:
+    """The door of every product walk: refuse factors of two ranks, then
+    unfolded ones, and return the right factor's (origin, terminus) pairs
+    listed per label, which the walk joins the left factor's edges to.
+    `is_folded` builds both departure tables, and a `SizeLimitError` from
+    them passes through."""
     if left.rank != right.rank:
         raise ValueError("fiber product needs a common ambient rank")
     if not (left.is_folded() and right.is_folded()):
         raise ValueError("fiber product factors must be folded")
-
-
-def _edges_by_label(graph: LabeledGraph) -> dict[int, list[tuple[int, int]]]:
-    """(origin, terminus) of the graph's edges, listed per label."""
     by_label: dict[int, list[tuple[int, int]]] = {}
-    for o, t, lab in graph.edges:
+    for o, t, lab in right.edges:
         by_label.setdefault(lab, []).append((o, t))
     return by_label
 
@@ -72,9 +71,8 @@ def _product_edges(left: LabeledGraph, right: LabeledGraph) -> list[Edge]:
     left factor and o2 -> t2 of the right with the same label give the
     edge (o1, o2) -> (t1, t2), where the pair (v1, v2) is numbered
     v1 * V2 + v2.  Both factors must be folded and of one rank."""
-    _check_factors(left, right)
+    by_label = _join(left, right)
     n2 = right.num_vertices
-    by_label = _edges_by_label(right)
     return [
         (o1 * n2 + o2, t1 * n2 + t2, lab)
         for o1, t1, lab in left.edges
@@ -238,9 +236,8 @@ def intersection_number_euler(h: LabeledGraph, k: LabeledGraph) -> int:
     Cost: the product's edges plus, per removed leaf, the degree of u;
     nothing scales with the rank or with V1 * V2.
     """
-    _check_factors(h, k)
+    by_label = _join(h, k)
     n2 = k.num_vertices
-    by_label = _edges_by_label(k)
     deg: dict[int, int] = {}
     get = deg.get
     num_edges = 0

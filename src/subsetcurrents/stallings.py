@@ -22,7 +22,7 @@ from .errors import (
     TrivialSubgroupError,
     WordFormatError,
 )
-from .words import Alphabet, Word, concat, cyclic_reduce, invert, parse_word, reduce_word
+from .words import Alphabet, Word, _int, concat, cyclic_reduce, invert, parse_word, reduce_word
 
 Edge = tuple[int, int, int]  # (origin, terminus, positive label)
 
@@ -92,10 +92,11 @@ def _alphabet(rank: int) -> Alphabet:
     return Alphabet(rank)
 
 
-def _int(value, what: str) -> int:
-    if type(value) is not int:  # bool is a subclass of int, and is refused too
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
+def _vertex(graph: LabeledGraph, v) -> int:
+    """v, if it is a vertex of the graph; else a ValueError that names it."""
+    if not 0 <= _int(v, "vertex") < graph.num_vertices:
+        raise ValueError(f"vertex {v} out of range 0..{graph.num_vertices - 1}")
+    return v
 
 
 def _edge_tuple(e) -> tuple:
@@ -141,16 +142,19 @@ class LabeledGraph:
         self._places = None
         self._components = None
 
-    def _unbased(self) -> LabeledGraph:
-        """This graph without its basepoint.  The copy shares the edges and
-        every cached table, none of which depends on the basepoint, so
-        neither graph builds them again."""
-        if self.basepoint is None:
+    def _rebased(self, basepoint: int | None) -> LabeledGraph:
+        """This graph based at `basepoint`, or unbased for None, refused as
+        the constructor refuses it.  The copy shares the edges and every
+        cached table, none of which depends on the basepoint, so neither
+        graph builds them again."""
+        if basepoint is not None and not (0 <= _int(basepoint, "basepoint") < self.num_vertices):
+            raise ValueError(f"basepoint {basepoint} out of range")
+        if basepoint == self.basepoint:
             return self
         out = object.__new__(LabeledGraph)
         for name in self.__slots__:
             setattr(out, name, getattr(self, name))
-        out.basepoint = None
+        out.basepoint = basepoint
         return out
 
     def is_folded(self) -> bool:
@@ -369,7 +373,7 @@ def induced_subgraph(
     graph: LabeledGraph, vertices, basepoint: int | None = None
 ) -> tuple[LabeledGraph, dict[int, int]]:
     """Subgraph on the given vertices, renumbered; returns (graph, old->new map)."""
-    order = sorted(vertices)
+    order = sorted({_vertex(graph, v) for v in vertices})
     renum = {v: i for i, v in enumerate(order)}
     edges = [
         (renum[o], renum[t], lab)
@@ -403,8 +407,8 @@ def _pruned(graph: LabeledGraph, keep: int | None) -> LabeledGraph:
 
 def core(graph: LabeledGraph) -> LabeledGraph:
     """Unbased core: prune hanging trees, forget the basepoint.  When
-    nothing is pruned, the core is `graph._unbased()`."""
-    return _pruned(graph, None)._unbased()
+    nothing is pruned, the core is `graph._rebased(None)`."""
+    return _pruned(graph, None)._rebased(None)
 
 
 def core_based(graph: LabeledGraph) -> LabeledGraph:
@@ -589,8 +593,10 @@ def finite_index(h: LabeledGraph, k: LabeledGraph) -> int | None:
     """Index of H in K, or None when it is infinite.
 
     Raises NotSubgroupError unless H <= K, i.e. unless the label-preserving
-    map (h, *) -> (k, *) exists: the spanning tree's steps, in BFS order,
-    fix it, and every edge of h must then agree.  Finite index is
+    map (h, *) -> (k, *) exists.  It is built and checked in one pass over
+    h's departures in the BFS order of `_based_tree`, so each vertex is
+    mapped, through its parent's step, before its own departures are read
+    against those of its image in k.  Finite index is
     equivalent to the induced map of unbased cores being a covering, and
     the index equals the vertex-count ratio of the cores.  An empty core is
     the trivial subgroup: a trivial K forces H = K, and a trivial H has
@@ -602,15 +608,15 @@ def finite_index(h: LabeledGraph, k: LabeledGraph) -> int | None:
     _based_tree(k, "finite_index")  # K's table is built for its refusals only
     h_moves, k_moves = h.moves(), k.moves()
     h_places, k_places = h._places, k._places
-    place = _alphabet(h.rank)._place
     f = {h.basepoint: k.basepoint}
-    steps = [(*step, v) for v, step in tree.items() if step]
-    for o, s, t in steps + [(o, lab, t) for o, t, lab in h.edges]:
-        img = k_moves[f[o]][place[s]]
-        if img is None:
-            raise NotSubgroupError("subgroup graph does not map into the target")
-        if f.setdefault(t, img) != img:
-            raise NotSubgroupError("no consistent label-preserving map exists")
+    for v in tree:
+        here, there = h_moves[v], k_moves[f[v]]
+        for p in h_places[v]:
+            img = there[p]
+            if img is None:
+                raise NotSubgroupError("subgroup graph does not map into the target")
+            if f.setdefault(here[p], img) != img:
+                raise NotSubgroupError("no consistent label-preserving map exists")
     core_h = core_vertices(h)
     core_k = core_vertices(k)
     if not core_k:
@@ -692,8 +698,8 @@ def _keyed_quotient(graph: LabeledGraph) -> tuple[LabeledGraph, int, list[int], 
     is discrete, so its key is its BFS code from that one vertex.
 
     When every class is a singleton, the graph is its own minimal
-    quotient, and the quotient is `graph._unbased()` with degree 1 and the
-    identity map, so its departure table is not built again.
+    quotient, and the quotient is `graph._rebased(None)` with degree 1
+    and the identity map, so its departure table is not built again.
 
     It trusts its caller: the graph must be nonempty and connected, which
     `minimal_covering_quotient` checks and `normalize` has checked before
@@ -702,7 +708,7 @@ def _keyed_quotient(graph: LabeledGraph) -> tuple[LabeledGraph, int, list[int], 
     classes = _stable_classes(graph)
     n = graph.num_vertices
     if max(classes) == n - 1:  # class ids are 0, 1, ..., so all are singletons
-        quotient = graph._unbased()
+        quotient = graph._rebased(None)
         return quotient, 1, list(range(n)), _key(quotient, [classes.index(0)])
     first: dict[int, int] = {}
     vmap = [first.setdefault(c, len(first)) for c in classes]
@@ -780,6 +786,8 @@ def random_reduced_word(rng: random.Random, alphabet: Alphabet, length: int) -> 
     O(1) at any rank and
     the stream is the one `rng.choice` over those lists would draw.
     """
+    if _int(length, "length") < 0:
+        raise ValueError(f"length must be nonnegative, got {length}")
     signed = alphabet._signed
     randrange = rng.randrange
     letters: list[int] = []
@@ -795,6 +803,8 @@ def random_reduced_word(rng: random.Random, alphabet: Alphabet, length: int) -> 
 def random_subgroup(
     rng: random.Random, alphabet: Alphabet, max_gens: int = 3, max_len: int = 6
 ) -> LabeledGraph:
+    if _int(max_gens, "max_gens") < 1 or _int(max_len, "max_len") < 1:
+        raise ValueError(f"max_gens and max_len must be at least 1, got {max_gens} and {max_len}")
     n_gens = rng.randint(1, max_gens)
     gens = [
         random_reduced_word(rng, alphabet, rng.randint(1, max_len))
@@ -809,7 +819,7 @@ def random_finite_index_cover(h: LabeledGraph, degree: int, rng: random.Random) 
     Each core edge gets a permutation of the sheets; disconnected draws are
     rejected and retried.
     """
-    if degree < 1:
+    if _int(degree, "degree") < 1:
         raise ValueError("degree must be positive")
     cg, attach, tail = _core_and_tail(h, "random_finite_index_cover")
     for _ in range(COVER_TRIES):
@@ -860,9 +870,9 @@ def graph_to_dot(graph: LabeledGraph, component_colors: dict[int, str] | None = 
         if component_colors and v in component_colors:
             attrs.append(f'color="{component_colors[v]}"')
         lines.append(f"  {v} [{', '.join(attrs)}];" if attrs else f"  {v};")
+    names = _alphabet(graph.rank)._names
     for o, t, lab in graph.edges:
-        name = chr(ord("a") + lab - 1) if graph.rank <= 26 else f"x{lab}"
-        lines.append(f'  {o} -> {t} [label="{name}"];')
+        lines.append(f'  {o} -> {t} [label="{names[lab]}"];')
     lines.append("}")
     return "\n".join(lines)
 

@@ -25,6 +25,13 @@ MAX_RANK = 4096
 _EXTENDED_TOKEN = re.compile(r"([xX])(\d+)")
 
 
+def _int(value, what: str) -> int:
+    """The value, if it is a plain int; else a ValueError that names it."""
+    if type(value) is not int:  # bool is a subclass of int, and is refused too
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Basis of a free group of the given rank."""
@@ -32,9 +39,7 @@ class Alphabet:
     rank: int
 
     def __post_init__(self):
-        if type(self.rank) is not int:  # bool is a subclass of int, and is refused too
-            raise ValueError(f"rank must be an integer, got {self.rank!r}")
-        if self.rank < 2:
+        if _int(self.rank, "rank") < 2:
             raise ValueError(f"rank must be at least 2, got {self.rank}")
         if self.rank > MAX_RANK:
             raise SizeLimitError(f"rank {self.rank} exceeds the ceiling of {MAX_RANK}")
@@ -84,6 +89,12 @@ class Alphabet:
         for +1/-1 and so on.  Read only up to rank 26."""
         signed = self.signed_letters()
         return dict(zip(map(self._names.__getitem__, signed), signed))
+
+    def _text(self, w: Word) -> str:
+        """The word's letters spelled through `_names`, or "1" for the
+        empty word.  The one place a word becomes text; it checks no
+        letter, so a caller with a word from outside checks it first."""
+        return "".join(map(self._names.__getitem__, w)) or "1"
 
     def check_letter(self, x: int) -> None:
         self.check_word((x,))
@@ -182,7 +193,5 @@ def _parse_extended(s: str, alphabet: Alphabet) -> list[int]:
 
 def format_word(w: Word, alphabet: Alphabet) -> str:
     """Render a word; inverse of parse_word on reduced words."""
-    if not w:
-        return "1"
     alphabet.check_word(w)
-    return "".join(map(alphabet._names.__getitem__, w))
+    return alphabet._text(w)

@@ -85,7 +85,16 @@ the oracle for the parent table of `_based_tree` and the paths
 trees with it.
 `based_morphism_oracle` is the earlier `_based_morphism`, a BFS of its own
 from the basepoint, kept as the oracle for the map `finite_index` reads
-along the spanning tree.  `canonical_key_oracle` is an earlier `canonical_key`,
+along the spanning tree.  `finite_index_two_pass_oracle` is the earlier
+`finite_index`, which fixed the map along the tree's steps and then
+checked every edge in a second pass, kept as the oracle for the one pass
+over the departures in the tree's BFS order.
+`act_on_current_rebuild_oracle` is the earlier `act_on_current`, which
+based each term by rebuilding it through the constructor, kept as the
+oracle for the re-based copy that shares the term's tables.
+`word_text_oracle` is the earlier `cli._word_text` and `dot_label_oracle`
+the earlier label naming inside `graph_to_dot`, kept as the oracles for
+`Alphabet._text` and for the dot labels read from `Alphabet._names`.  `canonical_key_oracle` is an earlier `canonical_key`,
 the minimum of the complete BFS codes from every start vertex, kept as the
 oracle for the codes from class 0 of the canonical refinement; the two
 differ in bytes, so the test compares the graphs each key puts together.
@@ -141,6 +150,7 @@ from subsetcurrents import (
     NotSubgroupError,
     RationalCurrent,
     TrivialSubgroupError,
+    act_on_subgroup,
     canonical_key,
     check_core_graph,
     check_round_graph,
@@ -162,6 +172,7 @@ from subsetcurrents.errors import WordFormatError
 from subsetcurrents.fiber import _product_edges
 from subsetcurrents.stallings import (
     UnionFind,
+    _alphabet,
     _based_tree,
     _bfs_code,
     _prune,
@@ -724,6 +735,65 @@ def finite_index_oracle(h: LabeledGraph, k: LabeledGraph) -> int | None:
         if here != {s for s, t in k_moves[f[v]].items() if t in core_k}:
             return None
     return len(core_h) // len(core_k)
+
+
+def finite_index_two_pass_oracle(h: LabeledGraph, k: LabeledGraph) -> int | None:
+    """The earlier `finite_index`, which fixed the map along the spanning
+    tree's steps and then checked every edge of h against it, in a second
+    pass over the steps and the edge list."""
+    if h.rank != k.rank:
+        raise ValueError("subgroups of different ambient ranks")
+    tree = _based_tree(h, "finite_index")
+    _based_tree(k, "finite_index")  # K's table is built for its refusals only
+    h_moves, k_moves = h.moves(), k.moves()
+    h_places, k_places = h._places, k._places
+    place = _alphabet(h.rank)._place
+    f = {h.basepoint: k.basepoint}
+    steps = [(*step, v) for v, step in tree.items() if step]
+    for o, s, t in steps + [(o, lab, t) for o, t, lab in h.edges]:
+        img = k_moves[f[o]][place[s]]
+        if img is None:
+            raise NotSubgroupError("subgroup graph does not map into the target")
+        if f.setdefault(t, img) != img:
+            raise NotSubgroupError("no consistent label-preserving map exists")
+    core_h = core_vertices(h)
+    core_k = core_vertices(k)
+    if not core_k:
+        return 1
+    if not core_h:
+        return None
+    for v in core_h:
+        w = f[v]
+        if w not in core_k:
+            raise MismatchBugError("core image escaped the target core")
+        here, there = h_moves[v], k_moves[w]
+        if {p for p in h_places[v] if here[p] in core_h} != {
+            p for p in k_places[w] if there[p] in core_k
+        }:
+            return None
+    if len({f[v] for v in core_h}) != len(core_k) or len(core_h) % len(core_k):
+        raise MismatchBugError("locally bijective map of cores failed to be a covering")
+    return len(core_h) // len(core_k)
+
+
+def act_on_current_rebuild_oracle(phi, mu: RationalCurrent) -> RationalCurrent:
+    """The earlier `act_on_current`, which based each term at vertex 0 by
+    rebuilding it through the `LabeledGraph` constructor."""
+    raw = []
+    for coeff, g in mu.terms():
+        based = check_core_graph(LabeledGraph(g.rank, g.num_vertices, g.edges, basepoint=0))
+        raw.append((coeff, act_on_subgroup(phi, based)))
+    return normalize(raw)
+
+
+def word_text_oracle(w, alphabet: Alphabet) -> str:
+    """The earlier `cli._word_text`: the letters' names joined, or "1"."""
+    return "".join(map(alphabet._names.__getitem__, w)) or "1"
+
+
+def dot_label_oracle(lab: int, rank: int) -> str:
+    """The earlier naming of an edge label inside `graph_to_dot`."""
+    return chr(ord("a") + lab - 1) if rank <= 26 else f"x{lab}"
 
 
 def assert_tree_matches_oracle(graph: LabeledGraph, root: int) -> None:

@@ -1,14 +1,18 @@
 """Endomorphisms, the automorphism test, and actions on subgroups/currents."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from subsetcurrents import automorphisms
 from subsetcurrents import (
     Alphabet,
     Endomorphism,
+    LabeledGraph,
+    RationalCurrent,
     act_on_current,
     act_on_subgroup,
     apply_word,
@@ -26,6 +30,8 @@ from subsetcurrents import (
     random_subgroup,
     WordFormatError,
 )
+
+from helpers import act_on_current_rebuild_oracle, random_current
 
 AL2 = Alphabet(2)
 AL3 = Alphabet(3)
@@ -55,7 +61,6 @@ LETTER_REFUSALS = {
     "letter-above-rank": lambda phi: apply_word(phi, (3,)),
     "letter-float": lambda phi: apply_word(phi, (1.0,)),
     "letter-bool": lambda phi: apply_word(phi, (True, 2)),
-    "rank-3-subgroup": lambda phi: act_on_subgroup(phi, sub("a", "b", "c", alphabet=AL3)),
     # images are checked before they are reduced
     "image-float-cancelling": lambda phi: Endomorphism([(1, -1.0), (2,)], AL2),
     "image-str": lambda phi: Endomorphism([(1, "a"), (2,)], AL2),
@@ -67,6 +72,38 @@ LETTER_REFUSALS = {
 def test_letters_outside_the_alphabet_are_refused(name):
     with pytest.raises(WordFormatError, match="is not valid for rank 2"):
         LETTER_REFUSALS[name](endo("ab", "b"))
+
+
+RANK_MISMATCHES = {
+    # read through phi's alphabet, the image would be a rank-3 graph
+    "rank-3-on-rank-2-subgroup": (
+        lambda: act_on_subgroup(Endomorphism.identity(AL3), sub("a", "bb")), 3, 2
+    ),
+    # every letter of <a, b> <= F_3 is within rank 2, so no letter check catches it
+    "swap-on-rank-3-subgroup": (
+        lambda: act_on_subgroup(endo("b", "a"), sub("a", "b", alphabet=AL3)), 2, 3
+    ),
+    # refused for the two ranks, not for its letter 3
+    "rank-2-on-rank-3-subgroup": (
+        lambda: act_on_subgroup(endo("ab", "b"), sub("a", "b", "c", alphabet=AL3)), 2, 3
+    ),
+    "rank-3-on-rank-2-current": (
+        lambda: act_on_current(Endomorphism.identity(AL3), counting_current(sub("a", "bb"))),
+        3, 2,
+    ),
+    "swap-on-rank-3-current": (
+        lambda: act_on_current(endo("b", "a"), counting_current(sub("a", "b", alphabet=AL3))),
+        2, 3,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANK_MISMATCHES))
+def test_actions_refuse_an_endomorphism_of_another_rank(name):
+    act, phi_rank, h_rank = RANK_MISMATCHES[name]
+    message = f"endomorphism of rank {phi_rank} cannot act on a subgroup of rank {h_rank}"
+    with pytest.raises(ValueError, match=message):
+        act()
 
 
 def test_identity_endomorphism():
@@ -142,6 +179,32 @@ def test_act_on_current_respects_intersection():
         assert intersection_functional_N(
             act_on_current(phi, mu), act_on_current(phi, nu)
         ) == intersection_functional_N(mu, nu)
+
+
+def test_act_on_current_reads_each_term_through_a_rebased_copy(monkeypatch):
+    """Each term is acted on as the subgroup based at its vertex 0, a copy
+    that shares the term's edges and departure table, and the result is
+    the one the earlier rebuild through the constructor gave, on seeded
+    currents at ranks 2, 3 and 7.  A hand-built term with no vertices is
+    still refused for its basepoint."""
+    based = []
+    act = automorphisms.act_on_subgroup
+    monkeypatch.setattr(
+        automorphisms, "act_on_subgroup", lambda phi, h: based.append(h) or act(phi, h)
+    )
+    for rank in (2, 3, 7):
+        al = Alphabet(rank)
+        rng = random.Random(60 + rank)
+        for _ in range(6):
+            mu, phi = random_current(rng, al), random_automorphism(rng, al, 4)
+            based.clear()
+            assert act_on_current(phi, mu) == act_on_current_rebuild_oracle(phi, mu)
+            assert len(based) == len(mu.terms())
+            for (_, g), h in zip(mu.terms(), based):
+                assert h.basepoint == 0 and h.edges is g.edges and h.moves() is g.moves()
+    empty = RationalCurrent({b"empty": (Fraction(1), LabeledGraph(2, 0, []))})
+    with pytest.raises(ValueError, match="basepoint 0 out of range"):
+        act_on_current(Endomorphism.identity(AL2), empty)
 
 
 def test_parse_automorphism_file():

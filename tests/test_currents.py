@@ -52,6 +52,7 @@ from subsetcurrents import (
     occurrence_count,
     parse_word,
     pushforward_I,
+    random_automorphism,
     random_finite_index_cover,
     random_reduced_word,
     random_subgroup,
@@ -929,6 +930,61 @@ INPUT_REFUSALS = {
     "cover-degree-0": (
         lambda: random_finite_index_cover(sub("aa", "b"), 0, random.Random(0)),
         "degree must be positive",
+    ),
+    # size and count arguments: each is a plain int, then in its range
+    "induced-subgraph-vertex-past-end": (
+        lambda: stallings.induced_subgraph(sub("ab", "bA"), [0, 5]), "vertex 5 out of range 0..1"
+    ),
+    "induced-subgraph-vertex-negative": (
+        lambda: stallings.induced_subgraph(sub("ab", "bA"), [-1, 0]), "vertex -1 out of range 0..1"
+    ),
+    "induced-subgraph-vertex-float": (
+        lambda: stallings.induced_subgraph(sub("ab", "bA"), [0, 1.0]),
+        "vertex must be an integer, got 1.0",
+    ),
+    "random-word-length-negative": (
+        lambda: random_reduced_word(random.Random(0), AL2, -3), "length must be nonnegative, got -3"
+    ),
+    "random-word-length-float": (
+        lambda: random_reduced_word(random.Random(0), AL2, 2.0),
+        "length must be an integer, got 2.0",
+    ),
+    "random-automorphism-length-negative": (
+        lambda: random_automorphism(random.Random(0), AL2, -1), "length must be nonnegative, got -1"
+    ),
+    "random-automorphism-length-float": (
+        lambda: random_automorphism(random.Random(0), AL2, 1.5),
+        "length must be an integer, got 1.5",
+    ),
+    "round-graph-count-grade-bool": (
+        lambda: count_round_graphs(True, AL2), "grade must be an integer, got True"
+    ),
+    "round-graph-count-grade-float": (
+        lambda: count_round_graphs(1.5, AL2), "grade must be an integer, got 1.5"
+    ),
+    "round-graph-grade-float": (
+        lambda: check_round_graph(FiniteSubtree([(), (1,), (-1,)]), 1.0),
+        "grade must be an integer, got 1.0",
+    ),
+    "cover-degree-bool": (
+        lambda: random_finite_index_cover(sub("aa", "b"), True, random.Random(0)),
+        "degree must be an integer, got True",
+    ),
+    "cover-degree-float": (
+        lambda: random_finite_index_cover(sub("aa", "b"), 2.0, random.Random(0)),
+        "degree must be an integer, got 2.0",
+    ),
+    "random-subgroup-no-generators": (
+        lambda: random_subgroup(random.Random(0), AL2, 0, 3),
+        "max_gens and max_len must be at least 1, got 0 and 3",
+    ),
+    "random-subgroup-empty-generators": (
+        lambda: random_subgroup(random.Random(0), AL2, 3, 0),
+        "max_gens and max_len must be at least 1, got 3 and 0",
+    ),
+    "random-subgroup-generators-float": (
+        lambda: random_subgroup(random.Random(0), AL2, 2.0, 3),
+        "max_gens must be an integer, got 2.0",
     ),
     "finite-index-across-ranks": (
         lambda: finite_index(sub("a", "b"), sub("a", "b", "c", alphabet=AL3)),

@@ -387,15 +387,20 @@ def test_euler_by_pruning_on_every_pair_of_small_cores():
 
 
 def test_euler_refuses_what_the_product_refuses():
+    """Both product walks enter through `_join`, which refuses two ranks
+    before it asks whether the factors are folded: a pair that is both of
+    two ranks and unfolded is refused for its ranks."""
     al3 = Alphabet(3)
     h2, h3 = sub("aa", "b"), from_generators([(1, 1), (2,)], al3)
     unfolded = LabeledGraph(2, 1, [(0, 0, 1), (0, 0, 1)])
-    for left, right in ((h2, h3), (h3, h2)):
-        with pytest.raises(ValueError, match="fiber product needs a common ambient rank"):
-            intersection_number_euler(left, right)
-    for left, right in ((h2, unfolded), (unfolded, h2)):
-        with pytest.raises(ValueError, match="fiber product factors must be folded"):
-            intersection_number_euler(left, right)
+    unfolded3 = LabeledGraph(3, 1, [(0, 0, 3), (0, 0, 3)])
+    for walk in (intersection_number_euler, fiber_product):
+        for left, right in ((h2, h3), (h3, h2), (h2, unfolded3), (unfolded3, h2)):
+            with pytest.raises(ValueError, match="fiber product needs a common ambient rank"):
+                walk(left, right)
+        for left, right in ((h2, unfolded), (unfolded, h2)):
+            with pytest.raises(ValueError, match="fiber product factors must be folded"):
+                walk(left, right)
 
 
 def classify_pairs():

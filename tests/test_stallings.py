@@ -9,6 +9,7 @@ import math
 import random
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -84,6 +85,7 @@ from helpers import (
     core_vertices_oracle,
     covering_quotient_oracle,
     finite_index_oracle,
+    finite_index_two_pass_oracle,
     fold_oracle,
     from_generators_oracle,
     germ_lists_oracle,
@@ -939,6 +941,70 @@ def test_finite_index_map_matches_oracle():
         infinite += expected is None
     assert refused >= 150
     assert infinite >= 5
+
+
+def test_rebased_copy_shares_the_tables_and_refuses_as_the_constructor():
+    """`_rebased` gives the graph at another basepoint, or none, as a copy
+    that shares the edges and every cached table; it is the graph itself
+    when the basepoint stays, and it refuses a basepoint with the
+    constructor's message."""
+    for g in (sub("aa", "b"), sub("ab", "bA"), core(sub("abab")), LabeledGraph(2, 0, [])):
+        g.moves(), g.component_ids()
+        for bp in (None, *range(g.num_vertices)):
+            copy = g._rebased(bp)
+            assert copy.basepoint == bp and (copy is g) == (bp == g.basepoint)
+            assert copy.edges is g.edges and copy.moves() is g.moves()
+            assert copy._places is g._places and copy._components is g._components
+        for bp in (g.num_vertices, -1, True, 0.0):
+            with pytest.raises(ValueError) as built:
+                LabeledGraph(g.rank, g.num_vertices, g.edges, basepoint=bp)
+            with pytest.raises(ValueError) as rebased:
+                g._rebased(bp)
+            assert str(rebased.value) == str(built.value)
+
+
+def test_induced_subgraph_reads_a_repeated_vertex_once():
+    h = sub("ab", "bA")
+    g, renum = stallings.induced_subgraph(h, [1, 0, 1])
+    assert (g.num_vertices, g.edges, renum) == (h.num_vertices, h.edges, {0: 0, 1: 1})
+
+
+def _index_or_refusal(fn, h, k):
+    try:
+        return fn(h, k)
+    except NotSubgroupError as exc:
+        return str(exc)
+
+
+def test_finite_index_one_pass_matches_both_oracles():
+    """The map built and checked in one pass over the departures against
+    the earlier two passes (tree steps, then every edge) and the BFS
+    oracle: the same index, or a refusal by all three.  The seeded pairs
+    come as a cover against its base, the base against its cover and the
+    base against a random subgroup; the census pairs are every pair of
+    rank-2 cores on at most 2 vertices, based at each vertex, so loops
+    and parallel edges are met.  On covers, self-pairs and reversed pairs
+    the message is the two-pass oracle's too.  Against a random subgroup
+    or a census pair, a graph can have a departure with no image and
+    another with two, and each walk names the first it meets."""
+    seeded = finite_index_pairs()
+    families = ["cover", "reversed", "random"] * (len(seeded) // 3)
+    pairs = list(zip(families, seeded))
+    pairs += [("self", (h, h)) for _, (h, _) in pairs[::3]]
+    census = [g._rebased(v) for g in all_cores(2, 2) for v in range(g.num_vertices)]
+    pairs += [("census", (h, k)) for h in census for k in census]
+    counts = Counter()
+    for family, (h, k) in pairs:
+        got = _index_or_refusal(finite_index, h, k)
+        two_pass = _index_or_refusal(finite_index_two_pass_oracle, h, k)
+        bfs = _index_or_refusal(finite_index_oracle, h, k)
+        if family in ("cover", "reversed", "self") or not isinstance(got, str):
+            assert got == two_pass == bfs, (family, h.edges, k.edges)
+        else:
+            assert isinstance(two_pass, str) and isinstance(bfs, str)
+        counts[family, "refused" if isinstance(got, str) else "index"] += 1
+    assert counts["census", "refused"] >= 100 and counts["census", "index"] >= 50
+    assert counts["reversed", "refused"] >= 50 and counts["random", "refused"] >= 50
 
 
 def _essential_component_subgroups(h, k):

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import random
+import re
 import time
 
 import pytest
@@ -12,16 +13,18 @@ from hypothesis import strategies as st
 from subsetcurrents import (
     IDENTITY,
     Alphabet,
+    LabeledGraph,
     WordFormatError,
     concat,
     cyclic_reduce,
     format_word,
+    graph_to_dot,
     invert,
     parse_word,
     reduce_word,
 )
 
-from helpers import cyclic_reduce_oracle, parse_word_oracle
+from helpers import cyclic_reduce_oracle, dot_label_oracle, parse_word_oracle, word_text_oracle
 
 AL2 = Alphabet(2)
 AL3 = Alphabet(3)
@@ -131,6 +134,25 @@ def test_format():
     big = Alphabet(27)
     assert format_word((27,), big) == "x27"
     assert format_word((-27, 1), big) == "X27x1"
+
+
+@pytest.mark.parametrize("rank", [2, 26, 27, 200])
+def test_text_and_dot_labels_match_the_earlier_renderers(rank):
+    """`Alphabet._text` spells what the CLI's own join spelled, the empty
+    word and every signed letter included, and `format_word` is the checked
+    form of it that `parse_word` reads back.  The dot labels read from
+    `_names` are the ones `graph_to_dot` named itself; rank 27 is the first
+    rank with x<i> names."""
+    alphabet = Alphabet(rank)
+    rng = random.Random(rank)
+    words = [IDENTITY, *((s,) for s in alphabet.signed_letters())]
+    words += [reduce_word(rng.choices(alphabet.signed_letters(), k=12)) for _ in range(50)]
+    for w in words:
+        assert alphabet._text(w) == format_word(w, alphabet) == word_text_oracle(w, alphabet)
+        assert parse_word(alphabet._text(w), alphabet) == w
+    rose = LabeledGraph(rank, 2, [(0, 0, lab) for lab in alphabet.letters()] + [(0, 1, 1)])
+    labels = re.findall(r'label="([^"]*)"', graph_to_dot(rose))
+    assert labels == [dot_label_oracle(lab, rank) for _, _, lab in rose.edges]
 
 
 @pytest.mark.parametrize(
