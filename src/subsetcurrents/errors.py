@@ -35,8 +35,10 @@ class NotAutomorphismError(ValueError):
 
 class SizeLimitError(ValueError):
     """An input would exceed a fixed size ceiling: an enumeration above its
-    cap, a rank above `MAX_RANK`, which bounds a departure row, or a
-    departure table above `MAX_TABLE_SLOTS`."""
+    cap, a rank above `MAX_RANK`, which bounds a departure row, a
+    departure table above `MAX_TABLE_SLOTS`, or a fiber product above
+    `MAX_PRODUCT_EDGES` = 2^23 edges, which at about 310 bytes an edge
+    keeps the hungriest product walk near 2.4 GiB."""
 
 
 class RetryLimitError(RuntimeError):

@@ -3,17 +3,19 @@
 A `FiberProduct` of two folded labeled graphs keeps every vertex pair, so
 its connected components split into trees and components carrying
 essential loops.  Both intersection-number routes live here: edges minus
-vertices of the pruned product, which counts the degree of each vertex
-pair that some product edge touches and peels leaves by reading the
-factors' departure tables, so it stores no product edge; and the sum of
-reduced ranks over the double-coset components.
+vertices of the pruned product, which keeps per vertex pair its degree
+and the XOR of its neighbours, so it stores no product edge and a leaf
+reads its one neighbour off its XOR; and the sum of reduced ranks over
+the double-coset components.  Every product walk enters through `_join`,
+which refuses a product of more than `MAX_PRODUCT_EDGES` edges.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
-from .errors import MismatchBugError
+from .errors import MismatchBugError, SizeLimitError
 from .stallings import (
     Edge,
     LabeledGraph,
@@ -26,6 +28,17 @@ from .stallings import (
     subgroup_generators,
 )
 from .words import Word, concat, invert
+
+# Most edges a product walk may join: at about 310 bytes an edge, the
+# hungriest walk, a `FiberProduct` with its components, stays near 2.4 GiB.
+MAX_PRODUCT_EDGES = 2**23
+
+# The Euler route's tables hold two slots a pair: a list slot is one 8-byte
+# pointer, and a dict entry at least a 24-byte record and an 8-byte index,
+# 4 slots.  A touched pair has degree 1 or more, mostly 2, so there are
+# about as many touched pairs as edges, and lists over all V1 * V2 pairs
+# cost no more than dicts over the touched ones while V1 * V2 <= 4 * E.
+_DENSE_PAIRS_PER_EDGE = 4
 
 
 @dataclass(slots=True)
@@ -50,12 +63,16 @@ class ComponentReport:
         return self.euler == 1
 
 
-def _join(left: LabeledGraph, right: LabeledGraph) -> dict[int, list[tuple[int, int]]]:
+def _join(left: LabeledGraph, right: LabeledGraph) -> tuple[dict[int, list[tuple[int, int]]], int]:
     """The door of every product walk: refuse factors of two ranks, then
-    unfolded ones, and return the right factor's (origin, terminus) pairs
-    listed per label, which the walk joins the left factor's edges to.
-    `is_folded` builds both departure tables, and a `SizeLimitError` from
-    them passes through."""
+    unfolded ones, then a product of more than `MAX_PRODUCT_EDGES` edges,
+    and return the right factor's (origin, terminus) pairs listed per
+    label, which the walk joins the left factor's edges to, with the
+    product's edge count E, the sum over labels of e1 * e2.  E costs one
+    pass over the left factor's edges, so the refusal comes before the
+    walk allocates anything of the product's size.  `is_folded` builds
+    both departure tables, and a `SizeLimitError` from them passes
+    through."""
     if left.rank != right.rank:
         raise ValueError("fiber product needs a common ambient rank")
     if not (left.is_folded() and right.is_folded()):
@@ -63,15 +80,23 @@ def _join(left: LabeledGraph, right: LabeledGraph) -> dict[int, list[tuple[int, 
     by_label: dict[int, list[tuple[int, int]]] = {}
     for o, t, lab in right.edges:
         by_label.setdefault(lab, []).append((o, t))
-    return by_label
+    get = by_label.get
+    num_edges = sum(len(get(lab, ())) for _, _, lab in left.edges)
+    if num_edges > MAX_PRODUCT_EDGES:
+        raise SizeLimitError(
+            f"a fiber product of {left.num_vertices} x {right.num_vertices} vertices "
+            f"has {num_edges} edges, above the budget of {MAX_PRODUCT_EDGES}"
+        )
+    return by_label, num_edges
 
 
 def _product_edges(left: LabeledGraph, right: LabeledGraph) -> list[Edge]:
     """Edges of the fiber product, joined by label: edges o1 -> t1 of the
     left factor and o2 -> t2 of the right with the same label give the
     edge (o1, o2) -> (t1, t2), where the pair (v1, v2) is numbered
-    v1 * V2 + v2.  Both factors must be folded and of one rank."""
-    by_label = _join(left, right)
+    v1 * V2 + v2.  Both factors must be folded and of one rank, and the
+    product may hold at most `MAX_PRODUCT_EDGES` edges (`_join`)."""
+    by_label, _ = _join(left, right)
     n2 = right.num_vertices
     return [
         (o1 * n2 + o2, t1 * n2 + t2, lab)
@@ -86,7 +111,8 @@ class FiberProduct:
     Component data is built lazily and at most once: the component ids
     (memoized on `graph`), the reports, both factors' spanning-tree parent
     tables from their basepoints, and the product edges bucketed by
-    component.
+    component.  A product of more than `MAX_PRODUCT_EDGES` edges is
+    refused with `SizeLimitError` before its edge list is built.
     """
 
     __slots__ = ("left", "right", "graph", "_reports", "_trees", "_buckets")
@@ -225,58 +251,61 @@ def intersection_number_euler(h: LabeledGraph, k: LabeledGraph) -> int:
     factors as for their cores.
 
     No product edge is stored.  Joining the factors' edges by label counts
-    E and the degree of each touched pair (u, v), numbered u * V2 + v; an
-    isolated pair is pruned anyway, so it is never numbered.  A leaf finds
-    its one live neighbour by reading the places at u against the
-    departures of v, and removing it takes one edge and one vertex, which
-    leaves E - V as it was.  A pair whose last neighbour went first is the
-    last vertex of a tree and adds one.  So the value is E minus the
-    touched pairs plus the pairs removed at degree 0.
+    E and, per pair (u, v) numbered u * V2 + v, its degree and the XOR of
+    its neighbours' numbers, as in peeling-based filters (Graf and Lemire,
+    "Xor Filters", 2020).  A loop or two parallel edges cancel out of the
+    XOR, but they also hold the degree at 2 or more, so such a pair is
+    never peeled.  A leaf's one live neighbour is therefore its XOR value;
+    removing the leaf takes one edge and one vertex, which leaves E - V as
+    it was, and XORs the leaf out of that neighbour.  A pair whose last
+    neighbour went first is the last vertex of a tree and adds one, and so
+    does an untouched pair.  So the value is E minus the pairs held plus
+    the pairs removed at degree 0.
 
-    Cost: the product's edges plus, per removed leaf, the degree of u;
-    nothing scales with the rank or with V1 * V2.
+    The two tables are lists over all V1 * V2 pairs when V1 * V2 is at
+    most `_DENSE_PAIRS_PER_EDGE` times E, and dicts over the touched pairs
+    otherwise; both sizes are known before the walk.  Cost: O(E + V1 * V2)
+    dense and O(E) sparse, so O(E) either way, with nothing that scales
+    with the rank; `_join` refuses E above `MAX_PRODUCT_EDGES` first.
     """
-    by_label = _join(h, k)
+    by_label, num_edges = _join(h, k)
     n2 = k.num_vertices
-    deg: dict[int, int] = {}
-    get = deg.get
-    num_edges = 0
+    pairs = h.num_vertices * n2
+    dense = pairs <= _DENSE_PAIRS_PER_EDGE * num_edges
+    if dense:
+        deg, nbr = [0] * pairs, [0] * pairs
+    else:
+        deg, nbr = defaultdict(int), defaultdict(int)
     for o1, t1, lab in h.edges:
-        pairs = by_label.get(lab)
-        if pairs is None:
+        ends = by_label.get(lab)
+        if ends is None:
             continue
-        num_edges += len(pairs)
         o1 *= n2
         t1 *= n2
-        for o2, t2 in pairs:
+        for o2, t2 in ends:
             o2 += o1
-            deg[o2] = get(o2, 0) + 1
             t2 += t1
-            deg[t2] = get(t2, 0) + 1
-    h_moves, k_moves, h_places = h.moves(), k.moves(), h._places
-    # deg[p] counts the live edges at p, and a pair is queued once, when
-    # its degree first is 1.  A removed pair reads 0, which no pair with a
-    # live edge does.
-    queue = [p for p, d in deg.items() if d == 1]
+            deg[o2] += 1
+            deg[t2] += 1
+            nbr[o2] ^= t2
+            nbr[t2] ^= o2
+    # deg[p] counts the live edges at a pair not yet removed, and a pair is
+    # queued once: at the start if its degree is 0 or 1, else when it drops
+    # to 1.  A removed pair is never read again, since no live pair has it
+    # as a neighbour.
+    queue = [p for p, d in (enumerate(deg) if dense else deg.items()) if d <= 1]
     trees = 0
     while queue:
         p = queue.pop()
         if not deg[p]:
             trees += 1
             continue
-        deg[p] = 0
-        u, v = divmod(p, n2)
-        here, there = h_moves[u], k_moves[v]
-        for i in h_places[u]:
-            w = there[i]
-            if w is not None:
-                q = here[i] * n2 + w
-                d = deg[q]
-                if d > 0:  # the one neighbour not yet removed
-                    deg[q] = d - 1
-                    if d == 2:
-                        queue.append(q)
-                    break
+        q = nbr[p]
+        d = deg[q]
+        deg[q] = d - 1
+        nbr[q] ^= p
+        if d == 2:
+            queue.append(q)
     return num_edges - len(deg) + trees
 
 

@@ -22,7 +22,7 @@ from .errors import (
     TrivialSubgroupError,
     WordFormatError,
 )
-from .words import Alphabet, Word, _int, concat, cyclic_reduce, invert, parse_word, reduce_word
+from .words import Alphabet, Word, _int, cyclic_reduce, parse_word, reduce_word
 
 Edge = tuple[int, int, int]  # (origin, terminus, positive label)
 
@@ -92,10 +92,11 @@ def _alphabet(rank: int) -> Alphabet:
     return Alphabet(rank)
 
 
-def _vertex(graph: LabeledGraph, v) -> int:
-    """v, if it is a vertex of the graph; else a ValueError that names it."""
-    if not 0 <= _int(v, "vertex") < graph.num_vertices:
-        raise ValueError(f"vertex {v} out of range 0..{graph.num_vertices - 1}")
+def _vertex(graph: LabeledGraph, v, what: str = "vertex") -> int:
+    """v, if it is a vertex of the graph; else a ValueError that names it
+    as `what`."""
+    if not 0 <= _int(v, what) < graph.num_vertices:
+        raise ValueError(f"{what} {v} out of range 0..{graph.num_vertices - 1}")
     return v
 
 
@@ -365,22 +366,30 @@ def _prune(n: int, edges, keep: int | None = None) -> set[int]:
 
 
 def core_vertices(graph: LabeledGraph, keep: int | None = None) -> set[int]:
-    """Vertices surviving iterated removal of degree <= 1 vertices."""
+    """Vertices surviving iterated removal of degree <= 1 vertices other
+    than `keep`, which is None or a vertex of the graph."""
+    if keep is not None:
+        _vertex(graph, keep, "keep")
     return _prune(graph.num_vertices, graph.edges, keep)
 
 
 def induced_subgraph(
     graph: LabeledGraph, vertices, basepoint: int | None = None
 ) -> tuple[LabeledGraph, dict[int, int]]:
-    """Subgraph on the given vertices, renumbered; returns (graph, old->new map)."""
+    """Subgraph on the given vertices, renumbered; returns (graph, old->new
+    map).  A basepoint must be one of the given vertices."""
     order = sorted({_vertex(graph, v) for v in vertices})
     renum = {v: i for i, v in enumerate(order)}
+    bp = None
+    if basepoint is not None:
+        bp = renum.get(_vertex(graph, basepoint, "basepoint"))
+        if bp is None:
+            raise ValueError(f"basepoint {basepoint} is not among the given vertices")
     edges = [
         (renum[o], renum[t], lab)
         for o, t, lab in graph.edges
         if o in renum and t in renum
     ]
-    bp = None if basepoint is None else renum[basepoint]
     return LabeledGraph(graph.rank, len(order), edges, basepoint=bp), renum
 
 
@@ -512,14 +521,31 @@ def _tree_path(parent: dict, v: int) -> Word:
 def subgroup_generators(h: LabeledGraph) -> list[Word]:
     """Free basis: one word per edge off the spanning tree (in a folded
     graph a parent entry names one edge); only those edges' paths are read.
-    The tree costs O(V * N) at rank N (`_based_tree`), the words their
-    lengths."""
+    The word of an edge o -> t labelled x is spelled in one pass: the
+    climb from o, reversed, then x, then the climb from t with each letter
+    negated.  It needs no reduction.  Tree paths in a folded graph are
+    reduced, and x cancels against the last letter of the path to o only
+    when o's parent entry is (t, -x), or against the first letter of the
+    inverse path to t only when t's is (o, x): a folded graph has one
+    x-departure at o and one x-arrival at t.  Both are tree edges, which
+    are skipped.  The tree costs O(V * N) at rank N (`_based_tree`), the
+    words their lengths."""
     parent = _based_tree(h, "subgroup_generators")
-    return [
-        concat(_tree_path(parent, o), (lab,), invert(_tree_path(parent, t)))
-        for o, t, lab in h.edges
-        if parent[t] != (o, lab) and parent[o] != (t, -lab)
-    ]
+    gens = []
+    for o, t, lab in h.edges:
+        if parent[t] == (o, lab) or parent[o] == (t, -lab):
+            continue
+        letters = []
+        while (step := parent[o]) is not None:
+            o, s = step
+            letters.append(s)
+        letters.reverse()
+        letters.append(lab)
+        while (step := parent[t]) is not None:
+            t, s = step
+            letters.append(-s)
+        gens.append(tuple(letters))
+    return gens
 
 
 def rank(graph: LabeledGraph) -> int:

@@ -67,6 +67,15 @@ product edge list from `_product_edges`, renumbered through a dict to the
 pairs it touches, pruned by `_prune` with its per-vertex adjacency lists,
 and its surviving edges counted, kept as the oracle for the degree counts
 and the leaves that find their neighbour by table.
+`intersection_number_euler_table_oracle` is the route as it was before
+its leaves found their neighbour by XOR: one dict of degrees over the
+touched pairs, and a leaf that reads the places at u against the
+departures of v for its one neighbour still of positive degree, kept as
+the oracle for the XOR of neighbours over dense or sparse tables.
+`subgroup_generators_concat_oracle` is the earlier `subgroup_generators`,
+which read both tree paths whole and joined them with `concat` and
+`invert`, reducing the result, kept as the oracle for the words spelled
+in one pass with no reduction.
 `random_reduced_word_oracle` is the earlier `random_reduced_word`, which
 built a follower list of 2N - 1 letters for each of the 2N signed letters
 and drew with `rng.choice`, kept as the oracle for the draw that steps
@@ -169,7 +178,7 @@ from subsetcurrents import (
     reduce_word,
 )
 from subsetcurrents.errors import WordFormatError
-from subsetcurrents.fiber import _product_edges
+from subsetcurrents.fiber import _join, _product_edges
 from subsetcurrents.stallings import (
     UnionFind,
     _alphabet,
@@ -1021,6 +1030,62 @@ def intersection_number_euler_sparse_oracle(h: LabeledGraph, k: LabeledGraph) ->
     ]
     survivors = _prune(len(ids), edges)
     return sum(o in survivors and t in survivors for o, t, _ in edges) - len(survivors)
+
+
+def intersection_number_euler_table_oracle(h: LabeledGraph, k: LabeledGraph) -> int:
+    """Edges minus vertices of the pruned product: degrees of the touched
+    pairs in a dict, and leaves that find their neighbour by table."""
+    by_label, _ = _join(h, k)
+    n2 = k.num_vertices
+    deg: dict[int, int] = {}
+    get = deg.get
+    num_edges = 0
+    for o1, t1, lab in h.edges:
+        pairs = by_label.get(lab)
+        if pairs is None:
+            continue
+        num_edges += len(pairs)
+        o1 *= n2
+        t1 *= n2
+        for o2, t2 in pairs:
+            o2 += o1
+            deg[o2] = get(o2, 0) + 1
+            t2 += t1
+            deg[t2] = get(t2, 0) + 1
+    h_moves, k_moves, h_places = h.moves(), k.moves(), h._places
+    # A removed pair reads 0, which no pair with a live edge does.
+    queue = [p for p, d in deg.items() if d == 1]
+    trees = 0
+    while queue:
+        p = queue.pop()
+        if not deg[p]:
+            trees += 1
+            continue
+        deg[p] = 0
+        u, v = divmod(p, n2)
+        here, there = h_moves[u], k_moves[v]
+        for i in h_places[u]:
+            w = there[i]
+            if w is not None:
+                q = here[i] * n2 + w
+                d = deg[q]
+                if d > 0:  # the one neighbour not yet removed
+                    deg[q] = d - 1
+                    if d == 2:
+                        queue.append(q)
+                    break
+    return num_edges - len(deg) + trees
+
+
+def subgroup_generators_concat_oracle(h: LabeledGraph) -> list:
+    """Free basis: for each edge off the spanning tree, the tree path to its
+    origin, its label and the inverse tree path to its terminus, reduced."""
+    parent = _based_tree(h, "subgroup_generators")
+    return [
+        concat(_tree_path(parent, o), (lab,), invert(_tree_path(parent, t)))
+        for o, t, lab in h.edges
+        if parent[t] != (o, lab) and parent[o] != (t, -lab)
+    ]
 
 
 def random_reduced_word_oracle(rng: random.Random, alphabet: Alphabet, length: int):

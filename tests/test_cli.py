@@ -652,6 +652,18 @@ def test_usage_errors(files, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_product_edge_budget_exits_1(files, monkeypatch, capsys):
+    """A product above `MAX_PRODUCT_EDGES` is an input error (exit 1) that
+    names its sizes, from every command that walks one."""
+    monkeypatch.setattr(fiber, "MAX_PRODUCT_EDGES", 3)
+    for cmd in ("product", "intersect"):
+        assert run([cmd, files["h"], files["k"]]) == 1
+        err = capsys.readouterr().err
+        assert "a fiber product of 2 x 2 vertices has 4 edges, above the budget of 3" in err
+    assert run(["shnc-scan", "--samples", "3"]) == 1
+    assert "above the budget of 3" in capsys.readouterr().err
+
+
 def _lose_generators(fp, comp):
     """`component_subgroup` with the right representative and no generators."""
     return fiber.component_subgroup(fp, comp)[0], []

@@ -942,6 +942,36 @@ INPUT_REFUSALS = {
         lambda: stallings.induced_subgraph(sub("ab", "bA"), [0, 1.0]),
         "vertex must be an integer, got 1.0",
     ),
+    "induced-subgraph-basepoint-not-kept": (
+        lambda: stallings.induced_subgraph(sub("ab", "bA"), [0], basepoint=1),
+        "basepoint 1 is not among the given vertices",
+    ),
+    "induced-subgraph-basepoint-past-end": (
+        lambda: stallings.induced_subgraph(sub("ab", "bA"), [0], basepoint=7),
+        "basepoint 7 out of range 0..1",
+    ),
+    "induced-subgraph-basepoint-bool": (
+        lambda: stallings.induced_subgraph(sub("ab", "bA"), [0, 1], basepoint=True),
+        "basepoint must be an integer, got True",
+    ),
+    "core-vertices-keep-past-end": (
+        lambda: stallings.core_vertices(
+            LabeledGraph(2, 3, [(0, 1, 1), (1, 2, 2), (2, 2, 1)]), 99
+        ),
+        "keep 99 out of range 0..2",
+    ),
+    "core-vertices-keep-negative": (
+        lambda: stallings.core_vertices(
+            LabeledGraph(2, 3, [(0, 1, 1), (1, 2, 2), (2, 2, 1)]), -1
+        ),
+        "keep -1 out of range 0..2",
+    ),
+    "core-vertices-keep-bool": (
+        lambda: stallings.core_vertices(
+            LabeledGraph(2, 3, [(0, 1, 1), (1, 2, 2), (2, 2, 1)]), True
+        ),
+        "keep must be an integer, got True",
+    ),
     "random-word-length-negative": (
         lambda: random_reduced_word(random.Random(0), AL2, -3), "length must be nonnegative, got -3"
     ),

@@ -10,6 +10,8 @@ import pytest
 from subsetcurrents import (
     Alphabet,
     LabeledGraph,
+    SizeLimitError,
+    c_hat,
     check_core_graph,
     classify_components,
     component_subgroup,
@@ -21,12 +23,15 @@ from subsetcurrents import (
     intersection_number_euler,
     invert,
     parse_word,
+    pushforward_I,
     random_finite_index_cover,
     random_reduced_word,
     random_subgroup,
     reduced_rank,
     concat,
+    counting_current,
 )
+from subsetcurrents import fiber
 from subsetcurrents.stallings import UnionFind, _tree_path, induced_subgraph
 from helpers import (
     assert_tree_matches_oracle,
@@ -38,6 +43,7 @@ from helpers import (
     intersection_number_euler_full_oracle,
     intersection_number_euler_oracle,
     intersection_number_euler_sparse_oracle,
+    intersection_number_euler_table_oracle,
     representative_oracle,
     spanning_tree_oracle,
 )
@@ -341,7 +347,23 @@ def parallel_pairs():
             (theta3, theta3), (theta3, rose3), (rose3, theta3)]
 
 
-def test_euler_by_pruning_matches_oracle():
+def euler_both_forms(monkeypatch, h, k) -> list[int]:
+    """The Euler route with its tables forced to dicts, then to lists.  A
+    product with no edge takes dicts either way."""
+    values = []
+    for ratio in (0, 2**62):
+        with monkeypatch.context() as m:
+            m.setattr(fiber, "_DENSE_PAIRS_PER_EDGE", ratio)
+            values.append(intersection_number_euler(h, k))
+    return values
+
+
+def is_dense(h, k) -> bool:
+    """Whether the Euler route keeps its tables as lists over all pairs."""
+    return h.num_vertices * k.num_vertices <= fiber._DENSE_PAIRS_PER_EDGE * fiber._join(h, k)[1]
+
+
+def test_euler_by_pruning_matches_oracle(monkeypatch):
     pairs = euler_pairs()
     assert len(pairs) == 300
     forests, roses, tails = euler_edge_pairs()
@@ -357,33 +379,57 @@ def test_euler_by_pruning_matches_oracle():
         doubled += len({(o, t) for o, t, _ in edges}) < len(edges)
     assert doubled == len(parallel) and loops >= 3
     positive = with_tail = 0
+    forms = set()
     for h, k in pairs + forests + roses + tails + parallel:
         expected = intersection_number_euler_oracle(ucore(h), ucore(k))
         assert intersection_number_euler_full_oracle(h, k) == expected
         assert intersection_number_euler_sparse_oracle(h, k) == expected
-        assert intersection_number_euler(ucore(h), ucore(k)) == expected
-        assert intersection_number_euler(h, k) == expected
+        for left, right in ((h, k), (ucore(h), ucore(k))):
+            assert intersection_number_euler_table_oracle(left, right) == expected
+            assert intersection_number_euler(left, right) == expected
+            assert euler_both_forms(monkeypatch, left, right) == [expected, expected]
+            forms.add(is_dense(left, right))
         positive += expected > 0
         with_tail += len(departures(h)[h.basepoint]) == 1
     assert positive >= 50
     assert with_tail >= 120
+    assert forms == {False, True}  # the default choice takes both forms here
     for rose, k in roses:  # the product with the rose is a copy of k
         assert intersection_number_euler(rose, k) == intersection_number_euler(k, rose)
         assert intersection_number_euler(rose, k) == reduced_rank(k)
 
 
-def test_euler_by_pruning_on_every_pair_of_small_cores():
+def test_euler_by_pruning_on_every_pair_of_small_cores(monkeypatch):
     """Acceptance 20's pairs: every pair of rank-2 cores on at most 3
-    vertices, a core with itself included, against all three oracles."""
+    vertices, a core with itself included, against all four oracles and
+    with the tables forced to each form."""
     cores = all_cores(2, 3)
     positive = 0
     for h, k in itertools.combinations_with_replacement(cores, 2):
         expected = intersection_number_euler_oracle(h, k)
         assert intersection_number_euler_full_oracle(h, k) == expected
         assert intersection_number_euler_sparse_oracle(h, k) == expected
+        assert intersection_number_euler_table_oracle(h, k) == expected
         assert intersection_number_euler(h, k) == expected
+        assert euler_both_forms(monkeypatch, h, k) == [expected, expected]
         positive += expected > 0
     assert positive > 0
+
+
+def test_euler_tables_by_the_size_rule():
+    """The tables are lists exactly when V1 * V2 <= 4 * E, a rule read off
+    the sizes alone.  The sparse pair of acceptance 22, <a^5000 b> x
+    <b^5000 a> (25,010,001 pairs, 10,000 edges), takes dicts; the
+    self-product of <ab, bA> (4 pairs, 5 edges) takes lists."""
+    assert fiber._DENSE_PAIRS_PER_EDGE == 4
+    n = 5000
+    h = from_generators([(1,) * n + (2,)], AL2)
+    k = from_generators([(2,) * n + (1,)], AL2)
+    assert fiber._join(h, k)[1] == 2 * n and not is_dense(h, k)
+    assert intersection_number_euler(h, k) == 0
+    square = sub("ab", "bA")
+    assert is_dense(square, square)
+    assert intersection_number_euler(square, square) == reduced_rank(square)
 
 
 def test_euler_refuses_what_the_product_refuses():
@@ -401,6 +447,64 @@ def test_euler_refuses_what_the_product_refuses():
         for left, right in ((h2, unfolded), (unfolded, h2)):
             with pytest.raises(ValueError, match="fiber product factors must be folded"):
                 walk(left, right)
+
+
+def test_product_walks_refuse_above_the_edge_budget(monkeypatch):
+    """Every product walk enters through `_join`, which refuses a product
+    of more than `MAX_PRODUCT_EDGES` edges with `SizeLimitError`, after
+    its rank and folding refusals and before the walk allocates anything
+    of the product's size; a product at the budget is walked.
+    <a^2, b> x <a, b^2> has 2 x 2 pairs and 4 edges."""
+    h, k = sub("aa", "b"), sub("a", "bb")
+    mu, nu = counting_current(h), counting_current(k)
+    walks = {
+        "euler": lambda: intersection_number_euler(h, k),
+        "c_hat": lambda: c_hat(mu, nu),
+        "fiber_product": lambda: fiber_product(h, k),
+        "pushforward_I": lambda: pushforward_I(mu, nu),
+    }
+    monkeypatch.setattr(fiber, "MAX_PRODUCT_EDGES", 4)
+    assert intersection_number_euler(h, k) == 1 and c_hat(mu, nu) == 1
+    assert len(fiber_product(h, k).graph.edges) == 4
+    assert pushforward_I(mu, nu).terms()
+    monkeypatch.setattr(fiber, "MAX_PRODUCT_EDGES", 3)
+    for name, walk in walks.items():
+        with pytest.raises(
+            SizeLimitError,
+            match="a fiber product of 2 x 2 vertices has 4 edges, above the budget of 3",
+        ):
+            walk()
+    unfolded = LabeledGraph(2, 1, [(0, 0, 1), (0, 0, 1)])
+    with pytest.raises(ValueError, match="must be folded"):
+        intersection_number_euler(h, unfolded)
+    with pytest.raises(ValueError, match="common ambient rank"):
+        intersection_number_euler(h, from_generators([(3,)], Alphabet(3)))
+
+
+def test_product_edge_budget_refuses_a_product_too_big_to_hold():
+    """At the real budget, <a^3000 b> with itself has 9,000,001 product
+    edges, above 2^23: every walk refuses it within a fraction of a
+    second, holding no more than the factors' own tables."""
+    assert fiber.MAX_PRODUCT_EDGES == 2**23
+    h = from_generators([(1,) * 3000 + (2,)], AL2)
+    mu = counting_current(h)
+    h.moves()
+    for walk in (
+        lambda: intersection_number_euler(h, h),
+        lambda: c_hat(mu, mu),
+        lambda: fiber_product(h, h),
+        lambda: pushforward_I(mu, mu),
+    ):
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(SizeLimitError, match="3001 x 3001 vertices has 9000001 edges"):
+                walk()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert peak < 2**20
 
 
 def classify_pairs():

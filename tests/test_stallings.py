@@ -55,6 +55,7 @@ from subsetcurrents import (
     random_reduced_word,
     random_subgroup,
     rank,
+    reduce_word,
     reduced_rank,
     subgroup_generators,
 )
@@ -92,6 +93,7 @@ from helpers import (
     is_folded_oracle,
     random_reduced_word_oracle,
     stable_classes_oracle,
+    subgroup_generators_concat_oracle,
     subgroup_corpus,
     wedge,
 )
@@ -172,6 +174,40 @@ def test_subgroup_generators_regenerate():
         h = sub(*words)
         again = from_generators(subgroup_generators(h), AL2)
         assert canonical_key_based(again) == canonical_key_based(h)
+
+
+def test_subgroup_generators_match_the_concat_oracle():
+    """The words spelled in one pass are, word for word, the reduced joins
+    of the earlier `concat` route, and each is reduced as spelled: on every
+    rank-2 core on at most 4 vertices and rank-3 core on at most 2, based
+    at each vertex, and on seeded subgroups whose generators are
+    conjugated by a word, so most have a basepoint arc, at ranks 2, 3, 26
+    and 200."""
+    graphs = [g._rebased(v) for g in all_cores(2, 4) + all_cores(3, 2)
+              for v in range(g.num_vertices)]
+    rng = random.Random(71)
+    arcs = 0
+    for rank_ in (2, 3, 26, 200):
+        al = Alphabet(rank_)
+        for _ in range(60):
+            w = random_reduced_word(rng, al, rng.randint(0, 12))
+            gens = [random_reduced_word(rng, al, rng.randint(1, 8))
+                    for _ in range(rng.randint(1, 4))]
+            try:
+                h = from_generators([concat(w, g, invert(w)) for g in gens], al)
+            except TrivialSubgroupError:
+                continue
+            arcs += len(h._places[h.basepoint]) == 1
+            graphs.append(h)
+    assert arcs >= 100
+    words = 0
+    for h in graphs:
+        gens = subgroup_generators(h)
+        assert gens == subgroup_generators_concat_oracle(h)
+        assert all(w == reduce_word(w) for w in gens)
+        assert len(gens) == rank(h)
+        words += len(gens)
+    assert words > 5000
 
 
 def test_canonical_key_relabeling_invariance():
