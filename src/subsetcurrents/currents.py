@@ -430,7 +430,8 @@ def c_hat(mu: RationalCurrent, nu: RationalCurrent) -> Fraction:
     root.  No product graph or component report is built, so this route
     shares no component classification with the cosets route.  A product
     of more than `MAX_PRODUCT_EDGES` edges (the sum over labels of
-    e1 * e2) is refused with `SizeLimitError` before its edges are listed.
+    e1 * e2) or `MAX_PRODUCT_PAIRS` vertex pairs is refused with
+    `SizeLimitError` before its edges are listed.
     """
     total = Fraction(0)
     for c, g1, g2 in _term_pairs(mu, nu):
@@ -462,8 +463,9 @@ def intersection_functional_N(mu: RationalCurrent, nu: RationalCurrent) -> Fract
 def pushforward_I(mu: RationalCurrent, nu: RationalCurrent) -> RationalCurrent:
     """Current-valued pairing: one counting term per essential component of
     each fiber product, i.e. per double coset with nontrivial intersection.
-    A product of more than `MAX_PRODUCT_EDGES` edges is refused with
-    `SizeLimitError` before it is built."""
+    A product of more than `MAX_PRODUCT_EDGES` edges or
+    `MAX_PRODUCT_PAIRS` vertex pairs is refused with `SizeLimitError`
+    before it is built."""
     raw: list[tuple[Fraction, LabeledGraph]] = []
     for c, g1, g2 in _term_pairs(mu, nu):
         fp = fiber_product(g1, g2)

@@ -36,9 +36,11 @@ class NotAutomorphismError(ValueError):
 class SizeLimitError(ValueError):
     """An input would exceed a fixed size ceiling: an enumeration above its
     cap, a rank above `MAX_RANK`, which bounds a departure row, a
-    departure table above `MAX_TABLE_SLOTS`, or a fiber product above
+    departure table above `MAX_TABLE_SLOTS`, a fiber product above
     `MAX_PRODUCT_EDGES` = 2^23 edges, which at about 310 bytes an edge
-    keeps the hungriest product walk near 2.4 GiB."""
+    keeps the hungriest product walk near 2.4 GiB, or, in the walks that
+    hold every vertex pair, above `MAX_PRODUCT_PAIRS` = 2^24 pairs, which
+    at about 150 bytes a pair keeps them near the same."""
 
 
 class RetryLimitError(RuntimeError):

@@ -7,7 +7,9 @@ vertices of the pruned product, which keeps per vertex pair its degree
 and the XOR of its neighbours, so it stores no product edge and a leaf
 reads its one neighbour off its XOR; and the sum of reduced ranks over
 the double-coset components.  Every product walk enters through `_join`,
-which refuses a product of more than `MAX_PRODUCT_EDGES` edges.
+which refuses a product of more than `MAX_PRODUCT_EDGES` edges, and the
+walks that hold every vertex pair list their edges through
+`_product_edges`, which refuses more than `MAX_PRODUCT_PAIRS` pairs.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .stallings import (
     LabeledGraph,
     _alphabet,
     _based_tree,
+    _peel,
     _tree_path,
     contains,
     from_generators,
@@ -32,6 +35,12 @@ from .words import Word, concat, invert
 # Most edges a product walk may join: at about 310 bytes an edge, the
 # hungriest walk, a `FiberProduct` with its components, stays near 2.4 GiB.
 MAX_PRODUCT_EDGES = 2**23
+
+# Most vertex pairs a per-pair product walk may number: a `FiberProduct`
+# with its components, the hungriest, holds about 150 bytes a pair, so
+# 2^24 pairs stay near the edge budget's 2.4 GiB.  The Euler route holds
+# only the pairs its tables need and is not bound by this.
+MAX_PRODUCT_PAIRS = 2**24
 
 # The Euler route's tables hold two slots a pair: a list slot is one 8-byte
 # pointer, and a dict entry at least a 24-byte record and an 8-byte index,
@@ -70,7 +79,7 @@ def _join(left: LabeledGraph, right: LabeledGraph) -> tuple[dict[int, list[tuple
     label, which the walk joins the left factor's edges to, with the
     product's edge count E, the sum over labels of e1 * e2.  E costs one
     pass over the left factor's edges, so the refusal comes before the
-    walk allocates anything of the product's size.  `is_folded` builds
+    walk allocates anything of the product's edge count.  `is_folded` builds
     both departure tables, and a `SizeLimitError` from them passes
     through."""
     if left.rank != right.rank:
@@ -95,9 +104,17 @@ def _product_edges(left: LabeledGraph, right: LabeledGraph) -> list[Edge]:
     left factor and o2 -> t2 of the right with the same label give the
     edge (o1, o2) -> (t1, t2), where the pair (v1, v2) is numbered
     v1 * V2 + v2.  Both factors must be folded and of one rank, and the
-    product may hold at most `MAX_PRODUCT_EDGES` edges (`_join`)."""
+    product may hold at most `MAX_PRODUCT_EDGES` edges (`_join`).  Every
+    caller then allocates per pair, so V1 * V2 above `MAX_PRODUCT_PAIRS`
+    is refused too, before any edge is listed."""
     by_label, _ = _join(left, right)
     n2 = right.num_vertices
+    pairs = left.num_vertices * n2
+    if pairs > MAX_PRODUCT_PAIRS:
+        raise SizeLimitError(
+            f"a fiber product of {left.num_vertices} x {n2} vertices "
+            f"has {pairs} vertex pairs, above the budget of {MAX_PRODUCT_PAIRS}"
+        )
     return [
         (o1 * n2 + o2, t1 * n2 + t2, lab)
         for o1, t1, lab in left.edges
@@ -111,8 +128,9 @@ class FiberProduct:
     Component data is built lazily and at most once: the component ids
     (memoized on `graph`), the reports, both factors' spanning-tree parent
     tables from their basepoints, and the product edges bucketed by
-    component.  A product of more than `MAX_PRODUCT_EDGES` edges is
-    refused with `SizeLimitError` before its edge list is built.
+    component.  A product of more than `MAX_PRODUCT_EDGES` edges or
+    `MAX_PRODUCT_PAIRS` vertex pairs is refused with `SizeLimitError`
+    before its edge list is built.
     """
 
     __slots__ = ("left", "right", "graph", "_reports", "_trees", "_buckets")
@@ -252,15 +270,12 @@ def intersection_number_euler(h: LabeledGraph, k: LabeledGraph) -> int:
 
     No product edge is stored.  Joining the factors' edges by label counts
     E and, per pair (u, v) numbered u * V2 + v, its degree and the XOR of
-    its neighbours' numbers, as in peeling-based filters (Graf and Lemire,
-    "Xor Filters", 2020).  A loop or two parallel edges cancel out of the
-    XOR, but they also hold the degree at 2 or more, so such a pair is
-    never peeled.  A leaf's one live neighbour is therefore its XOR value;
-    removing the leaf takes one edge and one vertex, which leaves E - V as
-    it was, and XORs the leaf out of that neighbour.  A pair whose last
-    neighbour went first is the last vertex of a tree and adds one, and so
-    does an untouched pair.  So the value is E minus the pairs held plus
-    the pairs removed at degree 0.
+    its neighbours' numbers, and `stallings._peel`, the leaf peel that
+    coring runs too, peels those tables.  Removing a leaf takes one edge
+    and one vertex, which leaves E - V as it was.  A pair whose last neighbour
+    went first is the last vertex of a tree and adds one, and so does an
+    untouched pair.  So the value is E minus the pairs held plus the pairs
+    `_peel` removes at degree 0.
 
     The two tables are lists over all V1 * V2 pairs when V1 * V2 is at
     most `_DENSE_PAIRS_PER_EDGE` times E, and dicts over the touched pairs
@@ -289,24 +304,8 @@ def intersection_number_euler(h: LabeledGraph, k: LabeledGraph) -> int:
             deg[t2] += 1
             nbr[o2] ^= t2
             nbr[t2] ^= o2
-    # deg[p] counts the live edges at a pair not yet removed, and a pair is
-    # queued once: at the start if its degree is 0 or 1, else when it drops
-    # to 1.  A removed pair is never read again, since no live pair has it
-    # as a neighbour.
     queue = [p for p, d in (enumerate(deg) if dense else deg.items()) if d <= 1]
-    trees = 0
-    while queue:
-        p = queue.pop()
-        if not deg[p]:
-            trees += 1
-            continue
-        q = nbr[p]
-        d = deg[q]
-        deg[q] = d - 1
-        nbr[q] ^= p
-        if d == 2:
-            queue.append(q)
-    return num_edges - len(deg) + trees
+    return num_edges - len(deg) + _peel(deg, nbr, queue)
 
 
 def intersection_number_cosets(h: LabeledGraph, k: LabeledGraph) -> int:
@@ -314,7 +313,8 @@ def intersection_number_cosets(h: LabeledGraph, k: LabeledGraph) -> int:
 
     Each non-contractible component is converted back into an honest
     subgroup via its generators, so this route does not reuse the Euler
-    arithmetic of the component itself.  Both factors must be based and
+    arithmetic of the component itself.  It builds a `FiberProduct`, so
+    it refuses what that refuses.  Both factors must be based and
     connected even when no component is essential, so their trees are
     built first and left on the product for `component_subgroup`.
     """

@@ -133,10 +133,10 @@ class LabeledGraph:
                 raise ValueError(f"edge ({o},{t},{lab}) out of vertex range")
             if not (1 <= lab <= rank):
                 raise ValueError(f"edge label {lab} out of range for rank {rank}")
-        if basepoint is not None and not (0 <= _int(basepoint, "basepoint") < num_vertices):
-            raise ValueError(f"basepoint {basepoint} out of range")
         self.rank = rank
         self.num_vertices = num_vertices
+        if basepoint is not None:
+            _vertex(self, basepoint, "basepoint")
         self.edges: tuple[Edge, ...] = tuple(sorted(edges))
         self.basepoint = basepoint
         self._moves = None
@@ -148,8 +148,8 @@ class LabeledGraph:
         the constructor refuses it.  The copy shares the edges and every
         cached table, none of which depends on the basepoint, so neither
         graph builds them again."""
-        if basepoint is not None and not (0 <= _int(basepoint, "basepoint") < self.num_vertices):
-            raise ValueError(f"basepoint {basepoint} out of range")
+        if basepoint is not None:
+            _vertex(self, basepoint, "basepoint")
         if basepoint == self.basepoint:
             return self
         out = object.__new__(LabeledGraph)
@@ -339,35 +339,61 @@ def fold(graph: LabeledGraph) -> LabeledGraph:
     return _Folder(graph.num_vertices, graph.edges).graph(graph.rank, graph.basepoint)
 
 
+def _peel(deg, nbr, queue: list) -> int:
+    """Iterated leaf removal over per-vertex tables, lists or dicts: deg[v]
+    counts the live edge ends at v and nbr[v] is the XOR of the far ends of
+    those edges, as in peeling-based filters (Graf and Lemire, "Xor
+    Filters", 2020).  `queue` must hold every vertex of degree 0 or 1.
+    Returns the number of vertices removed at degree 0, the last vertices
+    of trees.
+
+    A loop or two parallel edges cancel out of the XOR, but they also hold
+    the degree at 2 or more, so such a vertex is never peeled, and a
+    leaf's one live neighbour is its XOR value.  Removing the leaf XORs it
+    out of that neighbour and queues the neighbour when its degree drops
+    to 1, so each vertex is queued once.  A removed vertex is left at
+    degree 0 or 1 and is never read again, since no live vertex has it as
+    a neighbour; a survivor keeps degree 2 or more.  Cost: O(len(queue)
+    plus the vertices peeled)."""
+    trees = 0
+    while queue:
+        p = queue.pop()
+        if not deg[p]:
+            trees += 1
+            continue
+        q = nbr[p]
+        d = deg[q]
+        deg[q] = d - 1
+        nbr[q] ^= p
+        if d == 2:
+            queue.append(q)
+    return trees
+
+
 def _prune(n: int, edges, keep: int | None = None) -> set[int]:
     """Iterated removal of degree <= 1 vertices other than `keep` from the
     graph on vertices 0..n-1 with the given (origin, terminus, label)
-    edges.  Returns the surviving vertices."""
-    ends: list[list[int]] = [[] for _ in range(n)]
+    edges.  Returns the surviving vertices.
+
+    One pass fills the degree and neighbour-XOR tables of `_peel`.  `keep`
+    gets a virtual loop, 2 more in degree and nothing in XOR, so it is
+    never queued and never drops below degree 2.  Cost: O(V + E)."""
+    deg, nbr = [0] * n, [0] * n
     for o, t, _ in edges:
-        ends[o].append(t)
-        ends[t].append(o)
-    # deg[v] counts the edges of v that are still alive; a vertex is
-    # queued once, when its degree first drops to 1 or less, and its
-    # degree becomes -1 when it is removed, which kills its last edge.
-    deg = list(map(len, ends))
-    queue = [v for v in range(n) if deg[v] <= 1 and v != keep]
-    while queue:
-        v = queue.pop()
-        deg[v] = -1
-        for u in ends[v]:
-            d = deg[u]
-            if d < 0:
-                continue
-            deg[u] = d - 1
-            if d == 2 and u != keep:
-                queue.append(u)
-    return {v for v in range(n) if deg[v] >= 0}
+        deg[o] += 1
+        deg[t] += 1
+        nbr[o] ^= t
+        nbr[t] ^= o
+    if keep is not None:
+        deg[keep] += 2
+    _peel(deg, nbr, [v for v, d in enumerate(deg) if d <= 1])
+    return {v for v, d in enumerate(deg) if d >= 2}
 
 
 def core_vertices(graph: LabeledGraph, keep: int | None = None) -> set[int]:
     """Vertices surviving iterated removal of degree <= 1 vertices other
-    than `keep`, which is None or a vertex of the graph."""
+    than `keep`, which is None or a vertex of the graph.  Cost: O(V + E),
+    by `_prune`."""
     if keep is not None:
         _vertex(graph, keep, "keep")
     return _prune(graph.num_vertices, graph.edges, keep)

@@ -61,12 +61,16 @@ oracle for edges minus vertices of the pruned product.
 before the product went sparse: the full `FiberProduct` with every vertex
 pair, pruned by `core_vertices_oracle`, the earlier `core_vertices` (a
 FIFO leaf queue with per-edge liveness flags), kept as the oracle for the
-shared `_prune`.  `intersection_number_euler_sparse_oracle` is the
+leaf peel `stallings._peel`, which coring and the Euler route share.
+`intersection_number_euler_sparse_oracle` is the
 pruning route as it was before it read the factors' departure tables: the
 product edge list from `_product_edges`, renumbered through a dict to the
-pairs it touches, pruned by `_prune` with its per-vertex adjacency lists,
-and its surviving edges counted, kept as the oracle for the degree counts
-and the leaves that find their neighbour by table.
+pairs it touches, pruned by `prune_lists_oracle` and its surviving edges
+counted, kept as the oracle for the degree counts and the leaves that
+find their neighbour by table.  `prune_lists_oracle` is the earlier
+`_prune`, with per-vertex adjacency lists and removed vertices marked by
+degree -1, kept as the second oracle for `_prune`, which fills the
+degree and neighbour-XOR tables of `_peel`.
 `intersection_number_euler_table_oracle` is the route as it was before
 its leaves found their neighbour by XOR: one dict of degrees over the
 touched pairs, and a leaf that reads the places at u against the
@@ -184,7 +188,6 @@ from subsetcurrents.stallings import (
     _alphabet,
     _based_tree,
     _bfs_code,
-    _prune,
     _tree_path,
     core_vertices,
     induced_subgraph,
@@ -1021,6 +1024,32 @@ def intersection_number_euler_full_oracle(h: LabeledGraph, k: LabeledGraph) -> i
     return edges - len(survivors)
 
 
+def prune_lists_oracle(n: int, edges, keep: int | None = None) -> set[int]:
+    """Iterated removal of degree <= 1 vertices other than `keep` from the
+    graph on vertices 0..n-1 with the given (origin, terminus, label)
+    edges.  Returns the surviving vertices."""
+    ends: list[list[int]] = [[] for _ in range(n)]
+    for o, t, _ in edges:
+        ends[o].append(t)
+        ends[t].append(o)
+    # deg[v] counts the edges of v that are still alive; a vertex is
+    # queued once, when its degree first drops to 1 or less, and its
+    # degree becomes -1 when it is removed, which kills its last edge.
+    deg = list(map(len, ends))
+    queue = [v for v in range(n) if deg[v] <= 1 and v != keep]
+    while queue:
+        v = queue.pop()
+        deg[v] = -1
+        for u in ends[v]:
+            d = deg[u]
+            if d < 0:
+                continue
+            deg[u] = d - 1
+            if d == 2 and u != keep:
+                queue.append(u)
+    return {v for v in range(n) if deg[v] >= 0}
+
+
 def intersection_number_euler_sparse_oracle(h: LabeledGraph, k: LabeledGraph) -> int:
     """Edges minus vertices of the pruned product, on the touched pairs."""
     ids: dict[int, int] = {}
@@ -1028,7 +1057,7 @@ def intersection_number_euler_sparse_oracle(h: LabeledGraph, k: LabeledGraph) ->
         (ids.setdefault(o, len(ids)), ids.setdefault(t, len(ids)), lab)
         for o, t, lab in _product_edges(h, k)
     ]
-    survivors = _prune(len(ids), edges)
+    survivors = prune_lists_oracle(len(ids), edges)
     return sum(o in survivors and t in survivors for o, t, _ in edges) - len(survivors)
 
 

@@ -51,6 +51,7 @@ from subsetcurrents import (
     subgroup_generators,
     cli,
 )
+from subsetcurrents.stallings import core_vertices
 from helpers import (
     all_cores,
     brute_force_occurrences,
@@ -527,3 +528,34 @@ def test_criterion_23_canonical_key_reads_the_rows_as_they_are(acceptance):
         key, peak = _traced_peak(canonical_key, g)
         assert peak < 15 * 2**20
         assert hashlib.sha256(key).hexdigest()[:12] == "88c880d165ad"
+
+
+def test_criterion_24_coring_a_long_arc_in_bounded_memory(acceptance):
+    """Coring peels leaves with a degree and a neighbour XOR per vertex
+    and no adjacency list: on the 100,001-vertex graph of a^100000 b
+    a^-100000, `core_vertices` peaked at 4.6 MiB, where per-vertex
+    adjacency lists peaked at 9.9 MiB."""
+    h = from_generators([(1,) * 100000 + (2,) + (-1,) * 100000], AL2)
+    assert h.num_vertices == 100001
+    label = "core_vertices of the 100,001-vertex graph of a^100000 b a^-100000 under 6 MiB"
+    with acceptance(24, label, budget=1):
+        survivors, peak = _traced_peak(core_vertices, h)
+        assert survivors == {100000} and peak < 6 * 2**20
+
+
+def test_criterion_25_a_product_of_400_million_pairs_is_refused(acceptance, tmp_path, capsys):
+    """`intersect` and `product` on <a^20000 b> x <b^20000 a>, 400,040,001
+    vertex pairs and 40,000 edges, exit 1 and name V1, V2 and the pairs:
+    the walks that hold every pair refuse it before they allocate per
+    pair, where they died of `MemoryError` under a 1.5 GB address limit."""
+    h, k = tmp_path / "h.txt", tmp_path / "k.txt"
+    h.write_text("a" * 20000 + "b\n", encoding="utf-8")
+    k.write_text("b" * 20000 + "a\n", encoding="utf-8")
+    label = "intersect and product on <a^20000 b> x <b^20000 a> refused within 1 s each"
+    with acceptance(25, label):
+        for cmd in ("intersect", "product"):
+            start = time.monotonic()
+            assert cli.main([cmd, str(h), str(k)]) == 1
+            assert time.monotonic() - start < 1
+            err = capsys.readouterr().err
+            assert "20001 x 20001 vertices has 400040001 vertex pairs" in err

@@ -664,6 +664,17 @@ def test_product_edge_budget_exits_1(files, monkeypatch, capsys):
     assert "above the budget of 3" in capsys.readouterr().err
 
 
+def test_product_pair_budget_exits_1(files, monkeypatch, capsys):
+    """A product of more than `MAX_PRODUCT_PAIRS` vertex pairs is an input
+    error (exit 1) that names V1, V2, the pairs and the bound, from both
+    commands that hold every pair."""
+    monkeypatch.setattr(fiber, "MAX_PRODUCT_PAIRS", 3)
+    for cmd in ("product", "intersect"):
+        assert run([cmd, files["h"], files["k"]]) == 1
+        err = capsys.readouterr().err
+        assert "a fiber product of 2 x 2 vertices has 4 vertex pairs, above the budget of 3" in err
+
+
 def _lose_generators(fp, comp):
     """`component_subgroup` with the right representative and no generators."""
     return fiber.component_subgroup(fp, comp)[0], []

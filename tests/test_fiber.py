@@ -507,6 +507,42 @@ def test_product_edge_budget_refuses_a_product_too_big_to_hold():
         assert peak < 2**20
 
 
+@pytest.mark.parametrize("walk", ["c_hat", "fiber_product", "pushforward_I", "cosets"])
+def test_per_pair_walks_refuse_above_the_pair_budget(monkeypatch, walk):
+    """The walks that hold every vertex pair list their edges through
+    `_product_edges`, which refuses V1 * V2 above `MAX_PRODUCT_PAIRS`
+    with `SizeLimitError`, naming V1, V2, the pairs and the bound.  The
+    Euler route holds only the pairs its tables need and is not bound.
+    <a^2, b> x <a, b^2> has 2 x 2 pairs and 4 edges."""
+    h, k = sub("aa", "b"), sub("a", "bb")
+    mu, nu = counting_current(h), counting_current(k)
+    run = {
+        "c_hat": lambda: c_hat(mu, nu),
+        "fiber_product": lambda: fiber_product(h, k).components(),
+        "pushforward_I": lambda: pushforward_I(mu, nu),
+        "cosets": lambda: intersection_number_cosets(h, k),
+    }[walk]
+    monkeypatch.setattr(fiber, "MAX_PRODUCT_PAIRS", 4)
+    assert run()
+    monkeypatch.setattr(fiber, "MAX_PRODUCT_PAIRS", 3)
+    with pytest.raises(
+        SizeLimitError,
+        match="a fiber product of 2 x 2 vertices has 4 vertex pairs, above the budget of 3",
+    ):
+        run()
+    assert intersection_number_euler(h, k) == 1
+
+
+def test_pair_budget_admits_a_sparse_product_of_nine_million_pairs():
+    """At the real budget, 2^24, <a^3000 b> x <b^3000 a> (9,006,001
+    pairs, 6,000 edges) is admitted: its edges are listed."""
+    assert fiber.MAX_PRODUCT_PAIRS == 2**24
+    h = from_generators([(1,) * 3000 + (2,)], AL2)
+    k = from_generators([(2,) * 3000 + (1,)], AL2)
+    assert h.num_vertices * k.num_vertices == 9_006_001
+    assert len(fiber._product_edges(h, k)) == 6000
+
+
 def classify_pairs():
     """Seeded based pairs at ranks 2 to 4 and finite-index covers against
     their base, plus edgeless products, forests and self-loop roses."""

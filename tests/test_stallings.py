@@ -91,6 +91,7 @@ from helpers import (
     from_generators_oracle,
     germ_lists_oracle,
     is_folded_oracle,
+    prune_lists_oracle,
     random_reduced_word_oracle,
     stable_classes_oracle,
     subgroup_generators_concat_oracle,
@@ -1269,13 +1270,16 @@ def random_multigraphs():
 
 
 def test_prune_matches_oracle():
-    cases = [(g, None) for g in random_multigraphs()]
-    cases += [(g, g.num_vertices - 1) for g in random_multigraphs()]
+    """`_prune`, the XOR peel with a virtual loop at `keep`, against the
+    FIFO oracle with liveness flags and the earlier adjacency-list prune,
+    with no kept vertex and with each vertex kept in turn."""
+    cases = [(g, keep) for g in random_multigraphs() for keep in [None, *range(g.num_vertices)]]
     cases += [(h, h.basepoint) for h in based_graphs_with_tails()[:300]]
     pruned = kept = 0
     for g, keep in cases:
         survivors = _prune(g.num_vertices, g.edges, keep)
         assert survivors == core_vertices_oracle(g, keep)
+        assert survivors == prune_lists_oracle(g.num_vertices, g.edges, keep)
         pruned += 0 < len(survivors) < g.num_vertices
         ends_at_keep = sum((o == keep) + (t == keep) for o, t, _ in g.edges)
         kept += keep is not None and keep in survivors and ends_at_keep < 2
